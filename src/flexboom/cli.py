@@ -1,8 +1,11 @@
 """Command-line front end: equilibrium curves, Bode/passivity sweeps,
 closed-loop simulations, and torque-deflection map fitting.
 
-All commands read one JSON config file (every field optional, defaults are
-the nominal boom) plus a few flag overrides, write CSV outputs atomically
+All commands read one JSON config file plus a few flag overrides.  Every
+field is optional: ``_default_config`` is the one defaults tree (the boom
+section is ``BoomParams()``, ``bode.eps_tol`` is the passivity module's
+default) and the schema a config file is checked against is derived from
+the types of its leaves.  Commands write CSV outputs atomically
 (write-temp-then-rename), and drop a machine-readable ``summary.json``
 next to them.  Exit code 0 means every requested check or run succeeded;
 config and schema problems exit with 2, runtime failures with 1.  A
@@ -12,6 +15,7 @@ simulation that ends in divergence is a recorded outcome, not a failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,8 +32,10 @@ from .equilibrium import (DEFAULT_TENSION_MAX, NearSingularStiffness,
                           OutOfRange, deflection_curve, solve_equilibrium)
 from .linearization import linearize
 from .model import BasisSet, BoomParams, assemble_matrices
-from .passivity import (default_grid, frequency_response, mode_count_sweep,
-                        passivity_check, scaling_factory, uncertainty_sweep)
+from .passivity import (DEFAULT_EPS_TOL, InconsistentTests, PoleOnGrid,
+                        SweepSampleError, default_grid, frequency_response,
+                        mode_count_sweep, passivity_check, scaling_factory,
+                        uncertainty_sweep)
 from .sim import SCENARIO_NAMES, SimScenario, run_simulation, scenario_suite
 
 __all__ = ["main", "ConfigError", "load_config"]
@@ -46,65 +52,10 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-_SCHEMA: dict[str, Any] = {
-    "boom": {
-        "length": float,
-        "linear_density": float,
-        "elastic_modulus": float,
-        "second_moment": float,
-        "cable_offset": float,
-        "spreader_count": int,
-        "node_spacing": float,
-    },
-    "modes": int,
-    "unit_profile": str,
-    "output_dir": str,
-    "equilibrium": {"t_max": float, "samples": int},
-    "bode": {
-        "omega_min": float,
-        "omega_max": float,
-        "grid_points": int,
-        "eps_tol": float,
-    },
-    "controller": {
-        "gains": {"k_p": float, "k_d": float},
-        "feedforward": {
-            "mode": str,
-            "tension_final": float,
-            "tension_initial": float,
-            "duration": float,
-        },
-        "reference": {
-            "mode": str,
-            "w_final": (float, type(None)),
-            "w_initial": (float, type(None)),
-            "duration": float,
-            "map_coefficients": list,
-            "map_units": list,
-        },
-        "clamp_nonnegative": bool,
-    },
-    "simulation": {
-        "w_init": float,
-        "duration": float,
-        "dt": float,
-        "decimation": int,
-        "scenario": (str, type(None)),
-    },
-}
-
-
 def _default_config() -> dict:
+    """The full configuration tree; its leaves also fix the schema's types."""
     return {
-        "boom": {
-            "length": 29.4,
-            "linear_density": 0.1,
-            "elastic_modulus": 228e9,
-            "second_moment": 4.99e-10,
-            "cable_offset": 0.1,
-            "spreader_count": 10,
-            "node_spacing": 2.94,
-        },
+        "boom": dataclasses.asdict(BoomParams()),
         "modes": 3,
         "unit_profile": "simulation-SI",
         "output_dir": "out",
@@ -113,7 +64,7 @@ def _default_config() -> dict:
             "omega_min": 1e-3,
             "omega_max": 1e3,
             "grid_points": 2000,
-            "eps_tol": 1e-9,
+            "eps_tol": DEFAULT_EPS_TOL,
         },
         "controller": {
             "gains": {"k_p": 10.0, "k_d": 25.0},
@@ -141,6 +92,29 @@ def _default_config() -> dict:
             "scenario": None,
         },
     }
+
+
+# Leaves whose default is null, with the type a user may set instead.
+_NULLABLE = {
+    "controller.reference.w_final": float,
+    "controller.reference.w_initial": float,
+    "simulation.scenario": str,
+}
+
+
+def _schema_of(tree: dict, path: str = "") -> dict:
+    schema: dict[str, Any] = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            schema[key] = _schema_of(value, path + key + ".")
+        elif value is None:
+            schema[key] = (_NULLABLE[path + key], type(None))
+        else:
+            schema[key] = type(value)
+    return schema
+
+
+_SCHEMA = _schema_of(_default_config())
 
 
 def _validate(user: Any, schema: Any, path: str) -> None:
@@ -313,7 +287,6 @@ _SWEEP_HEADER = [
 
 
 def cmd_bode(config: dict, args: argparse.Namespace) -> int:
-    params = _boom_params(config)
     model = _build_model(config)
     outdir = _output_dir(config, args)
     bode_cfg = config["bode"]
@@ -354,33 +327,26 @@ def cmd_bode(config: dict, args: argparse.Namespace) -> int:
         _write_csv_atomic(dump_path, ["matrix", "row", "col", "value"], dump_rows)
         summary["outputs"].append(str(dump_path))
 
-    if args.sweep == "uncertainty":
-        pct = float(args.pct) / 100.0
-        factory = scaling_factory(params, model.basis)
-        reports = uncertainty_sweep(factory, t_eq, pct, int(args.samples),
-                                    grid, eps_tol)
-        path = outdir / "sweep_uncertainty.csv"
+    if args.sweep is not None:
+        if args.sweep == "uncertainty":
+            factory = scaling_factory(model.params, model.basis)
+            reports = uncertainty_sweep(factory, t_eq, float(args.pct) / 100.0,
+                                        int(args.samples), grid, eps_tol)
+            key = "uncertainty_sweep"
+            info = {"samples": len(reports), "perturbation_pct": float(args.pct)}
+            label = f"uncertainty sweep: {len(reports)} samples, "
+        else:
+            counts = [int(v) for v in args.modes.split(",")]
+            reports = mode_count_sweep(model.params, counts, t_eq, grid, eps_tol)
+            key, info = "mode_sweep", {"mode_counts": counts}
+            label = f"mode-count sweep over {counts}: "
+        path = outdir / f"sweep_{args.sweep}.csv"
         _write_csv_atomic(path, _SWEEP_HEADER, [_report_row(r) for r in reports])
         all_passive = all(r.passive for r in reports)
         ok = ok and all_passive
         summary["outputs"].append(str(path))
-        summary["uncertainty_sweep"] = {
-            "samples": len(reports), "perturbation_pct": float(args.pct),
-            "all_passive": all_passive,
-        }
-        print(f"uncertainty sweep: {len(reports)} samples, "
-              f"{'all passive' if all_passive else 'NOT all passive'}")
-    elif args.sweep == "modes":
-        counts = [int(v) for v in args.modes.split(",")]
-        reports = mode_count_sweep(params, counts, t_eq, grid, eps_tol)
-        path = outdir / "sweep_modes.csv"
-        _write_csv_atomic(path, _SWEEP_HEADER, [_report_row(r) for r in reports])
-        all_passive = all(r.passive for r in reports)
-        ok = ok and all_passive
-        summary["outputs"].append(str(path))
-        summary["mode_sweep"] = {"mode_counts": counts, "all_passive": all_passive}
-        print(f"mode-count sweep over {counts}: "
-              f"{'all passive' if all_passive else 'NOT all passive'}")
+        summary[key] = {**info, "all_passive": all_passive}
+        print(label + ("all passive" if all_passive else "NOT all passive"))
 
     summary["ok"] = ok
     _write_summary(outdir, summary)
@@ -460,12 +426,9 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
             w_init=float(sim_cfg["w_init"]), duration=float(sim_cfg["duration"]),
             dt=float(sim_cfg["dt"]),
         )
-        scenario = next(s for s in suite if s.name == scenario_name)
-        scenario = SimScenario(
-            model=scenario.model, controller=scenario.controller,
-            w_init=scenario.w_init, duration=scenario.duration, dt=scenario.dt,
-            decimation=int(sim_cfg["decimation"]), name=scenario.name,
-        )
+        scenario = dataclasses.replace(
+            next(s for s in suite if s.name == scenario_name),
+            decimation=int(sim_cfg["decimation"]))
     else:
         model = _build_model(config)
         controller = _controller_from_config(config, model,
@@ -633,7 +596,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OutOfRange, NearSingularStiffness, RankDeficient, ValueError) as exc:
+    except (OutOfRange, NearSingularStiffness, RankDeficient, SweepSampleError,
+            PoleOnGrid, InconsistentTests, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import StructuralModel, actuation_force, tip_deflection
+from .model import (StructuralModel, actuation_force, equilibrate,
+                    tip_deflection)
 
 __all__ = [
     "NearSingularStiffness",
@@ -79,9 +80,8 @@ def solve_equilibrium(model: StructuralModel, tension: float,
     if tension == 0.0:
         return EquilibriumPoint(0.0, np.zeros(n), 0.0)
 
-    scale = model._scale
-    matrix = _effective_stiffness(model, tension)
-    scaled = matrix / scale[:, None] / scale[None, :]
+    scale = model.tip_row
+    scaled = equilibrate(_effective_stiffness(model, tension), scale)
     condition = float(np.linalg.cond(scaled))
     if not np.isfinite(condition) or condition > cond_limit:
         raise NearSingularStiffness(tension, condition)

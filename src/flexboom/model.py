@@ -24,7 +24,7 @@ factorizations accurate for mode counts up to at least six.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,9 @@ __all__ = [
     "build_spreader_matrix",
     "zero_spreader_matrix",
     "assemble_matrices",
+    "equilibrate",
     "actuation_force",
+    "modal_acceleration",
     "dynamics_rhs",
     "tip_deflection",
     "tip_rate",
@@ -89,15 +91,9 @@ class BoomParams:
     def scaled(self, e_scale: float = 1.0, rho_scale: float = 1.0,
                i_scale: float = 1.0) -> "BoomParams":
         """Copy with elastic modulus, linear density, second moment scaled."""
-        return BoomParams(
-            length=self.length,
-            linear_density=self.linear_density * rho_scale,
-            elastic_modulus=self.elastic_modulus * e_scale,
-            second_moment=self.second_moment * i_scale,
-            cable_offset=self.cable_offset,
-            spreader_count=self.spreader_count,
-            node_spacing=self.node_spacing,
-        )
+        return replace(self, linear_density=self.linear_density * rho_scale,
+                       elastic_modulus=self.elastic_modulus * e_scale,
+                       second_moment=self.second_moment * i_scale)
 
 
 @dataclass(frozen=True)
@@ -229,10 +225,12 @@ class StructuralModel:
     ``mass_matrix`` and ``stiffness_matrix`` are the raw closed-form energy
     matrices in the monomial coordinates; ``spreader_matrix`` is the cable
     reaction matrix (enters the force as spreader_matrix / node_spacing);
-    ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).
+    ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).  ``tip_row`` is
+    also the diagonal equilibration scale (see ``equilibrate``).
 
-    The underscored fields cache the diagonally equilibrated mass
-    factorization and the mass-solved operators used by the dynamics.
+    The private fields cache the equilibrated mass factorization and the
+    mass-solved operators; read them through ``mass_solve`` and
+    ``modal_acceleration``.
     """
 
     params: BoomParams
@@ -242,7 +240,6 @@ class StructuralModel:
     spreader_matrix: np.ndarray = field(repr=False)
     tip_row: np.ndarray = field(repr=False)
     tip_slope: np.ndarray = field(repr=False)
-    _scale: np.ndarray = field(repr=False)
     _mass_chol: tuple = field(repr=False)
     _stiffness_op: np.ndarray = field(repr=False)     # M^-1 K
     _spreader_op: np.ndarray = field(repr=False)      # M^-1 spreader_matrix / dx
@@ -257,11 +254,18 @@ class StructuralModel:
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs through the cached equilibrated Cholesky factor."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return cho_solve(self._mass_chol, rhs / self._scale) / self._scale
-        scaled = rhs / self._scale[:, None]
-        return cho_solve(self._mass_chol, scaled) / self._scale[:, None]
+        return _mass_solve(self._mass_chol, self.tip_row,
+                           np.asarray(rhs, dtype=float))
+
+
+def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """D^-1 matrix D^-1 with D = diag(scale); A x = b becomes (D^-1 A D^-1)(D x) = b / scale."""
+    return matrix / scale[:, None] / scale[None, :]
+
+
+def _mass_solve(mass_chol: tuple, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    s = scale if rhs.ndim == 1 else scale[:, None]
+    return cho_solve(mass_chol, rhs / s) / s
 
 
 SpreaderModel = Callable[[BoomParams, BasisSet], np.ndarray]
@@ -294,21 +298,14 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
 
     # Equilibrate by the basis scale at the tip before factorizing: the raw
     # matrices are Hilbert-like with columns spanning ~L^(2n) in magnitude.
-    scale = length ** p
-    mass_eq = mass / scale[:, None] / scale[None, :]
     try:
-        mass_chol = cho_factor(mass_eq, lower=True)
+        mass_chol = cho_factor(equilibrate(mass, tip_row), lower=True)
     except np.linalg.LinAlgError as exc:
         raise ValueError("mass matrix is not positive definite") from exc
 
-    def msolve(b: np.ndarray) -> np.ndarray:
-        if b.ndim == 1:
-            return cho_solve(mass_chol, b / scale) / scale
-        return cho_solve(mass_chol, b / scale[:, None]) / scale[:, None]
-
-    stiffness_op = msolve(stiffness)
-    spreader_op = msolve(spreader / params.node_spacing)
-    tip_force_op = msolve(params.cable_offset * tip_slope)
+    stiffness_op = _mass_solve(mass_chol, tip_row, stiffness)
+    spreader_op = _mass_solve(mass_chol, tip_row, spreader / params.node_spacing)
+    tip_force_op = _mass_solve(mass_chol, tip_row, params.cable_offset * tip_slope)
 
     return StructuralModel(
         params=params,
@@ -318,7 +315,6 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
         spreader_matrix=_readonly(spreader),
         tip_row=_readonly(tip_row),
         tip_slope=_readonly(tip_slope),
-        _scale=_readonly(scale),
         _mass_chol=mass_chol,
         _stiffness_op=_readonly(stiffness_op),
         _spreader_op=_readonly(spreader_op),
@@ -333,11 +329,14 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
         + (model.params.cable_offset * u) * model.tip_slope
 
 
+def modal_acceleration(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
+    """Modal acceleration M^-1 (f(q, u) - K q) under cable tension u."""
+    return u * (model._spreader_op @ q + model._tip_force_op) - model._stiffness_op @ q
+
+
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:
     """First-order dynamics: d/dt (q, q_rate) = (q_rate, M^-1 (f(q, u) - K q))."""
-    accel = u * (model._spreader_op @ state.q + model._tip_force_op) \
-        - model._stiffness_op @ state.q
-    return State(q=state.q_rate, q_rate=accel)
+    return State(q=state.q_rate, q_rate=modal_acceleration(model, state.q, u))
 
 
 def tip_deflection(model: StructuralModel, q: np.ndarray) -> float:

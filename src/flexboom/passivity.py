@@ -19,6 +19,7 @@ solve and nudged by one part in 1e6; nudges are reported.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -210,6 +211,19 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
 ModelFactory = Callable[[float, float, float], StructuralModel]
 
 
+def _sweep_sample(label: str, sample: dict, build: Callable[[], StructuralModel],
+                  t_eq: float, omega: Sequence[float] | None,
+                  eps_tol: float) -> PassivityReport:
+    """Certify one built sample at t_eq; any failure becomes SweepSampleError."""
+    try:
+        model = build()
+        ss = linearize(model, solve_equilibrium(model, t_eq))
+        return passivity_check(ss, omega, eps_tol, metadata=sample)
+    except Exception as exc:
+        raise SweepSampleError(
+            f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
+
+
 def scaling_factory(params: BoomParams, basis: BasisSet,
                     spreader_model: SpreaderModel = build_spreader_matrix
                     ) -> ModelFactory:
@@ -234,28 +248,18 @@ def uncertainty_sweep(model_factory: ModelFactory, t_eq: float,
     """
     if not 0.0 <= perturbation < 1.0:
         raise ValueError("perturbation must lie in [0, 1)")
-    levels = max(1, round(samples ** (1.0 / 3.0)))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    levels = round(samples ** (1.0 / 3.0))
     if perturbation == 0.0 or levels == 1:
         axis = np.array([1.0])
     else:
         axis = np.linspace(1.0 - perturbation, 1.0 + perturbation, levels)
 
-    reports = []
-    for e_scale in axis:
-        for rho_scale in axis:
-            for i_scale in axis:
-                sample = {"e_scale": float(e_scale), "rho_scale": float(rho_scale),
-                          "i_scale": float(i_scale)}
-                try:
-                    model = model_factory(e_scale, rho_scale, i_scale)
-                    eq = solve_equilibrium(model, t_eq)
-                    ss = linearize(model, eq)
-                    reports.append(passivity_check(ss, omega, eps_tol, metadata=sample))
-                except Exception as exc:
-                    raise SweepSampleError(
-                        f"sweep sample {sample} at tension {t_eq} N failed: {exc}"
-                    ) from exc
-    return reports
+    return [_sweep_sample(
+        "sweep sample", {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)},
+        lambda: model_factory(e, rho, i), t_eq, omega, eps_tol)
+        for e, rho, i in itertools.product(axis, repeat=3)]
 
 
 def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float,
@@ -264,17 +268,7 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
                      spreader_model: SpreaderModel = build_spreader_matrix
                      ) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
-    reports = []
-    for n in mode_counts:
-        sample = {"mode_count": int(n)}
-        try:
-            model = assemble_matrices(params, BasisSet.with_mode_count(n),
-                                      spreader_model)
-            eq = solve_equilibrium(model, t_eq)
-            ss = linearize(model, eq)
-            reports.append(passivity_check(ss, omega, eps_tol, metadata=sample))
-        except Exception as exc:
-            raise SweepSampleError(
-                f"mode-count sample {sample} at tension {t_eq} N failed: {exc}"
-            ) from exc
-    return reports
+    return [_sweep_sample(
+        "mode-count sample", {"mode_count": int(n)},
+        lambda: assemble_matrices(params, BasisSet.with_mode_count(n), spreader_model),
+        t_eq, omega, eps_tol) for n in mode_counts]

@@ -17,9 +17,10 @@ import numpy as np
 
 from .control import (ControllerConfig, FeedforwardProfile, PDGains,
                       ReferenceTrajectory, make_controller)
-from .equilibrium import solve_equilibrium, tension_for_deflection
+from .equilibrium import (DEFAULT_TENSION_MAX, solve_equilibrium,
+                          tension_for_deflection)
 from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    assemble_matrices)
+                    assemble_matrices, modal_acceleration, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -94,11 +95,8 @@ class SimResult:
 
 
 def initial_state_from_deflection(model: StructuralModel, w_init: float,
-                                  t_max: float = 2.0) -> State:
+                                  t_max: float = DEFAULT_TENSION_MAX) -> State:
     """Rest state whose shape is the held equilibrium with tip at w_init."""
-    if w_init == 0.0:
-        n = model.mode_count
-        return State(q=np.zeros(n), q_rate=np.zeros(n))
     tension = tension_for_deflection(model, w_init, t_max=t_max)
     q = solve_equilibrium(model, tension).modal_coords
     return State(q=q, q_rate=np.zeros(model.mode_count))
@@ -111,12 +109,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
 
-    spreader_op = model._spreader_op
-    tip_force_op = model._tip_force_op
-    stiffness_op = model._stiffness_op
     tip_row = model.tip_row
-    mass = model.mass_matrix
-    stiffness = model.stiffness_matrix
 
     if scenario.controller is not None:
         controller = make_controller(scenario.controller)
@@ -130,10 +123,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             u = controller(t, tip_row @ q, tip_row @ q_rate).u
         else:
             u = 0.0
-        out = np.empty(2 * n)
-        out[:n] = q_rate
-        out[n:] = u * (spreader_op @ q + tip_force_op) - stiffness_op @ q
-        return out
+        return np.concatenate((q_rate, modal_acceleration(model, q, u)))
 
     state0 = initial_state_from_deflection(model, scenario.w_init)
     x = state0.as_vector()
@@ -165,8 +155,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             tdes_log[row] = sample.feedforward
             wdes_log[row] = sample.w_des
             wrdes_log[row] = sample.w_rate_des
-        ke_log[row] = 0.5 * (q_rate @ mass @ q_rate)
-        pe_log[row] = 0.5 * (q @ stiffness @ q)
+        ke_log[row], pe_log[row] = total_energy(model, State(q=q, q_rate=q_rate))
 
     log_row(0, 0.0, x)
     row = 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flexboom as fb
-from flexboom.cli import main
+from flexboom.cli import load_config, main
 
 CUBIC = (-1902.0, 1414.0, -302.7, 20.07)
 
@@ -232,3 +232,25 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     flag_target = tmp_path / "flag_out"
     assert main(["equilibrium", "--tension", "0.5", "--out", str(flag_target)]) == 0
     assert (flag_target / "summary.json").exists()
+
+
+def test_default_config_round_trips(tmp_path):
+    cfg = tmp_path / "config.json"
+    defaults = load_config(None)
+    cfg.write_text(json.dumps(defaults))
+    assert load_config(cfg) == defaults
+    cfg.write_text(json.dumps({"controller": {"reference": {"w_final": None}}}))
+    assert load_config(cfg)["controller"]["reference"]["w_final"] is None
+    for bad in ({"simulation": {"scenario": 3}},
+                {"controller": {"reference": {"w_final": "x"}}}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_failure_is_an_error_line(tmp_path, capsys):
+    cfg = small_bode_config(tmp_path)
+    code = main(["bode", "--teq", "1", "--sweep", "modes", "--modes", "0",
+                 "--config", cfg, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -171,3 +171,6 @@ def test_bad_perturbation_rejected(params, basis3):
     factory = fb.scaling_factory(params, basis3)
     with pytest.raises(ValueError):
         fb.uncertainty_sweep(factory, 1.0, 1.5, samples=8)
+    for samples in (0, -8):
+        with pytest.raises(ValueError):
+            fb.uncertainty_sweep(factory, 1.0, 0.2, samples=samples)

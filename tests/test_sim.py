@@ -31,6 +31,23 @@ def test_initial_state_out_of_range(model3):
         fb.initial_state_from_deflection(model3, 100.0)
 
 
+def test_one_step_is_rk4_of_dynamics_rhs(model3):
+    dt = 1e-3
+    result = fb.run_simulation(_unforced(model3, 0.5, dt, dt=dt, decimation=1))
+    x = fb.initial_state_from_deflection(model3, 0.5).as_vector()
+
+    def f(x):
+        return fb.dynamics_rhs(model3, fb.State.from_vector(x), 0.0).as_vector()
+
+    half = 0.5 * dt
+    k1 = f(x)
+    k2 = f(x + half * k1)
+    k3 = f(x + half * k2)
+    k4 = f(x + dt * k3)
+    expected = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    assert np.array_equal(result.final_state().as_vector(), expected)
+
+
 def test_short_energy_conservation(model3):
     result = fb.run_simulation(_unforced(model3, 1.0, 10.0))
     total = result.kinetic + result.potential
