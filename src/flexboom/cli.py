@@ -2,20 +2,24 @@
 closed-loop simulations, and torque-deflection map fitting.
 
 All commands read one JSON config file plus a few flag overrides.  Every
-field is optional: ``_default_config`` is the one defaults tree (the boom
-section is ``BoomParams()``, ``bode.eps_tol`` is the passivity module's
-default) and the schema a config file is checked against is derived from
-the types of its leaves.  Commands write CSV outputs atomically
-(write-temp-then-rename), and drop a machine-readable ``summary.json``
-next to them.  Exit code 0 means every requested check or run succeeded;
-config and schema problems exit with 2, runtime failures with 1.  A
-simulation that ends in divergence is a recorded outcome, not a failure.
+field is optional: ``_default_config`` is the one defaults tree, and every
+default in it and in the flags is read from the library (``BoomParams``,
+``default_grid``, ``deflection_curve``, ``uncertainty_sweep``, the fig7a
+scenario of ``scenario_suite``, ``SimScenario``), never restated.  The
+schema a config file is checked against is derived from its leaves' types.
+Commands write CSV outputs atomically (write-temp-then-rename), and drop a
+machine-readable ``summary.json`` next to them.  Exit code 0 means every
+requested check or run succeeded; config and schema problems exit with 2,
+runtime failures with 1.  A simulation that ends in divergence is a
+recorded outcome, not a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import json
 import os
 import sys
@@ -36,7 +40,8 @@ from .passivity import (DEFAULT_EPS_TOL, InconsistentTests, PoleOnGrid,
                         SweepSampleError, default_grid, frequency_response,
                         mode_count_sweep, passivity_check, scaling_factory,
                         uncertainty_sweep)
-from .sim import SCENARIO_NAMES, SimScenario, run_simulation, scenario_suite
+from .sim import (FIG7A_GAINS, SCENARIO_NAMES, SimScenario, run_simulation,
+                  scenario_suite)
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -52,43 +57,52 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
+@functools.cache
+def _defaults(func) -> dict:
+    """Default values of a library function's parameters, by name (read-only)."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
 def _default_config() -> dict:
     """The full configuration tree; its leaves also fix the schema's types."""
+    grid = _defaults(default_grid)
+    fig7a = _defaults(scenario_suite)
     return {
         "boom": dataclasses.asdict(BoomParams()),
         "modes": 3,
         "unit_profile": "simulation-SI",
         "output_dir": "out",
-        "equilibrium": {"t_max": DEFAULT_TENSION_MAX, "samples": 200},
+        "equilibrium": {"t_max": DEFAULT_TENSION_MAX,
+                        "samples": _defaults(deflection_curve)["samples"]},
         "bode": {
-            "omega_min": 1e-3,
-            "omega_max": 1e3,
-            "grid_points": 2000,
+            "omega_min": grid["omega_min"],
+            "omega_max": grid["omega_max"],
+            "grid_points": grid["n_points"],
             "eps_tol": DEFAULT_EPS_TOL,
         },
         "controller": {
-            "gains": {"k_p": 10.0, "k_d": 25.0},
+            "gains": dataclasses.asdict(FIG7A_GAINS),
             "feedforward": {
                 "mode": "constant",
-                "tension_final": 1.0,
-                "tension_initial": 0.0,
-                "duration": 100.0,
+                "tension_final": fig7a["target_tension"],
+                "tension_initial": FeedforwardProfile.tension_initial,
+                "duration": fig7a["ramp_duration"],
             },
             "reference": {
                 "mode": "constant",
                 "w_final": None,
                 "w_initial": None,
-                "duration": 100.0,
+                "duration": fig7a["ramp_duration"],
                 "map_coefficients": [],
                 "map_units": [],
             },
-            "clamp_nonnegative": False,
+            "clamp_nonnegative": ControllerConfig.clamp_nonnegative,
         },
         "simulation": {
-            "w_init": 1.0,
-            "duration": 200.0,
-            "dt": 1e-3,
-            "decimation": 100,
+            "w_init": fig7a["w_init"],
+            "duration": SimScenario.duration,
+            "dt": SimScenario.dt,
+            "decimation": SimScenario.decimation,
             "scenario": None,
         },
     }
@@ -224,6 +238,14 @@ def _write_summary(outdir: Path, payload: dict) -> Path:
 # equilibrium
 
 
+def _verified_tension(label: str, tension: float, t_max: float) -> float:
+    """``tension`` as a float; OutOfRange unless it lies in [0, t_max]."""
+    tension = float(tension)
+    if not 0.0 <= tension <= t_max:
+        raise OutOfRange(f"{label} {tension} N outside the verified range [0, {t_max}] N")
+    return tension
+
+
 def cmd_equilibrium(config: dict, args: argparse.Namespace) -> int:
     model = _build_model(config)
     outdir = _output_dir(config, args)
@@ -231,11 +253,7 @@ def cmd_equilibrium(config: dict, args: argparse.Namespace) -> int:
     summary: dict[str, Any] = {"command": "equilibrium", "ok": True, "outputs": []}
 
     if args.tension is not None:
-        tension = float(args.tension)
-        if not 0.0 <= tension <= t_max:
-            raise OutOfRange(
-                f"tension {tension} N outside the verified range [0, {t_max}] N")
-        point = solve_equilibrium(model, tension)
+        point = solve_equilibrium(model, _verified_tension("tension", args.tension, t_max))
         print(f"tension {point.tension:.6g} N -> tip deflection "
               f"{point.tip_deflection:.9g} m")
         summary["point"] = {
@@ -293,10 +311,7 @@ def cmd_bode(config: dict, args: argparse.Namespace) -> int:
     grid = default_grid(int(bode_cfg["grid_points"]), float(bode_cfg["omega_min"]),
                         float(bode_cfg["omega_max"]))
     eps_tol = float(bode_cfg["eps_tol"])
-    t_eq = float(args.teq)
-    t_max = float(config["equilibrium"]["t_max"])
-    if not 0.0 <= t_eq <= t_max:
-        raise OutOfRange(f"t_eq {t_eq} N outside the verified range [0, {t_max}] N")
+    t_eq = _verified_tension("t_eq", args.teq, float(config["equilibrium"]["t_max"]))
 
     eq = solve_equilibrium(model, t_eq)
     ss = linearize(model, eq)
@@ -416,28 +431,21 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
         sim_cfg["dt"] = float(args.dt)
     scenario_name = args.scenario or sim_cfg.get("scenario")
     outdir = _output_dir(config, args)
+    w_init = float(sim_cfg["w_init"])
+    timing = {"duration": float(sim_cfg["duration"]), "dt": float(sim_cfg["dt"])}
 
     if scenario_name is not None:
         if scenario_name not in SCENARIO_NAMES:
             raise ConfigError(
                 f"unknown scenario {scenario_name!r}; pick one of {SCENARIO_NAMES}")
-        suite = scenario_suite(
-            params=_boom_params(config), mode_count=int(config["modes"]),
-            w_init=float(sim_cfg["w_init"]), duration=float(sim_cfg["duration"]),
-            dt=float(sim_cfg["dt"]),
-        )
-        scenario = dataclasses.replace(
-            next(s for s in suite if s.name == scenario_name),
-            decimation=int(sim_cfg["decimation"]))
+        suite = scenario_suite(params=_boom_params(config),
+                               mode_count=int(config["modes"]), w_init=w_init, **timing)
+        scenario = next(s for s in suite if s.name == scenario_name)
     else:
         model = _build_model(config)
-        controller = _controller_from_config(config, model,
-                                             float(sim_cfg["w_init"]))
-        scenario = SimScenario(
-            model=model, controller=controller, w_init=float(sim_cfg["w_init"]),
-            duration=float(sim_cfg["duration"]), dt=float(sim_cfg["dt"]),
-            decimation=int(sim_cfg["decimation"]), name="custom",
-        )
+        controller = _controller_from_config(config, model, w_init)
+        scenario = SimScenario(model=model, controller=controller, w_init=w_init, **timing)
+    scenario = dataclasses.replace(scenario, decimation=int(sim_cfg["decimation"]))
 
     result = run_simulation(scenario)
     n = scenario.model.mode_count
@@ -505,6 +513,7 @@ def cmd_fit(config: dict, args: argparse.Namespace) -> int:
         best = int(args.degree)
         residuals = {best: fit_map(data, best).residual_rms}
     fitted = fit_map(data, best)
+    per_degree = {str(k): v for k, v in sorted(residuals.items())}
 
     fragment = {
         "reference": {
@@ -518,7 +527,7 @@ def cmd_fit(config: dict, args: argparse.Namespace) -> int:
             "fit_range": list(fitted.fit_range),
             "torque_unit": fitted.torque_unit,
             "deflection_unit": fitted.deflection_unit,
-            "per_degree_residual_rms": {str(k): v for k, v in sorted(residuals.items())},
+            "per_degree_residual_rms": per_degree,
         },
     }
     path = outdir / "fit_map.json"
@@ -528,7 +537,7 @@ def cmd_fit(config: dict, args: argparse.Namespace) -> int:
     _write_summary(outdir, {
         "command": "fit", "ok": True, "outputs": [str(path)],
         "degree": fitted.degree, "residual_rms": fitted.residual_rms,
-        "per_degree_residual_rms": {str(k): v for k, v in sorted(residuals.items())},
+        "per_degree_residual_rms": per_degree,
     })
     return 0
 
@@ -562,7 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run a robustness sweep instead of just the nominal plant")
     p_bode.add_argument("--pct", type=float, default=20.0,
                         help="uncertainty box half-width in percent")
-    p_bode.add_argument("--samples", type=int, default=125,
+    p_bode.add_argument("--samples", type=int,
+                        default=_defaults(uncertainty_sweep)["samples"],
                         help="uncertainty sweep sample count (rounded to a cube)")
     p_bode.add_argument("--modes", default="3,4,5,6",
                         help="comma-separated mode counts for --sweep modes")

@@ -145,10 +145,6 @@ class ReferenceTrajectory:
     def map_composed(cls, map_coefficients: Sequence[float]) -> "ReferenceTrajectory":
         return cls(mode="map-composed", map_coefficients=tuple(map_coefficients))
 
-    @property
-    def time_varying(self) -> bool:
-        return self.mode != "constant"
-
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -167,22 +163,35 @@ class ControllerConfig:
             )
 
 
+def _quintic_ramp(start: float, end: float, duration: float, t: float
+                  ) -> tuple[float, float]:
+    """Value and time rate at t of the quintic ramp from start to end.
+
+    Outside [0, duration] the value holds its endpoint and the rate is zero.
+    """
+    s = min(max(t / duration, 0.0), 1.0)
+    value = start + quintic_blend(s) * (end - start)
+    if not 0.0 <= t <= duration:
+        return value, 0.0
+    return value, quintic_blend_rate(s) * (end - start) / duration
+
+
+def _feedforward(profile: FeedforwardProfile, t: float) -> tuple[float, float]:
+    """Feedforward tension and its time rate at t."""
+    if profile.mode == "constant":
+        return profile.tension_final, 0.0
+    return _quintic_ramp(profile.tension_initial, profile.tension_final,
+                         profile.duration, t)
+
+
 def feedforward_tension(profile: FeedforwardProfile, t: float) -> float:
     """Feedforward tension at time t >= 0 (holds the final value past t_f)."""
-    if profile.mode == "constant":
-        return profile.tension_final
-    s = min(max(t / profile.duration, 0.0), 1.0)
-    return profile.tension_initial + quintic_blend(s) * (
-        profile.tension_final - profile.tension_initial)
+    return _feedforward(profile, t)[0]
 
 
 def feedforward_tension_rate(profile: FeedforwardProfile, t: float) -> float:
     """Time derivative of the feedforward tension (zero outside [0, t_f])."""
-    if profile.mode == "constant" or not 0.0 <= t <= profile.duration:
-        return 0.0
-    s = t / profile.duration
-    return quintic_blend_rate(s) * (
-        profile.tension_final - profile.tension_initial) / profile.duration
+    return _feedforward(profile, t)[1]
 
 
 def desired_deflection(ref: ReferenceTrajectory, t: float,
@@ -192,22 +201,14 @@ def desired_deflection(ref: ReferenceTrajectory, t: float,
     if ref.mode == "constant":
         return ref.w_final, 0.0
     if ref.mode == "quintic-deflection":
-        s = min(max(t / ref.duration, 0.0), 1.0)
-        w = ref.w_initial + quintic_blend(s) * (ref.w_final - ref.w_initial)
-        if 0.0 <= t <= ref.duration:
-            rate = quintic_blend_rate(s) * (ref.w_final - ref.w_initial) / ref.duration
-        else:
-            rate = 0.0
-        return w, rate
+        return _quintic_ramp(ref.w_initial, ref.w_final, ref.duration, t)
     # map-composed
     if feedforward is None:
         raise ValueError("map-composed reference needs the feedforward profile")
     coeffs = np.asarray(ref.map_coefficients, dtype=float)
-    tension = feedforward_tension(feedforward, t)
+    tension, tension_rate = _feedforward(feedforward, t)
     w = float(np.polyval(coeffs, tension))
-    rate = float(np.polyval(np.polyder(coeffs), tension)) \
-        * feedforward_tension_rate(feedforward, t)
-    return w, rate
+    return w, float(np.polyval(np.polyder(coeffs), tension)) * tension_rate
 
 
 class ControlSample(NamedTuple):

@@ -1,7 +1,8 @@
 """Forced equilibria of the tensioned boom and the tension-deflection map.
 
 Holding the cable tension constant at T, the equilibrium modal coordinates
-solve (K - spreader_matrix * T / dx) q = h * psi'(L)^T * T.  The resulting
+solve (K - spreader_matrix * T / dx) q = h * psi'(L)^T * T, that is
+``effective_stiffness(T) q = actuation_force(0, T)``.  The resulting
 tip deflection grows superlinearly (nearly quadratically) with tension
 because the spreader reactions soften the effective stiffness.  That
 softening makes the effective stiffness singular at the model's first
@@ -75,10 +76,6 @@ class EquilibriumPoint:
     tip_deflection: float
 
 
-def _effective_stiffness(model: StructuralModel, tension: float) -> np.ndarray:
-    return model.stiffness_matrix - model.spreader_matrix * (tension / model.params.node_spacing)
-
-
 def solve_equilibrium(model: StructuralModel, tension: float,
                       cond_limit: float = _COND_LIMIT) -> EquilibriumPoint:
     """Equilibrium modal coordinates for a constant cable tension (N).
@@ -97,25 +94,24 @@ def solve_equilibrium(model: StructuralModel, tension: float,
         return EquilibriumPoint(0.0, np.zeros(n), 0.0)
 
     scale = model.tip_row
-    scaled = equilibrate(_effective_stiffness(model, tension), scale)
+    scaled = equilibrate(model.effective_stiffness(tension), scale)
     condition = float(np.linalg.cond(scaled))
     if (tension >= model.critical_tension or not np.isfinite(condition)
             or condition > cond_limit):
         raise NearSingularStiffness(tension, condition, model.critical_tension)
 
-    rhs = model.params.cable_offset * model.tip_slope * tension
-    rhs_scaled = rhs / scale
+    rhs_scaled = actuation_force(model, np.zeros(n), tension) / scale
     q_scaled = np.linalg.solve(scaled, rhs_scaled)
     q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)
     q = q_scaled / scale
 
-    residual = actuation_force(model, q, tension) - model.stiffness_matrix @ q
-    load = np.linalg.norm(model.stiffness_matrix @ q)
-    tol = max(_RESIDUAL_REL * load, _RESIDUAL_FLOOR)
-    if np.linalg.norm(residual) > tol:
+    stiffness_load = model.stiffness_matrix @ q
+    residual = np.linalg.norm(actuation_force(model, q, tension) - stiffness_load)
+    tol = max(_RESIDUAL_REL * np.linalg.norm(stiffness_load), _RESIDUAL_FLOOR)
+    if residual > tol:
         raise RuntimeError(
             f"equilibrium solve at {tension} N left residual "
-            f"{np.linalg.norm(residual):.3e} N above tolerance {tol:.3e} N"
+            f"{residual:.3e} N above tolerance {tol:.3e} N"
         )
     return EquilibriumPoint(tension, q, tip_deflection(model, q))
 

@@ -3,10 +3,12 @@
 Perturbations (dx, du) about an equilibrium (q_eq, T_eq) obey
 d/dt dx = A dx + B du with
 
-    A = [[0, I], [M^-1 (spreader_matrix T_eq / dx - K), 0]]
-    B = [0; M^-1 (spreader_matrix q_eq / dx + h psi'(L)^T)]
+    A = [[0, I], [-M^-1 K_eff(T_eq), 0]]
+    B = [0; M^-1 df/du(q_eq)]
 
 and the measured output is the tip deflection rate, C = [0, psi(L)], D = 0.
+K_eff is ``StructuralModel.effective_stiffness`` and f is the cable load
+``actuation_force``; f is linear in u, so df/du(q_eq) = f(q_eq, 1).
 The structure is undamped, so every pole sits on the imaginary axis.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import EquilibriumPoint
-from .model import StructuralModel
+from .model import StructuralModel, actuation_force
 
 __all__ = ["StateSpaceModel", "linearize"]
 
@@ -69,7 +71,7 @@ class StateSpaceModel:
 
     @property
     def rate_block(self) -> np.ndarray:
-        """Lower-left block S = M^-1 (spreader T/dx - K); poles are +-sqrt(eig S)."""
+        """Lower-left block S = -M^-1 K_eff(t_eq); poles are +-sqrt(eig S)."""
         n = self.mode_count
         return self.a[n:, :n]
 
@@ -85,20 +87,15 @@ def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
     convention at the requested tension.
     """
     n = model.mode_count
-    dx = model.params.node_spacing
     t_eq = eq.tension
     q_eq = np.asarray(eq.modal_coords, dtype=float)
 
-    lower_left = model.mass_solve(
-        model.spreader_matrix * (t_eq / dx) - model.stiffness_matrix)
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
-    a[n:, :n] = lower_left
+    a[n:, :n] = -model.mass_solve(model.effective_stiffness(t_eq))
 
     b = np.zeros(2 * n)
-    b[n:] = model.mass_solve(
-        model.spreader_matrix @ q_eq / dx
-        + model.params.cable_offset * model.tip_slope)
+    b[n:] = model.mass_solve(actuation_force(model, q_eq, 1.0))
 
     c = np.zeros(2 * n)
     c[n:] = model.tip_row

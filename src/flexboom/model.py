@@ -198,10 +198,6 @@ class State:
         if self.q.shape != self.q_rate.shape:
             raise ValueError("q and q_rate must have the same shape")
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.q_rate)))
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.q, self.q_rate])
 
@@ -227,10 +223,9 @@ class StructuralModel:
     reaction matrix (enters the force as spreader_matrix / node_spacing);
     ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).  ``tip_row`` is
     also the diagonal equilibration scale (see ``equilibrate``).
-    ``critical_tension`` is the first positive tension (N) at which the
-    effective stiffness K - spreader_matrix * T / node_spacing turns
-    singular (inf when no positive tension does); static equilibria exist
-    only below it.
+    ``critical_tension`` is the first positive tension (N) at which
+    ``effective_stiffness`` turns singular (inf when no positive tension
+    does); static equilibria exist only below it.
 
     The private fields cache the equilibrated mass factorization and the
     mass-solved operators; read them through ``mass_solve`` and
@@ -261,6 +256,11 @@ class StructuralModel:
         """Solve M x = rhs through the cached equilibrated Cholesky factor."""
         return _mass_solve(self._mass_chol, self.tip_row,
                            np.asarray(rhs, dtype=float))
+
+    def effective_stiffness(self, tension: float) -> np.ndarray:
+        """Stiffness under constant cable tension: K - spreader_matrix * tension / dx."""
+        return self.stiffness_matrix - self.spreader_matrix * (
+            tension / self.params.node_spacing)
 
 
 def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -315,9 +315,9 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
     curv = p * (p - 1.0)
     stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
 
-    tip_row = length ** p
-    tip_slope = p * length ** (p - 1.0)
+    tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
     spreader = spreader_model(params, basis)
+    spreader_per_dx = spreader / params.node_spacing
 
     # Equilibrate by the basis scale at the tip before factorizing: the raw
     # matrices are Hilbert-like with columns spanning ~L^(2n) in magnitude.
@@ -327,7 +327,7 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
         raise ValueError("mass matrix is not positive definite") from exc
 
     stiffness_op = _mass_solve(mass_chol, tip_row, stiffness)
-    spreader_op = _mass_solve(mass_chol, tip_row, spreader / params.node_spacing)
+    spreader_op = _mass_solve(mass_chol, tip_row, spreader_per_dx)
     tip_force_op = _mass_solve(mass_chol, tip_row, params.cable_offset * tip_slope)
 
     return StructuralModel(
@@ -338,8 +338,7 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
         spreader_matrix=_readonly(spreader),
         tip_row=_readonly(tip_row),
         tip_slope=_readonly(tip_slope),
-        critical_tension=_first_critical_tension(
-            stiffness, spreader / params.node_spacing, tip_row),
+        critical_tension=_first_critical_tension(stiffness, spreader_per_dx, tip_row),
         _mass_chol=mass_chol,
         _stiffness_op=_readonly(stiffness_op),
         _spreader_op=_readonly(spreader_op),
@@ -348,10 +347,14 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
 
 
 def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
-    """Generalized cable force (spreader_matrix / dx) q u + h psi'(L)^T u."""
+    """Generalized cable force f(q, u) = (spreader_matrix q / dx + h psi'(L)^T) u.
+
+    The one definition of the cable load: the equilibrium right-hand side is
+    f(0, T) and the linearized input vector is df/du = f(q_eq, 1).
+    """
     q = np.asarray(q, dtype=float)
-    return (model.spreader_matrix @ q) * (u / model.params.node_spacing) \
-        + (model.params.cable_offset * u) * model.tip_slope
+    return (model.spreader_matrix @ q / model.params.node_spacing
+            + model.params.cable_offset * model.tip_slope) * u
 
 
 def modal_acceleration(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:

@@ -11,12 +11,12 @@ outcome here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (ControllerConfig, FeedforwardProfile, PDGains,
-                      ReferenceTrajectory, make_controller)
+from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
+                      PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import (DEFAULT_TENSION_MAX, solve_equilibrium,
                           tension_for_deflection)
 from .model import (BasisSet, BoomParams, State, StructuralModel,
@@ -29,6 +29,7 @@ __all__ = [
     "run_simulation",
     "scenario_suite",
     "SCENARIO_NAMES",
+    "FIG7A_GAINS",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
@@ -36,13 +37,17 @@ _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
 
+# Gains of fig7a; the other scenarios raise k_d to 50 N s/m.
+FIG7A_GAINS = PDGains(k_p=10.0, k_d=25.0)
+
 
 @dataclass(frozen=True)
 class SimScenario:
     """One closed-loop run: model, controller, initial deflection, timing.
 
     ``controller`` may be None for an unforced (zero-tension) run.
-    ``decimation`` thins the log: one row every that many steps.
+    ``decimation`` thins the log: one row every that many steps, plus the
+    final step whenever the step count is not a multiple of it.
     """
 
     model: StructuralModel
@@ -54,10 +59,11 @@ class SimScenario:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must be at least one step")
+        if not (0.0 < self.dt < np.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (self.dt <= self.duration < np.inf):
+            raise ValueError("duration must be finite and at least one step, "
+                             f"got {self.duration!r}")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
 
@@ -114,15 +120,13 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     if scenario.controller is not None:
         controller = make_controller(scenario.controller)
     else:
-        controller = None
+        def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
+            return ControlSample(t, 0.0, 0.0, 0.0, 0.0, 0.0)  # unforced: zero tension
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         q = x[:n]
         q_rate = x[n:]
-        if controller is not None:
-            u = controller(t, tip_row @ q, tip_row @ q_rate).u
-        else:
-            u = 0.0
+        u = controller(t, tip_row @ q, tip_row @ q_rate).u
         return np.concatenate((q_rate, modal_acceleration(model, q, u)))
 
     state0 = initial_state_from_deflection(model, scenario.w_init)
@@ -130,32 +134,17 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     norm0 = max(float(np.linalg.norm(x)), _NORM_FLOOR)
     threshold_sq = (_DIVERGENCE_FACTOR * norm0) ** 2
 
-    n_rows = n_steps // scenario.decimation + 1
+    n_rows = -(-n_steps // scenario.decimation) + 1
     time = np.zeros(n_rows)
-    q_log = np.zeros((n_rows, n))
-    qr_log = np.zeros((n_rows, n))
-    u_log = np.zeros(n_rows)
-    uraw_log = np.zeros(n_rows)
-    tdes_log = np.zeros(n_rows)
-    wdes_log = np.zeros(n_rows)
-    wrdes_log = np.zeros(n_rows)
-    ke_log = np.zeros(n_rows)
-    pe_log = np.zeros(n_rows)
+    x_log = np.zeros((n_rows, 2 * n))
+    control_log = np.zeros((n_rows, 5))  # the ControlSample fields after time
+    energy_log = np.zeros((n_rows, 2))
 
     def log_row(row: int, t: float, x: np.ndarray) -> None:
-        q = x[:n]
-        q_rate = x[n:]
         time[row] = t
-        q_log[row] = q
-        qr_log[row] = q_rate
-        if controller is not None:
-            sample = controller(t, tip_row @ q, tip_row @ q_rate)
-            u_log[row] = sample.u
-            uraw_log[row] = sample.u_unclamped
-            tdes_log[row] = sample.feedforward
-            wdes_log[row] = sample.w_des
-            wrdes_log[row] = sample.w_rate_des
-        ke_log[row], pe_log[row] = total_energy(model, State(q=q, q_rate=q_rate))
+        x_log[row] = x
+        control_log[row] = controller(t, tip_row @ x[:n], tip_row @ x[n:])[1:]
+        energy_log[row] = total_energy(model, State.from_vector(x))
 
     log_row(0, 0.0, x)
     row = 1
@@ -180,32 +169,30 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             log_row(row, t, x)
             row += 1
             break
-        if (k + 1) % scenario.decimation == 0:
+        if (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
             log_row(row, t, x)
             row += 1
 
-    sl = slice(0, row)
-    tip = q_log[sl] @ tip_row
-    tip_rate = qr_log[sl] @ tip_row
+    q, q_rate = x_log[:row, :n], x_log[:row, n:]
+    t_des, w_des, w_rate_des, u_unclamped, u = control_log[:row].T
     return SimResult(
-        scenario_name=scenario.name,
-        time=time[sl], q=q_log[sl], q_rate=qr_log[sl],
-        tip=tip, tip_rate=tip_rate,
-        u=u_log[sl], u_unclamped=uraw_log[sl],
-        t_des=tdes_log[sl], w_des=wdes_log[sl], w_rate_des=wrdes_log[sl],
-        kinetic=ke_log[sl], potential=pe_log[sl],
+        scenario_name=scenario.name, time=time[:row], q=q, q_rate=q_rate,
+        tip=q @ tip_row, tip_rate=q_rate @ tip_row,
+        u=u, u_unclamped=u_unclamped, t_des=t_des, w_des=w_des, w_rate_des=w_rate_des,
+        kinetic=energy_log[:row, 0], potential=energy_log[:row, 1],
         status=status, divergence_time=divergence_time,
     )
 
 
 def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
                    target_tension: float = 1.0, w_init: float = 1.0,
-                   duration: float = 200.0, dt: float = 1e-3,
-                   ramp_duration: float = 100.0,
+                   duration: float = SimScenario.duration,
+                   dt: float = SimScenario.dt, ramp_duration: float = 100.0,
                    step_scale: float = 1.0) -> list[SimScenario]:
     """The four benchmark closed-loop scenarios, sharing k_p = 10 N/m.
 
-    fig7a        constant feedforward at the target tension, k_d = 25 N s/m
+    fig7a        constant feedforward at the target tension, ``FIG7A_GAINS``
+                 (k_d = 25 N s/m)
     fig7c        same constant feedforward, k_d = 50 N s/m (the aggressive
                  rate gain that the smooth feedforward is meant to tame)
     fig8         quintic feedforward and quintic reference over
@@ -228,19 +215,18 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
     constant_ff = FeedforwardProfile.constant(target_tension)
     ramp_ff = FeedforwardProfile.quintic(t_init, target_tension, ramp_duration)
     ramp_ref = ReferenceTrajectory.quintic(w_init, w_target, ramp_duration)
+    aggressive = replace(FIG7A_GAINS, k_d=50.0)
 
-    def scen(name: str, k_d: float, ff: FeedforwardProfile,
+    def scen(name: str, gains: PDGains, ff: FeedforwardProfile,
              ref: ReferenceTrajectory, clamp: bool) -> SimScenario:
-        cfg = ControllerConfig(
-            gains=PDGains(k_p=10.0, k_d=k_d), feedforward=ff,
-            reference=ref, clamp_nonnegative=clamp,
-        )
+        cfg = ControllerConfig(gains=gains, feedforward=ff, reference=ref,
+                               clamp_nonnegative=clamp)
         return SimScenario(model=model, controller=cfg, w_init=w_init,
                            duration=duration, dt=dt, name=name)
 
     return [
-        scen("fig7a", 25.0, constant_ff, constant_ref, False),
-        scen("fig7c", 50.0, constant_ff, constant_ref, False),
-        scen("fig8", 50.0, ramp_ff, ramp_ref, False),
-        scen("fig8-clamped", 50.0, ramp_ff, ramp_ref, True),
+        scen("fig7a", FIG7A_GAINS, constant_ff, constant_ref, False),
+        scen("fig7c", aggressive, constant_ff, constant_ref, False),
+        scen("fig8", aggressive, ramp_ff, ramp_ref, False),
+        scen("fig8-clamped", aggressive, ramp_ff, ramp_ref, True),
     ]

@@ -266,3 +266,21 @@ def test_equilibrium_curve_past_critical_tension_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "critical tension" in err
     assert not (out / "equilibrium_curve.csv").exists()
+
+
+def test_simulate_non_finite_duration_is_an_error_line(tmp_path, capsys):
+    code = main(["simulate", "--duration", "inf", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duration" in err and "Traceback" not in err
+
+
+def test_default_custom_simulate_is_fig7a(tmp_path):
+    # The default controller and simulation sections are the fig7a scenario.
+    custom, fig7a = tmp_path / "custom", tmp_path / "fig7a"
+    assert main(["simulate", "--duration", "3", "--out", str(custom)]) == 0
+    assert main(["simulate", "--scenario", "fig7a", "--duration", "3",
+                 "--out", str(fig7a)]) == 0
+    for suffix in (".csv", "_control.csv"):
+        assert ((custom / f"sim_custom{suffix}").read_bytes()
+                == (fig7a / f"sim_fig7a{suffix}").read_bytes())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,34 @@ def test_logged_rows_cover_duration(model3):
     assert result.time.size == 11
     assert np.all(np.isfinite(result.kinetic))
     assert np.all(np.isfinite(result.potential))
+
+
+@pytest.mark.parametrize("decimation", [100, 300])
+def test_final_step_is_logged_off_the_decimation_grid(model3, decimation):
+    # 250 steps: neither decimation divides them, and 300 exceeds them.
+    every_step = fb.run_simulation(_unforced(model3, 0.5, 0.25, decimation=1))
+    thinned = fb.run_simulation(_unforced(model3, 0.5, 0.25, decimation=decimation))
+    assert thinned.time[-1] == every_step.time[-1] == pytest.approx(0.25)
+    assert thinned.time.size == 250 // decimation + 2
+    assert np.array_equal(thinned.final_state().as_vector(),
+                          every_step.final_state().as_vector())
+    assert np.array_equal(thinned.time[:-1], every_step.time[:-1:decimation])
+
+
+@pytest.mark.parametrize("field", ["duration", "dt"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_scenario_rejects_non_finite_timing(model3, field, value):
+    timing = {"duration": 1.0, "dt": 1e-3, field: value}
+    with pytest.raises(ValueError, match=field):
+        _unforced(model3, 0.0, **timing)
+
+
+def test_divergence_off_the_decimation_grid_is_logged():
+    # Divergence at 27.08 s, before any decimated row: the divergence row
+    # still needs a slot in the log.
+    suite = fb.scenario_suite(step_scale=2.0, duration=28.0)
+    scenario = next(s for s in suite if s.name == "fig7c")
+    result = fb.run_simulation(dataclasses.replace(scenario, decimation=100_000))
+    assert result.status == "diverged"
+    assert result.time.size == 2
+    assert result.time[-1] == result.divergence_time
