@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
-                      PDGains, ReferenceTrajectory, make_controller)
+from .control import (ControllerConfig, FeedforwardProfile, PDGains,
+                      ReferenceTrajectory, make_controller)
 from .equilibrium import (DEFAULT_TENSION_MAX, solve_equilibrium,
                           tension_for_deflection)
 from .model import (BasisSet, BoomParams, State, StructuralModel,
@@ -120,13 +120,15 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     if scenario.controller is not None:
         controller = make_controller(scenario.controller)
     else:
-        def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
-            return ControlSample(t, 0.0, 0.0, 0.0, 0.0, 0.0)  # unforced: zero tension
+        controller = None
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         q = x[:n]
         q_rate = x[n:]
-        u = controller(t, tip_row @ q, tip_row @ q_rate).u
+        if controller is not None:
+            u = controller(t, tip_row @ q, tip_row @ q_rate).u
+        else:
+            u = 0.0
         return np.concatenate((q_rate, modal_acceleration(model, q, u)))
 
     state0 = initial_state_from_deflection(model, scenario.w_init)
@@ -143,7 +145,8 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     def log_row(row: int, t: float, x: np.ndarray) -> None:
         time[row] = t
         x_log[row] = x
-        control_log[row] = controller(t, tip_row @ x[:n], tip_row @ x[n:])[1:]
+        if controller is not None:
+            control_log[row] = controller(t, tip_row @ x[:n], tip_row @ x[n:])[1:]
         energy_log[row] = total_energy(model, State.from_vector(x))
 
     log_row(0, 0.0, x)
