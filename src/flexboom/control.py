@@ -231,7 +231,7 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
     clamp = cfg.clamp_nonnegative
 
     def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
-        t_des = _feedforward(ff, t)[0]  # feedforward_tension minus a call layer
+        t_des = _feedforward(ff, t)[0]  # = feedforward_tension, one call less per stage
         w_des, w_rate_des = desired_deflection(ref, t, ff)
         u_raw = t_des - k_p * (w_tip - w_des) - k_d * (w_rate - w_rate_des)
         u = max(0.0, u_raw) if clamp else u_raw
