@@ -3,10 +3,12 @@ closed-loop simulations, and torque-deflection map fitting.
 
 All commands read one JSON config file plus a few flag overrides.  Every
 field is optional: ``_default_config`` is the one defaults tree, and every
-default in it and in the flags is read from the library (``BoomParams``,
-``default_grid``, ``deflection_curve``, ``uncertainty_sweep``, the fig7a
-scenario of ``scenario_suite``, ``SimScenario``), never restated.  The
-schema a config file is checked against is derived from its leaves' types.
+default in it and in the flags is read from the library, never restated:
+the field defaults of ``BoomParams``, ``PDGains`` (the fig7a gains),
+``FeedforwardProfile``, ``ControllerConfig`` and ``SimScenario``, and the
+parameter defaults of ``default_grid``, ``deflection_curve``,
+``uncertainty_sweep`` and ``scenario_suite``.  The schema a config file is
+checked against is derived from its leaves' types.
 Commands write CSV outputs atomically (write-temp-then-rename), and drop a
 machine-readable ``summary.json`` next to them.  Exit code 0 means every
 requested check or run succeeded; config and schema problems exit with 2,
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import os
@@ -40,8 +41,7 @@ from .passivity import (DEFAULT_EPS_TOL, InconsistentTests, PoleOnGrid,
                         SweepSampleError, default_grid, frequency_response,
                         mode_count_sweep, passivity_check, scaling_factory,
                         uncertainty_sweep)
-from .sim import (FIG7A_GAINS, SCENARIO_NAMES, SimScenario, run_simulation,
-                  scenario_suite)
+from .sim import SCENARIO_NAMES, SimScenario, run_simulation, scenario_suite
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -57,49 +57,46 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-@functools.cache
-def _defaults(func) -> dict:
-    """Default values of a library function's parameters, by name (read-only)."""
-    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+def _default(func, name: str) -> Any:
+    """Default value of parameter ``name`` of the library function ``func``."""
+    return inspect.signature(func).parameters[name].default
 
 
 def _default_config() -> dict:
     """The full configuration tree; its leaves also fix the schema's types."""
-    grid = _defaults(default_grid)
-    fig7a = _defaults(scenario_suite)
     return {
         "boom": dataclasses.asdict(BoomParams()),
         "modes": 3,
         "unit_profile": "simulation-SI",
         "output_dir": "out",
         "equilibrium": {"t_max": DEFAULT_TENSION_MAX,
-                        "samples": _defaults(deflection_curve)["samples"]},
+                        "samples": _default(deflection_curve, "samples")},
         "bode": {
-            "omega_min": grid["omega_min"],
-            "omega_max": grid["omega_max"],
-            "grid_points": grid["n_points"],
+            "omega_min": _default(default_grid, "omega_min"),
+            "omega_max": _default(default_grid, "omega_max"),
+            "grid_points": _default(default_grid, "n_points"),
             "eps_tol": DEFAULT_EPS_TOL,
         },
         "controller": {
-            "gains": dataclasses.asdict(FIG7A_GAINS),
+            "gains": dataclasses.asdict(PDGains()),
             "feedforward": {
                 "mode": "constant",
-                "tension_final": fig7a["target_tension"],
+                "tension_final": _default(scenario_suite, "target_tension"),
                 "tension_initial": FeedforwardProfile.tension_initial,
-                "duration": fig7a["ramp_duration"],
+                "duration": _default(scenario_suite, "ramp_duration"),
             },
             "reference": {
                 "mode": "constant",
                 "w_final": None,
                 "w_initial": None,
-                "duration": fig7a["ramp_duration"],
+                "duration": _default(scenario_suite, "ramp_duration"),
                 "map_coefficients": [],
                 "map_units": [],
             },
             "clamp_nonnegative": ControllerConfig.clamp_nonnegative,
         },
         "simulation": {
-            "w_init": fig7a["w_init"],
+            "w_init": _default(scenario_suite, "w_init"),
             "duration": SimScenario.duration,
             "dt": SimScenario.dt,
             "decimation": SimScenario.decimation,
@@ -572,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bode.add_argument("--pct", type=float, default=20.0,
                         help="uncertainty box half-width in percent")
     p_bode.add_argument("--samples", type=int,
-                        default=_defaults(uncertainty_sweep)["samples"],
+                        default=_default(uncertainty_sweep, "samples"),
                         help="uncertainty sweep sample count (rounded to a cube)")
     p_bode.add_argument("--modes", default="3,4,5,6",
                         help="comma-separated mode counts for --sweep modes")

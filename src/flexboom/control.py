@@ -58,13 +58,14 @@ def quintic_blend_rate(s: float) -> float:
 class PDGains:
     """Proportional and derivative gains; both strictly positive.
 
+    The defaults, k_p = 10 N/m and k_d = 25 N s/m, are the fig7a gains.
     k_d > 0 doubles as the strictly positive feedthrough of the equivalent
     PI-on-rate map, so it is load bearing for the passivity argument, not
     just a tuning preference.
     """
 
-    k_p: float
-    k_d: float
+    k_p: float = 10.0
+    k_d: float = 25.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.k_p) and self.k_p > 0.0):
@@ -231,7 +232,7 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
     clamp = cfg.clamp_nonnegative
 
     def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
-        t_des = _feedforward(ff, t)[0]  # = feedforward_tension, one call less per stage
+        t_des = feedforward_tension(ff, t)
         w_des, w_rate_des = desired_deflection(ref, t, ff)
         u_raw = t_des - k_p * (w_tip - w_des) - k_d * (w_rate - w_rate_des)
         u = max(0.0, u_raw) if clamp else u_raw

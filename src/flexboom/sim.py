@@ -11,12 +11,12 @@ outcome here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (ControllerConfig, FeedforwardProfile, PDGains,
-                      ReferenceTrajectory, make_controller)
+from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
+                      PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import (DEFAULT_TENSION_MAX, solve_equilibrium,
                           tension_for_deflection)
 from .model import (BasisSet, BoomParams, State, StructuralModel,
@@ -29,16 +29,12 @@ __all__ = [
     "run_simulation",
     "scenario_suite",
     "SCENARIO_NAMES",
-    "FIG7A_GAINS",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
-
-# Gains of fig7a; the other scenarios raise k_d to 50 N s/m.
-FIG7A_GAINS = PDGains(k_p=10.0, k_d=25.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,8 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     n_rows = -(-n_steps // scenario.decimation) + 1
     time = np.zeros(n_rows)
     x_log = np.zeros((n_rows, 2 * n))
-    control_log = np.zeros((n_rows, 5))  # the ControlSample fields after time
+    # Columns are the ControlSample fields after time, read back by name.
+    control_log = np.zeros((n_rows, len(ControlSample._fields) - 1))
     energy_log = np.zeros((n_rows, 2))
 
     def log_row(row: int, t: float, x: np.ndarray) -> None:
@@ -177,11 +174,14 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             row += 1
 
     q, q_rate = x_log[:row, :n], x_log[:row, n:]
-    t_des, w_des, w_rate_des, u_unclamped, u = control_log[:row].T
+    control = dict(zip(ControlSample._fields[1:], control_log[:row].T))
     return SimResult(
-        scenario_name=scenario.name, time=time[:row], q=q, q_rate=q_rate,
+        scenario_name=scenario.name,
+        time=time[:row], q=q, q_rate=q_rate,
         tip=q @ tip_row, tip_rate=q_rate @ tip_row,
-        u=u, u_unclamped=u_unclamped, t_des=t_des, w_des=w_des, w_rate_des=w_rate_des,
+        u=control["u"], u_unclamped=control["u_unclamped"],
+        t_des=control["feedforward"], w_des=control["w_des"],
+        w_rate_des=control["w_rate_des"],
         kinetic=energy_log[:row, 0], potential=energy_log[:row, 1],
         status=status, divergence_time=divergence_time,
     )
@@ -194,8 +194,8 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
                    step_scale: float = 1.0) -> list[SimScenario]:
     """The four benchmark closed-loop scenarios, sharing k_p = 10 N/m.
 
-    fig7a        constant feedforward at the target tension, ``FIG7A_GAINS``
-                 (k_d = 25 N s/m)
+    fig7a        constant feedforward at the target tension, the default
+                 ``PDGains()`` (k_d = 25 N s/m)
     fig7c        same constant feedforward, k_d = 50 N s/m (the aggressive
                  rate gain that the smooth feedforward is meant to tame)
     fig8         quintic feedforward and quintic reference over
@@ -218,7 +218,7 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
     constant_ff = FeedforwardProfile.constant(target_tension)
     ramp_ff = FeedforwardProfile.quintic(t_init, target_tension, ramp_duration)
     ramp_ref = ReferenceTrajectory.quintic(w_init, w_target, ramp_duration)
-    aggressive = replace(FIG7A_GAINS, k_d=50.0)
+    aggressive = PDGains(k_d=50.0)
 
     def scen(name: str, gains: PDGains, ff: FeedforwardProfile,
              ref: ReferenceTrajectory, clamp: bool) -> SimScenario:
@@ -228,7 +228,7 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
                            duration=duration, dt=dt, name=name)
 
     return [
-        scen("fig7a", FIG7A_GAINS, constant_ff, constant_ref, False),
+        scen("fig7a", PDGains(), constant_ff, constant_ref, False),
         scen("fig7c", aggressive, constant_ff, constant_ref, False),
         scen("fig8", aggressive, ramp_ff, ramp_ref, False),
         scen("fig8-clamped", aggressive, ramp_ff, ramp_ref, True),

@@ -13,12 +13,11 @@ trees whose printouts match write byte-identical CLI outputs on this set.
 
 The package is imported from the ``src`` directory next to this script, so
 a copy of the script placed in another checkout fingerprints that checkout.
-The work directory is a temporary one unless ``--workdir`` names one.
+The commands run in a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -102,17 +101,8 @@ def fingerprint(workdir: Path) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workdir", type=Path,
-                        help="directory to run in (default: a temporary one)")
-    args = parser.parse_args()
-    if args.workdir is not None:
-        args.workdir.mkdir(parents=True, exist_ok=True)
-        lines = fingerprint(args.workdir)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = fingerprint(Path(tmp))
-    print("\n".join(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n".join(fingerprint(Path(tmp))))
     return 0
 
 
