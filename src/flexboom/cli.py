@@ -506,10 +506,10 @@ def cmd_fit(config: dict, args: argparse.Namespace) -> int:
 
     if args.degree == "auto":
         best, residuals = select_degree(data)
+        fitted = fit_map(data, best)
     else:
-        best = int(args.degree)
-        residuals = {best: fit_map(data, best).residual_rms}
-    fitted = fit_map(data, best)
+        fitted = fit_map(data, int(args.degree))
+        residuals = {fitted.degree: fitted.residual_rms}
     per_degree = {str(k): v for k, v in sorted(residuals.items())}
 
     fragment = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flexboom as fb
+from flexboom import cli
 from flexboom.cli import load_config, main
 
 CUBIC = (-1902.0, 1414.0, -302.7, 20.07)
@@ -206,6 +207,27 @@ def test_fit_degree_one_has_larger_residual(tmp_path):
     best = json.loads((out_auto / "summary.json").read_text())["residual_rms"]
     line = json.loads((out_line / "summary.json").read_text())["residual_rms"]
     assert line > best
+
+
+def test_fit_fixed_degree_fits_once(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    _write_fit_data(data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"unit_profile": "prototype-units"}))
+    degrees = []
+
+    def counting_fit_map(measurements, degree):
+        degrees.append(degree)
+        return fb.fit_map(measurements, degree)
+
+    monkeypatch.setattr(cli, "fit_map", counting_fit_map)
+    out = tmp_path / "out"
+    assert main(["fit", str(data), "--degree", "2", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert degrees == [2]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["degree"] == 2
+    assert list(summary["per_degree_residual_rms"]) == ["2"]
 
 
 def test_fit_malformed_csv(tmp_path, capsys):

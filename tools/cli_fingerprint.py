@@ -42,6 +42,10 @@ MAP_CONFIG = {
     },
 }
 
+# Six assumed modes put grid points near poles: at 0.75 N the sweep nudges
+# points, at 1 N one sample stays on a pole after nudging (PoleOnGrid).
+MODES6_CONFIG = {"modes": 6}
+
 # (label, argv) in run order; every --out is relative to the work directory.
 COMMANDS = [
     ("equilibrium_curve", ["equilibrium", "--out", "eq_curve"]),
@@ -53,6 +57,10 @@ COMMANDS = [
                           "--samples", "27", "--out", "sweep_uncertainty"]),
     ("bode_modes", ["bode", "--teq", "0.5", "--sweep", "modes",
                     "--modes", "3,4,5,6", "--out", "sweep_modes"]),
+    *[(f"bode_modes6_{label}", ["bode", "--config", "modes6.json", "--teq", teq,
+                                "--sweep", "uncertainty", "--samples", "27",
+                                "--out", f"sweep_modes6_{label}"])
+      for label, teq in (("nudged", "0.75"), ("pole", "1"))],
     *[(f"simulate_{name}", ["simulate", "--scenario", name, "--duration", "3",
                             "--out", f"sim_{name}"])
       for name in ("fig7a", "fig7c", "fig8", "fig8-clamped")],
@@ -66,6 +74,7 @@ COMMANDS = [
 
 def _write_inputs(workdir: Path) -> None:
     (workdir / "map.json").write_text(json.dumps(MAP_CONFIG))
+    (workdir / "modes6.json").write_text(json.dumps(MODES6_CONFIG))
     rows = ["torque_N,deflection_m"]
     for i in range(20):
         t = 0.1 + 0.05 * i
