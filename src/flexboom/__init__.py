@@ -9,53 +9,16 @@ torque-to-deflection calibration maps from test data.
 
 __version__ = "0.1.0"
 
-from .calibration import (MeasurementSet, RankDeficient, TorqueDeflectionMap,
-                          fit_map, select_degree)
-from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
-                      PDGains, ReferenceTrajectory, control_input,
-                      desired_deflection, feedforward_tension, make_controller,
-                      quintic_blend, quintic_blend_rate)
-from .equilibrium import (DEFAULT_TENSION_MAX, EquilibriumPoint,
-                          NearSingularStiffness, OutOfRange, deflection_curve,
-                          solve_equilibrium, tension_for_deflection)
-from .linearization import StateSpaceModel, linearize
-from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    actuation_force, assemble_matrices, build_spreader_matrix,
-                    dynamics_rhs, evaluate_basis, tip_deflection, tip_rate,
-                    total_energy, zero_spreader_matrix)
-from .passivity import (FrequencyResponse, InconsistentTests, PassivityReport,
-                        PoleOnGrid, SweepSampleError, default_grid,
-                        frequency_response, mode_count_sweep, passivity_check,
-                        scaling_factory, uncertainty_sweep)
-from .sim import (SCENARIO_NAMES, SimResult, SimScenario,
-                  initial_state_from_deflection, run_simulation, scenario_suite)
+from . import (calibration, control, equilibrium, linearization, model, passivity,
+               sim)
+from .calibration import *  # noqa: F403
+from .control import *  # noqa: F403
+from .equilibrium import *  # noqa: F403
+from .linearization import *  # noqa: F403
+from .model import *  # noqa: F403
+from .passivity import *  # noqa: F403
+from .sim import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # model
-    "BoomParams", "BasisSet", "State", "StructuralModel", "evaluate_basis",
-    "build_spreader_matrix", "zero_spreader_matrix", "assemble_matrices",
-    "actuation_force", "dynamics_rhs", "tip_deflection", "tip_rate",
-    "total_energy",
-    # equilibrium
-    "EquilibriumPoint", "NearSingularStiffness", "OutOfRange",
-    "solve_equilibrium", "deflection_curve", "tension_for_deflection",
-    "DEFAULT_TENSION_MAX",
-    # linearization
-    "StateSpaceModel", "linearize",
-    # passivity
-    "FrequencyResponse", "PassivityReport", "PoleOnGrid", "InconsistentTests",
-    "SweepSampleError", "default_grid", "frequency_response", "passivity_check",
-    "scaling_factory", "uncertainty_sweep", "mode_count_sweep",
-    # control
-    "PDGains", "FeedforwardProfile", "ReferenceTrajectory", "ControllerConfig",
-    "ControlSample", "quintic_blend", "quintic_blend_rate",
-    "feedforward_tension", "desired_deflection", "control_input",
-    "make_controller",
-    # sim
-    "SimScenario", "SimResult", "initial_state_from_deflection",
-    "run_simulation", "scenario_suite", "SCENARIO_NAMES",
-    # calibration
-    "MeasurementSet", "TorqueDeflectionMap", "RankDeficient", "fit_map",
-    "select_degree",
-]
+__all__ = ["__version__", *model.__all__, *equilibrium.__all__,
+           *linearization.__all__, *passivity.__all__, *control.__all__,
+           *sim.__all__, *calibration.__all__]

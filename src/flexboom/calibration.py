@@ -54,6 +54,8 @@ class MeasurementSet:
             raise ValueError("torques and deflections must be matching 1-d arrays")
         if not np.all(np.isfinite(torques)):
             raise ValueError("torques must be finite")
+        if not np.all(np.isfinite(deflections)):
+            raise ValueError("deflections must be finite")
         object.__setattr__(self, "torques", torques)
         object.__setattr__(self, "deflections", deflections)
 
@@ -62,7 +64,7 @@ class MeasurementSet:
         return int(np.unique(self.torques).size)
 
     @classmethod
-    def from_csv(cls, path: str | Path, source: str | None = None) -> "MeasurementSet":
+    def from_csv(cls, path: str | Path) -> "MeasurementSet":
         """Read `torque_<unit>,deflection_<unit>` rows from a CSV file."""
         path = Path(path)
         with path.open(newline="") as fh:
@@ -94,7 +96,7 @@ class MeasurementSet:
                     raise ValueError(f"{path}:{line_no}: non-numeric row {row!r}") from None
         return cls(torques=np.array(torques), deflections=np.array(deflections),
                    torque_unit=units[0], deflection_unit=units[1],
-                   source=source if source is not None else str(path))
+                   source=str(path))
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,12 @@ def fit_map(data: MeasurementSet, degree: int) -> TorqueDeflectionMap:
     )
 
 
-def select_degree(data: MeasurementSet,
-                  improvement: float = PARSIMONY_IMPROVEMENT
-                  ) -> tuple[int, dict[int, float]]:
+def select_degree(data: MeasurementSet) -> tuple[int, dict[int, float]]:
     """Fit degrees 1..3 and pick the best with a parsimony tie-break.
 
     A higher degree wins only by cutting the RMS residual at least
-    ``improvement`` relative to the incumbent; otherwise the lower degree
-    is preferred.  Requires at least four distinct torque levels.
+    ``PARSIMONY_IMPROVEMENT`` relative to the incumbent; otherwise the lower
+    degree is preferred.  Requires at least four distinct torque levels.
     """
     if data.distinct_torques < 4:
         raise RankDeficient(
@@ -162,6 +162,6 @@ def select_degree(data: MeasurementSet,
     for d in (2, 3):
         if residuals[best] <= _ZERO_RESIDUAL_FLOOR:
             break
-        if residuals[d] < (1.0 - improvement) * residuals[best]:
+        if residuals[d] < (1.0 - PARSIMONY_IMPROVEMENT) * residuals[best]:
             best = d
     return best, residuals

@@ -5,10 +5,11 @@ All commands read one JSON config file plus a few flag overrides.  Every
 field is optional: ``_default_config`` is the one defaults tree, and every
 default in it and in the flags is read from the library, never restated:
 the field defaults of ``BoomParams``, ``PDGains`` (the fig7a gains),
-``FeedforwardProfile``, ``ControllerConfig`` and ``SimScenario``, and the
+``FeedforwardProfile``, ``ControllerConfig`` and ``SimScenario``, the
 parameter defaults of ``default_grid``, ``deflection_curve``,
-``uncertainty_sweep`` and ``scenario_suite``.  The schema a config file is
-checked against is derived from its leaves' types.
+``uncertainty_sweep`` and ``scenario_suite``, and the scenarios' target
+tension and ramp duration.  A config file is checked against the defaults
+tree itself: its keys, and the types of its leaves.
 Commands write CSV outputs atomically (write-temp-then-rename), and drop a
 machine-readable ``summary.json`` next to them.  Exit code 0 means every
 requested check or run succeeded; config and schema problems exit with 2,
@@ -30,7 +31,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .calibration import MeasurementSet, RankDeficient, fit_map, select_degree
+from .calibration import MeasurementSet, fit_map, select_degree
 from .control import (ControllerConfig, FeedforwardProfile, PDGains,
                       ReferenceTrajectory)
 from .equilibrium import (DEFAULT_TENSION_MAX, NearSingularStiffness,
@@ -41,7 +42,8 @@ from .passivity import (DEFAULT_EPS_TOL, InconsistentTests, PoleOnGrid,
                         SweepSampleError, default_grid, frequency_response,
                         mode_count_sweep, passivity_check, scaling_factory,
                         uncertainty_sweep)
-from .sim import SCENARIO_NAMES, SimScenario, run_simulation, scenario_suite
+from .sim import (RAMP_DURATION, SCENARIO_NAMES, TARGET_TENSION, SimScenario,
+                  run_simulation, scenario_suite)
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -63,10 +65,10 @@ def _default(func, name: str) -> Any:
 
 
 def _default_config() -> dict:
-    """The full configuration tree; its leaves also fix the schema's types."""
+    """The full configuration tree; its leaves also fix the types a file may set."""
     return {
         "boom": dataclasses.asdict(BoomParams()),
-        "modes": 3,
+        "modes": _default(scenario_suite, "mode_count"),
         "unit_profile": "simulation-SI",
         "output_dir": "out",
         "equilibrium": {"t_max": DEFAULT_TENSION_MAX,
@@ -81,15 +83,15 @@ def _default_config() -> dict:
             "gains": dataclasses.asdict(PDGains()),
             "feedforward": {
                 "mode": "constant",
-                "tension_final": _default(scenario_suite, "target_tension"),
+                "tension_final": TARGET_TENSION,
                 "tension_initial": FeedforwardProfile.tension_initial,
-                "duration": _default(scenario_suite, "ramp_duration"),
+                "duration": RAMP_DURATION,
             },
             "reference": {
                 "mode": "constant",
                 "w_final": None,
                 "w_initial": None,
-                "duration": _default(scenario_suite, "ramp_duration"),
+                "duration": RAMP_DURATION,
                 "map_coefficients": [],
                 "map_units": [],
             },
@@ -113,51 +115,31 @@ _NULLABLE = {
 }
 
 
-def _schema_of(tree: dict, path: str = "") -> dict:
-    schema: dict[str, Any] = {}
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            schema[key] = _schema_of(value, path + key + ".")
-        elif value is None:
-            schema[key] = (_NULLABLE[path + key], type(None))
-        else:
-            schema[key] = type(value)
-    return schema
+def _checked(user: Any, default: Any, path: str = "") -> Any:
+    """The defaults (sub)tree ``default`` with ``user`` checked and merged in.
 
-
-_SCHEMA = _schema_of(_default_config())
-
-
-def _validate(user: Any, schema: Any, path: str) -> None:
-    if isinstance(schema, dict):
+    Every key must exist in the defaults, and an object replaces only the
+    keys it sets.  A leaf must have its default's type, or the ``_NULLABLE``
+    type where the default is null; an int may stand for a float, and a
+    boolean only for a boolean.
+    """
+    if isinstance(default, dict):
         if not isinstance(user, dict):
             raise ConfigError(f"{path or 'config'}: expected an object, got {type(user).__name__}")
+        merged = dict(default)
         for key, value in user.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key '{path + key}'")
-            _validate(value, schema[key], path + key + ".")
-        return
-    allowed = schema if isinstance(schema, tuple) else (schema,)
-    label = path.rstrip(".")
+            child = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ConfigError(f"unknown config key '{child}'")
+            merged[key] = _checked(value, default[key], child)
+        return merged
+    allowed = (type(default),) if default is not None else (_NULLABLE[path], type(None))
     if isinstance(user, bool) and bool not in allowed:
-        raise ConfigError(f"{label}: boolean not allowed here")
-    for kind in allowed:
-        if kind is float and isinstance(user, (int, float)) and not isinstance(user, bool):
-            return
-        if kind is not float and isinstance(user, kind):
-            return
+        raise ConfigError(f"{path}: boolean not allowed here")
+    if isinstance(user, tuple((int, float) if k is float else k for k in allowed)):
+        return user
     names = "/".join("null" if k is type(None) else k.__name__ for k in allowed)
-    raise ConfigError(f"{label}: expected {names}, got {type(user).__name__}")
-
-
-def _merge(base: dict, user: dict) -> dict:
-    merged = dict(base)
-    for key, value in user.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            merged[key] = _merge(base[key], value)
-        else:
-            merged[key] = value
-    return merged
+    raise ConfigError(f"{path}: expected {names}, got {type(user).__name__}")
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -174,8 +156,7 @@ def load_config(path: str | Path | None) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-        _validate(user, _SCHEMA, "")
-        config = _merge(config, user)
+        config = _checked(user, config)
     profile = config["unit_profile"]
     if profile not in PROFILE_UNITS:
         raise ConfigError(
@@ -603,8 +584,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OutOfRange, NearSingularStiffness, RankDeficient, SweepSampleError,
-            PoleOnGrid, InconsistentTests, ValueError) as exc:
+    except (NearSingularStiffness, SweepSampleError, PoleOnGrid, InconsistentTests,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

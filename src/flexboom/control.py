@@ -131,6 +131,9 @@ class ReferenceTrajectory:
         if self.map_coefficients is not None:
             object.__setattr__(self, "map_coefficients",
                                tuple(float(c) for c in self.map_coefficients))
+        if not np.all(np.isfinite([self.w_final, self.w_initial,
+                                   *(self.map_coefficients or ())])):
+            raise ValueError("reference deflections and map coefficients must be finite")
 
     @classmethod
     def constant(cls, w: float) -> "ReferenceTrajectory":

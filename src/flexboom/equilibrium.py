@@ -76,12 +76,11 @@ class EquilibriumPoint:
     tip_deflection: float
 
 
-def solve_equilibrium(model: StructuralModel, tension: float,
-                      cond_limit: float = _COND_LIMIT) -> EquilibriumPoint:
+def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:
     """Equilibrium modal coordinates for a constant cable tension (N).
 
     Raises NearSingularStiffness at or beyond the model's first critical
-    tension, and wherever the condition number exceeds ``cond_limit``.
+    tension, and wherever the condition number exceeds 1e12.
     The linear solve runs on the diagonally equilibrated system (one
     iterative-refinement pass) and the condition number is estimated on the
     equilibrated matrix, so the check detects the physical approach to
@@ -97,7 +96,7 @@ def solve_equilibrium(model: StructuralModel, tension: float,
     scaled = equilibrate(model.effective_stiffness(tension), scale)
     condition = float(np.linalg.cond(scaled))
     if (tension >= model.critical_tension or not np.isfinite(condition)
-            or condition > cond_limit):
+            or condition > _COND_LIMIT):
         raise NearSingularStiffness(tension, condition, model.critical_tension)
 
     rhs_scaled = actuation_force(model, np.zeros(n), tension) / scale

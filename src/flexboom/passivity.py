@@ -37,8 +37,7 @@ from scipy.linalg import matrix_balance
 
 from .equilibrium import solve_equilibrium
 from .linearization import StateSpaceModel, linearize
-from .model import (BasisSet, BoomParams, SpreaderModel, StructuralModel,
-                    assemble_matrices, build_spreader_matrix)
+from .model import BasisSet, BoomParams, StructuralModel, assemble_matrices
 
 __all__ = [
     "PoleOnGrid",
@@ -211,8 +210,8 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
     The two tests must agree; disagreement raises InconsistentTests since it
     signals a phase-handling bug rather than a property of the plant.
     """
-    if eps_tol < 0.0:
-        raise ValueError("eps_tol must be nonnegative")
+    if not 0.0 <= eps_tol < np.inf:  # NaN fails too
+        raise ValueError(f"eps_tol must be finite and nonnegative, got {eps_tol!r}")
     fr = frequency_response(ss, omega)
 
     principal = fr.phase_principal_deg
@@ -262,14 +261,11 @@ def _sweep_sample(label: str, sample: dict, build: Callable[[], StructuralModel]
             f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
 
 
-def scaling_factory(params: BoomParams, basis: BasisSet,
-                    spreader_model: SpreaderModel = build_spreader_matrix
-                    ) -> ModelFactory:
+def scaling_factory(params: BoomParams, basis: BasisSet) -> ModelFactory:
     """Factory assembling models with scaled (E, rho, I) about nominal params."""
 
     def factory(e_scale: float, rho_scale: float, i_scale: float) -> StructuralModel:
-        return assemble_matrices(params.scaled(e_scale, rho_scale, i_scale),
-                                 basis, spreader_model)
+        return assemble_matrices(params.scaled(e_scale, rho_scale, i_scale), basis)
 
     return factory
 
@@ -302,11 +298,9 @@ def uncertainty_sweep(model_factory: ModelFactory, t_eq: float,
 
 def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float,
                      omega: Sequence[float] | None = None,
-                     eps_tol: float = DEFAULT_EPS_TOL,
-                     spreader_model: SpreaderModel = build_spreader_matrix
-                     ) -> list[PassivityReport]:
+                     eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
     return [_sweep_sample(
         "mode-count sample", {"mode_count": int(n)},
-        lambda: assemble_matrices(params, BasisSet.with_mode_count(n), spreader_model),
+        lambda: assemble_matrices(params, BasisSet.with_mode_count(n)),
         t_eq, omega, eps_tol) for n in mode_counts]

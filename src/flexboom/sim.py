@@ -17,8 +17,7 @@ import numpy as np
 
 from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
-from .equilibrium import (DEFAULT_TENSION_MAX, solve_equilibrium,
-                          tension_for_deflection)
+from .equilibrium import solve_equilibrium, tension_for_deflection
 from .model import (BasisSet, BoomParams, State, StructuralModel,
                     assemble_matrices, modal_acceleration, total_energy)
 
@@ -29,12 +28,16 @@ __all__ = [
     "run_simulation",
     "scenario_suite",
     "SCENARIO_NAMES",
+    "TARGET_TENSION",
+    "RAMP_DURATION",
 ]
 
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
+TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
+RAMP_DURATION = 100.0  # s, length of the fig8 quintic feedforward and reference
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,9 @@ class SimResult:
         return State(q=self.q[-1], q_rate=self.q_rate[-1])
 
 
-def initial_state_from_deflection(model: StructuralModel, w_init: float,
-                                  t_max: float = DEFAULT_TENSION_MAX) -> State:
+def initial_state_from_deflection(model: StructuralModel, w_init: float) -> State:
     """Rest state whose shape is the held equilibrium with tip at w_init."""
-    tension = tension_for_deflection(model, w_init, t_max=t_max)
+    tension = tension_for_deflection(model, w_init)
     q = solve_equilibrium(model, tension).modal_coords
     return State(q=q, q_rate=np.zeros(model.mode_count))
 
@@ -188,9 +190,8 @@ def run_simulation(scenario: SimScenario) -> SimResult:
 
 
 def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
-                   target_tension: float = 1.0, w_init: float = 1.0,
-                   duration: float = SimScenario.duration,
-                   dt: float = SimScenario.dt, ramp_duration: float = 100.0,
+                   w_init: float = 1.0, duration: float = SimScenario.duration,
+                   dt: float = SimScenario.dt,
                    step_scale: float = 1.0) -> list[SimScenario]:
     """The four benchmark closed-loop scenarios, sharing k_p = 10 N/m.
 
@@ -199,15 +200,16 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
     fig7c        same constant feedforward, k_d = 50 N s/m (the aggressive
                  rate gain that the smooth feedforward is meant to tame)
     fig8         quintic feedforward and quintic reference over
-                 ``ramp_duration``, k_d = 50 N s/m
+                 ``RAMP_DURATION``, k_d = 50 N s/m
     fig8-clamped fig8 with the nonnegative-tension clamp enabled
 
     The commanded step runs from w_init to the equilibrium deflection of
-    ``target_tension``; ``step_scale`` stretches that step (the target is
+    ``TARGET_TENSION``; ``step_scale`` stretches that step (the target is
     re-solved so the endpoint remains a true equilibrium).
     """
     params = params or BoomParams()
     model = assemble_matrices(params, BasisSet.with_mode_count(mode_count))
+    target_tension = TARGET_TENSION
     w_target = solve_equilibrium(model, target_tension).tip_deflection
     if step_scale != 1.0:
         w_target = w_init + step_scale * (w_target - w_init)
@@ -216,8 +218,8 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
 
     constant_ref = ReferenceTrajectory.constant(w_target)
     constant_ff = FeedforwardProfile.constant(target_tension)
-    ramp_ff = FeedforwardProfile.quintic(t_init, target_tension, ramp_duration)
-    ramp_ref = ReferenceTrajectory.quintic(w_init, w_target, ramp_duration)
+    ramp_ff = FeedforwardProfile.quintic(t_init, target_tension, RAMP_DURATION)
+    ramp_ref = ReferenceTrajectory.quintic(w_init, w_target, RAMP_DURATION)
     aggressive = PDGains(k_d=50.0)
 
     def scen(name: str, gains: PDGains, ff: FeedforwardProfile,

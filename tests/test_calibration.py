@@ -138,3 +138,9 @@ def test_csv_rejects_malformed(tmp_path, text):
 def test_non_finite_torque_rejected():
     with pytest.raises(ValueError):
         fb.MeasurementSet(torques=[0.1, float("inf")], deflections=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_deflection_rejected(bad):
+    with pytest.raises(ValueError, match="deflections must be finite"):
+        fb.MeasurementSet(torques=[0.1, 0.2], deflections=[1.0, bad])

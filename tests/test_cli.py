@@ -306,3 +306,38 @@ def test_default_custom_simulate_is_fig7a(tmp_path):
     for suffix in (".csv", "_control.csv"):
         assert ((custom / f"sim_custom{suffix}").read_bytes()
                 == (fig7a / f"sim_fig7a{suffix}").read_bytes())
+
+
+def test_non_object_section_names_the_section(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"boom": 3}))
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: boom: expected an object, got int\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_rejects_non_finite_deflection(tmp_path, capsys, bad):
+    data = tmp_path / "data.csv"
+    data.write_text(f"torque_N,deflection_m\n0.1,0.5\n0.2,{bad}\n0.3,0.9\n")
+    out = tmp_path / "out"
+    assert main(["fit", str(data), "--degree", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "deflections must be finite" in err
+    assert not (out / "fit_map.json").exists()
+
+
+@pytest.mark.parametrize("reference", [{"w_final": float("nan")},
+                                       {"mode": "quintic-deflection",
+                                        "w_initial": float("inf")},
+                                       {"mode": "map-composed",
+                                        "map_coefficients": [0.6, float("nan")]}],
+                         ids=["w_final", "w_initial", "map_coefficient"])
+def test_simulate_rejects_non_finite_reference(tmp_path, capsys, reference):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": {"reference": reference}}))
+    out = tmp_path / "out"
+    code = main(["simulate", "--duration", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: controller: ") and "must be finite" in err
+    assert not out.exists() or not any(out.iterdir())

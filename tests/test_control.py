@@ -178,3 +178,15 @@ def test_hold_behavior_of_composed_reference():
     w_later, rate_later = fb.desired_deflection(ref, profile.duration + 50.0, profile)
     assert w_later == w_end
     assert rate_end == 0.0 and rate_later == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: fb.ReferenceTrajectory.constant(bad),
+    lambda bad: fb.ReferenceTrajectory.quintic(bad, 1.3, 100.0),
+    lambda bad: fb.ReferenceTrajectory.quintic(1.0, bad, 100.0),
+    lambda bad: fb.ReferenceTrajectory.map_composed([0.6, bad, 0.1686]),
+], ids=["constant", "quintic_w_initial", "quintic_w_final", "map_coefficient"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_reference_rejects_non_finite_values(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)

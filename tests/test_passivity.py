@@ -350,3 +350,9 @@ def test_exact_pole_screen_emits_no_warning():
         outcome = _outcome(_library_response, ss, grid)
     assert outcome == _outcome(_exact_condition_response, ss, grid)
     assert outcome[2] == (1, 2)
+
+
+@pytest.mark.parametrize("eps_tol", [float("nan"), float("inf"), -1e-9])
+def test_eps_tol_must_be_finite_and_nonnegative(ss_nominal, eps_tol):
+    with pytest.raises(ValueError, match="eps_tol must be finite and nonnegative"):
+        fb.passivity_check(ss_nominal, fb.default_grid(50), eps_tol)

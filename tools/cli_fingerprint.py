@@ -31,20 +31,34 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from flexboom.cli import main as flexboom_main  # noqa: E402
 
-# A map-composed custom run: quintic feedforward, reference read from a map.
-MAP_CONFIG = {
-    "controller": {
-        "feedforward": {"mode": "quintic", "tension_initial": 0.9,
-                        "tension_final": 1.0, "duration": 2.0},
-        "reference": {"mode": "map-composed",
-                      "map_coefficients": [0.6, 0.5, 0.1686],
-                      "map_units": ["N", "m"]},
+# Config files written to ``<name>.json`` in the work directory.
+CONFIGS = {
+    # A map-composed custom run: quintic feedforward, reference read from a map.
+    "map": {
+        "controller": {
+            "feedforward": {"mode": "quintic", "tension_initial": 0.9,
+                            "tension_final": 1.0, "duration": 2.0},
+            "reference": {"mode": "map-composed",
+                          "map_coefficients": [0.6, 0.5, 0.1686],
+                          "map_units": ["N", "m"]},
+        },
     },
+    # Six assumed modes put grid points near poles: at 0.75 N the sweep nudges
+    # points, at 1 N one sample stays on a pole after nudging (PoleOnGrid).
+    "modes6": {"modes": 6},
+    # Well-typed configs carrying non-finite numbers (JSON NaN).
+    "nan_eps_tol": {"bode": {"eps_tol": float("nan")}},
+    "nan_w_final": {"controller": {"reference": {"w_final": float("nan")}}},
 }
 
-# Six assumed modes put grid points near poles: at 0.75 N the sweep nudges
-# points, at 1 N one sample stays on a pole after nudging (PoleOnGrid).
-MODES6_CONFIG = {"modes": 6}
+# Configs the checker must refuse (exit 2), one per rule it enforces.
+BAD_CONFIGS = {
+    "unknown_nested_key": {"controller": {"gains": {"k_i": 1.0}}},
+    "wrong_leaf_type": {"bode": {"grid_points": "many"}},
+    "bool_for_float": {"simulation": {"dt": True}},
+    "null_leaf": {"modes": None},
+    "non_object_section": {"boom": 3},
+}
 
 # (label, argv) in run order; every --out is relative to the work directory.
 COMMANDS = [
@@ -69,18 +83,28 @@ COMMANDS = [
                       "--out", "sim_map"]),
     ("fit_auto", ["fit", "fit_data.csv", "--out", "fit_auto"]),
     ("fit_degree_2", ["fit", "fit_data.csv", "--degree", "2", "--out", "fit_2"]),
+    *[(f"config_{label}", ["equilibrium", "--config", f"{label}.json",
+                           "--out", f"config_{label}"])
+      for label in BAD_CONFIGS],
+    ("bode_nan_eps_tol", ["bode", "--config", "nan_eps_tol.json", "--teq", "0.5",
+                          "--out", "bode_nan_eps_tol"]),
+    ("simulate_nan_w_final", ["simulate", "--config", "nan_w_final.json",
+                              "--duration", "3", "--out", "sim_nan_w_final"]),
+    ("fit_nan_deflection", ["fit", "fit_nan.csv", "--out", "fit_nan"]),
 ]
 
 
 def _write_inputs(workdir: Path) -> None:
-    (workdir / "map.json").write_text(json.dumps(MAP_CONFIG))
-    (workdir / "modes6.json").write_text(json.dumps(MODES6_CONFIG))
+    for name, config in {**CONFIGS, **BAD_CONFIGS}.items():
+        (workdir / f"{name}.json").write_text(json.dumps(config))
     rows = ["torque_N,deflection_m"]
     for i in range(20):
         t = 0.1 + 0.05 * i
         wobble = 0.002 * ((7 * i) % 5 - 2)  # keeps every fit residual above roundoff
         rows.append(f"{t:.6f},{((0.3 * t + 1.1) * t - 0.2) * t + wobble:.9f}")
     (workdir / "fit_data.csv").write_text("\n".join(rows) + "\n")
+    rows[3] = rows[3].split(",")[0] + ",nan"  # one non-finite deflection
+    (workdir / "fit_nan.csv").write_text("\n".join(rows) + "\n")
 
 
 def _digest(data: bytes) -> str:
