@@ -88,8 +88,8 @@ class FeedforwardProfile:
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
         if not (np.isfinite(self.tension_final) and np.isfinite(self.tension_initial)):
             raise ValueError("feedforward tensions must be finite")
-        if self.mode == "quintic" and not self.duration > 0.0:
-            raise ValueError("quintic feedforward needs duration > 0")
+        if self.mode == "quintic" and not 0.0 < self.duration < np.inf:
+            raise ValueError("quintic feedforward needs a finite duration > 0")
 
     @classmethod
     def constant(cls, tension: float) -> "FeedforwardProfile":
@@ -124,8 +124,8 @@ class ReferenceTrajectory:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "quintic-deflection", "map-composed"):
             raise ValueError(f"unknown reference mode {self.mode!r}")
-        if self.mode == "quintic-deflection" and not self.duration > 0.0:
-            raise ValueError("quintic-deflection reference needs duration > 0")
+        if self.mode == "quintic-deflection" and not 0.0 < self.duration < np.inf:
+            raise ValueError("quintic-deflection reference needs a finite duration > 0")
         if self.mode == "map-composed" and not self.map_coefficients:
             raise ValueError("map-composed reference needs map coefficients")
         if self.map_coefficients is not None:
@@ -167,52 +167,84 @@ class ControllerConfig:
             )
 
 
-def _quintic_ramp(start: float, end: float, duration: float, t: float
-                  ) -> tuple[float, float]:
-    """Value and time rate at t of the quintic ramp from start to end.
+_Law = Callable[[float], tuple[float, float]]
+
+
+def _ramp_law(start: float, end: float, duration: float) -> _Law:
+    """t -> value and time rate of the quintic ramp from start to end.
 
     Outside [0, duration] the value holds its endpoint and the rate is zero.
     """
-    s = min(max(t / duration, 0.0), 1.0)
-    value = start + quintic_blend(s) * (end - start)
-    if not 0.0 <= t <= duration:
-        return value, 0.0
-    return value, quintic_blend_rate(s) * (end - start) / duration
+    rise = end - start
+
+    def ramp(t: float) -> tuple[float, float]:
+        s = min(max(t / duration, 0.0), 1.0)
+        value = start + quintic_blend(s) * rise
+        if not 0.0 <= t <= duration:
+            return value, 0.0
+        return value, quintic_blend_rate(s) * rise / duration
+
+    return ramp
 
 
-def _feedforward(profile: FeedforwardProfile, t: float) -> tuple[float, float]:
-    """Feedforward tension and its time rate at t."""
+def _horner(coeffs: tuple[float, ...], x: float) -> float:
+    """Polynomial (descending coefficients) at x; the operations of np.polyval."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _feedforward_law(profile: FeedforwardProfile) -> _Law:
+    """t -> feedforward tension and its time rate."""
     if profile.mode == "constant":
-        return profile.tension_final, 0.0
-    return _quintic_ramp(profile.tension_initial, profile.tension_final,
-                         profile.duration, t)
+        tension = profile.tension_final
+        return lambda t: (tension, 0.0)
+    return _ramp_law(profile.tension_initial, profile.tension_final, profile.duration)
+
+
+def _reference_law(ref: ReferenceTrajectory,
+                   feedforward: FeedforwardProfile | None) -> _Law:
+    """t -> desired tip deflection and its time rate.
+
+    A map-composed reference evaluates the map along the feedforward tension,
+    with its rate by the chain rule; the derivative's coefficients are formed
+    here, once, as np.polyder forms them.
+    """
+    if ref.mode == "constant":
+        w = ref.w_final
+        return lambda t: (w, 0.0)
+    if ref.mode == "quintic-deflection":
+        return _ramp_law(ref.w_initial, ref.w_final, ref.duration)
+    if feedforward is None:
+        raise ValueError("map-composed reference needs the feedforward profile")
+    coeffs = ref.map_coefficients
+    degree = len(coeffs) - 1
+    slopes = tuple(c * (degree - i) for i, c in enumerate(coeffs[:-1]))
+    tension_law = _feedforward_law(feedforward)
+
+    def composed(t: float) -> tuple[float, float]:
+        tension, tension_rate = tension_law(t)
+        return _horner(coeffs, tension), _horner(slopes, tension) * tension_rate
+
+    return composed
 
 
 def feedforward_tension(profile: FeedforwardProfile, t: float) -> float:
     """Feedforward tension at time t >= 0 (holds the final value past t_f)."""
-    return _feedforward(profile, t)[0]
+    return _feedforward_law(profile)(t)[0]
 
 
 def feedforward_tension_rate(profile: FeedforwardProfile, t: float) -> float:
     """Time derivative of the feedforward tension (zero outside [0, t_f])."""
-    return _feedforward(profile, t)[1]
+    return _feedforward_law(profile)(t)[1]
 
 
 def desired_deflection(ref: ReferenceTrajectory, t: float,
                        feedforward: FeedforwardProfile | None = None
                        ) -> tuple[float, float]:
     """Desired tip deflection and its rate at time t (holds past t_f)."""
-    if ref.mode == "constant":
-        return ref.w_final, 0.0
-    if ref.mode == "quintic-deflection":
-        return _quintic_ramp(ref.w_initial, ref.w_final, ref.duration, t)
-    # map-composed
-    if feedforward is None:
-        raise ValueError("map-composed reference needs the feedforward profile")
-    coeffs = np.asarray(ref.map_coefficients, dtype=float)
-    tension, tension_rate = _feedforward(feedforward, t)
-    w = float(np.polyval(coeffs, tension))
-    return w, float(np.polyval(np.polyder(coeffs), tension)) * tension_rate
+    return _reference_law(ref, feedforward)(t)
 
 
 class ControlSample(NamedTuple):
@@ -230,13 +262,13 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
     """Bind a config into a fast (t, w_tip, w_rate) -> ControlSample closure."""
     k_p = cfg.gains.k_p
     k_d = cfg.gains.k_d
-    ff = cfg.feedforward
-    ref = cfg.reference
+    feedforward = _feedforward_law(cfg.feedforward)
+    reference = _reference_law(cfg.reference, cfg.feedforward)
     clamp = cfg.clamp_nonnegative
 
     def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
-        t_des = feedforward_tension(ff, t)
-        w_des, w_rate_des = desired_deflection(ref, t, ff)
+        t_des = feedforward(t)[0]
+        w_des, w_rate_des = reference(t)
         u_raw = t_des - k_p * (w_tip - w_des) - k_d * (w_rate - w_rate_des)
         u = max(0.0, u_raw) if clamp else u_raw
         return ControlSample(t, t_des, w_des, w_rate_des, u_raw, u)

@@ -41,6 +41,7 @@ __all__ = [
     "assemble_matrices",
     "equilibrate",
     "actuation_force",
+    "state_rate",
     "modal_acceleration",
     "dynamics_rhs",
     "tip_deflection",
@@ -228,8 +229,8 @@ class StructuralModel:
     does); static equilibria exist only below it.
 
     The private fields cache the equilibrated mass factorization and the
-    mass-solved operators; read them through ``mass_solve`` and
-    ``modal_acceleration``.
+    stacked state-rate operator; read them through ``mass_solve`` and
+    ``state_rate``, the one definition of the dynamics.
     """
 
     params: BoomParams
@@ -241,9 +242,8 @@ class StructuralModel:
     tip_slope: np.ndarray = field(repr=False)
     critical_tension: float
     _mass_chol: tuple = field(repr=False)
-    _stiffness_op: np.ndarray = field(repr=False)     # M^-1 K
-    _spreader_op: np.ndarray = field(repr=False)      # M^-1 spreader_matrix / dx
-    _tip_force_op: np.ndarray = field(repr=False)     # M^-1 h psi'(L)^T
+    _rate_op: np.ndarray = field(repr=False)      # R, (2+4n) x 2n; see state_rate
+    _input_rate: np.ndarray = field(repr=False)   # (0, M^-1 h psi'(L)^T)
 
     @property
     def mode_count(self) -> int:
@@ -326,9 +326,18 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
     except np.linalg.LinAlgError as exc:
         raise ValueError("mass matrix is not positive definite") from exc
 
-    stiffness_op = _mass_solve(mass_chol, tip_row, stiffness)
-    spreader_op = _mass_solve(mass_chol, tip_row, spreader_per_dx)
-    tip_force_op = _mass_solve(mass_chol, tip_row, params.cable_offset * tip_slope)
+    # Rows of R x, for x = (q, q_rate): w_tip, w_rate, then the unforced rate
+    # (q_rate, -M^-1 K q), then the part the tension multiplies,
+    # (0, M^-1 spreader_matrix q / dx).
+    n = basis.mode_count
+    rate_op = np.zeros((2 + 4 * n, 2 * n))
+    rate_op[0, :n] = tip_row
+    rate_op[1, n:] = tip_row
+    rate_op[2:2 + n, n:] = np.eye(n)
+    rate_op[2 + n:2 + 2 * n, :n] = -_mass_solve(mass_chol, tip_row, stiffness)
+    rate_op[2 + 3 * n:, :n] = _mass_solve(mass_chol, tip_row, spreader_per_dx)
+    input_rate = np.concatenate((np.zeros(n), _mass_solve(
+        mass_chol, tip_row, params.cable_offset * tip_slope)))
 
     return StructuralModel(
         params=params,
@@ -340,9 +349,8 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
         tip_slope=_readonly(tip_slope),
         critical_tension=_first_critical_tension(stiffness, spreader_per_dx, tip_row),
         _mass_chol=mass_chol,
-        _stiffness_op=_readonly(stiffness_op),
-        _spreader_op=_readonly(spreader_op),
-        _tip_force_op=_readonly(tip_force_op),
+        _rate_op=_readonly(rate_op),
+        _input_rate=_readonly(input_rate),
     )
 
 
@@ -357,14 +365,33 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
             + model.params.cable_offset * model.tip_slope) * u
 
 
-def modal_acceleration(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
-    """Modal acceleration M^-1 (f(q, u) - K q) under cable tension u."""
-    return u * (model._spreader_op @ q + model._tip_force_op) - model._stiffness_op @ q
+def state_rate(model: StructuralModel, x: np.ndarray,
+               tension_law: Callable[[float, float], float]) -> np.ndarray:
+    """Rate of the stacked state x = (q, q_rate): the one definition of the dynamics.
+
+    One product R x yields the tip deflection and rate, the unforced rate
+    (q_rate, -M^-1 K q) and the part the tension multiplies,
+    (0, M^-1 spreader_matrix q / dx).  ``tension_law(w_tip, w_rate)`` closes
+    the loop with the cable tension u, and the rate is
+    unforced + u (tension part + (0, M^-1 h psi'(L)^T)), which is
+    (q_rate, M^-1 (f(q, u) - K q)).
+    """
+    y = model._rate_op @ x
+    u = tension_law(y.item(0), y.item(1))
+    split = x.size + 2
+    return y[2:split] + u * (y[split:] + model._input_rate)
 
 
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:
     """First-order dynamics: d/dt (q, q_rate) = (q_rate, M^-1 (f(q, u) - K q))."""
-    return State(q=state.q_rate, q_rate=modal_acceleration(model, state.q, u))
+    return State.from_vector(state_rate(model, state.as_vector(),
+                                        lambda w_tip, w_rate: u))
+
+
+def modal_acceleration(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
+    """Modal acceleration M^-1 (f(q, u) - K q) under cable tension u."""
+    q = np.asarray(q, dtype=float)
+    return dynamics_rhs(model, State(q=q, q_rate=np.zeros_like(q)), u).q_rate
 
 
 def tip_deflection(model: StructuralModel, q: np.ndarray) -> float:

@@ -2,7 +2,10 @@
 
 Classic fourth-order Runge-Kutta with the controller evaluated at every
 stage time and stage state (the control law is an explicit function of
-time and the tip measurements, so no zero-order hold is emulated).
+time and the tip measurements, so no zero-order hold is emulated).  Each
+stage is one call of ``model.state_rate``, the same kernel that defines
+``dynamics_rhs``: one stacked product gives the tip measurements the
+controller reads and both parts of the state rate.
 Divergence is declared when the state norm exceeds 1e6 times its initial
 norm or any entry stops being finite; a diverged run is returned with
 status rather than raised, since blow-up is a legitimate experimental
@@ -19,7 +22,7 @@ from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import solve_equilibrium, tension_for_deflection
 from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    assemble_matrices, modal_acceleration, total_energy)
+                    assemble_matrices, state_rate, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -117,17 +120,15 @@ def run_simulation(scenario: SimScenario) -> SimResult:
 
     if scenario.controller is not None:
         controller = make_controller(scenario.controller)
+
+        def rhs(t: float, x: np.ndarray) -> np.ndarray:
+            return state_rate(model, x, lambda w_tip, w_rate:
+                              controller(t, w_tip, w_rate).u)
     else:
         controller = None
 
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        q = x[:n]
-        q_rate = x[n:]
-        if controller is not None:
-            u = controller(t, tip_row @ q, tip_row @ q_rate).u
-        else:
-            u = 0.0
-        return np.concatenate((q_rate, modal_acceleration(model, q, u)))
+        def rhs(t: float, x: np.ndarray) -> np.ndarray:
+            return state_rate(model, x, lambda w_tip, w_rate: 0.0)
 
     state0 = initial_state_from_deflection(model, scenario.w_init)
     x = state0.as_vector()

@@ -341,3 +341,18 @@ def test_simulate_rejects_non_finite_reference(tmp_path, capsys, reference):
     err = capsys.readouterr().err
     assert err.startswith("config error: controller: ") and "must be finite" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("controller", [
+    {"feedforward": {"mode": "quintic", "duration": float("inf")}},
+    {"reference": {"mode": "quintic-deflection", "duration": float("inf")}},
+], ids=["feedforward", "reference"])
+def test_simulate_rejects_infinite_ramp_duration(tmp_path, capsys, controller):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": controller}))
+    out = tmp_path / "out"
+    code = main(["simulate", "--duration", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: controller: ") and "finite duration" in err
+    assert not out.exists() or not any(out.iterdir())
