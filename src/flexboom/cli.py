@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import MeasurementSet, fit_map, select_degree
-from .control import (ControllerConfig, FeedforwardProfile, PDGains,
+from .control import (ControllerConfig, ControlSample, FeedforwardProfile, PDGains,
                       ReferenceTrajectory)
 from .equilibrium import (DEFAULT_TENSION_MAX, NearSingularStiffness,
                           OutOfRange, deflection_curve, solve_equilibrium)
@@ -364,33 +364,23 @@ def _reference_from_config(ref_cfg: dict, model, ff: FeedforwardProfile,
     if mode == "quintic-deflection":
         return ReferenceTrajectory.quintic(float(w_initial), float(w_final),
                                            float(ref_cfg["duration"]))
-    if mode == "map-composed":
-        coeffs = ref_cfg["map_coefficients"]
-        if not coeffs:
-            raise ConfigError("controller.reference.map_coefficients is empty "
-                              "but mode is map-composed")
-        units = ref_cfg.get("map_units") or []
-        if units:
-            expected = PROFILE_UNITS[profile]
-            if tuple(units) != expected:
-                raise ConfigError(
-                    f"map units {units} inconsistent with unit profile "
-                    f"{profile!r} (expected {list(expected)})")
-        return ReferenceTrajectory.map_composed([float(c) for c in coeffs])
-    raise ConfigError(f"unknown reference mode {mode!r}")
+    # ReferenceTrajectory refuses an unknown mode and an empty map.
+    reference = ReferenceTrajectory(mode=mode,
+                                    map_coefficients=ref_cfg["map_coefficients"])
+    units = ref_cfg["map_units"]
+    expected = PROFILE_UNITS[profile]
+    if units and tuple(units) != expected:
+        raise ConfigError(
+            f"map units {units} inconsistent with unit profile "
+            f"{profile!r} (expected {list(expected)})")
+    return reference
 
 
 def _controller_from_config(config: dict, model, w_init: float) -> ControllerConfig:
     ctrl = config["controller"]
     try:
         gains = PDGains(**ctrl["gains"])
-        ff_cfg = ctrl["feedforward"]
-        ff = FeedforwardProfile(
-            mode=ff_cfg["mode"],
-            tension_final=float(ff_cfg["tension_final"]),
-            tension_initial=float(ff_cfg["tension_initial"]),
-            duration=float(ff_cfg["duration"]),
-        )
+        ff = FeedforwardProfile(**ctrl["feedforward"])
         reference = _reference_from_config(ctrl["reference"], model, ff, w_init,
                                            config["unit_profile"])
         return ControllerConfig(
@@ -441,8 +431,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     _write_csv_atomic(csv_path, header, rows)
 
     control_path = outdir / f"{stem}_control.csv"
-    control_rows = list(zip(result.time, result.t_des, result.w_des,
-                            result.w_rate_des, result.u_unclamped, result.u))
+    control_rows = list(zip(*(getattr(result, name) for name in ControlSample._fields)))
     _write_csv_atomic(control_path,
                       ["t_s", "T_des", "w_des", "wdot_des", "u_preclamp", "u"],
                       control_rows)

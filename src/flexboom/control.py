@@ -12,10 +12,10 @@ passive for k_p, k_d > 0; that is what buys robust closed-loop stability.
 Feedforward tension profiles and deflection references use the quintic
 blend 10 s^3 - 15 s^4 + 6 s^5, which starts and ends with zero rate and
 zero acceleration.  A reference can also be composed from a fitted
-torque-to-deflection polynomial map evaluated along the feedforward
-profile (a cubic map over the quintic profile yields a degree-15
-polynomial of time); its rate uses the analytic chain rule so that no
-numeric differentiation noise enters the derivative gain.
+torque-to-deflection polynomial map evaluated at the feedforward tension
+(a cubic map over the quintic profile yields a degree-15 polynomial of
+time); its rate uses the analytic chain rule so that no numeric
+differentiation noise enters the derivative gain.
 
 The module is unit agnostic: gains, tensions, deflections, and maps must
 simply be supplied in one consistent unit system.
@@ -34,24 +34,12 @@ __all__ = [
     "ReferenceTrajectory",
     "ControllerConfig",
     "ControlSample",
-    "quintic_blend",
-    "quintic_blend_rate",
     "feedforward_tension",
     "feedforward_tension_rate",
     "desired_deflection",
     "control_input",
     "make_controller",
 ]
-
-
-def quintic_blend(s: float) -> float:
-    """Blend 10 s^3 - 15 s^4 + 6 s^5 on s in [0, 1]."""
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def quintic_blend_rate(s: float) -> float:
-    """d/ds of the quintic blend: 30 s^2 (1 - s)^2, nonnegative on [0, 1]."""
-    return 30.0 * s * s * (1.0 - s) * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -100,10 +88,6 @@ class FeedforwardProfile:
                 duration: float) -> "FeedforwardProfile":
         return cls(mode="quintic", tension_final=tension_final,
                    tension_initial=tension_initial, duration=duration)
-
-    @property
-    def time_varying(self) -> bool:
-        return self.mode == "quintic"
 
 
 @dataclass(frozen=True)
@@ -159,7 +143,7 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         if (self.reference.mode == "quintic-deflection"
-                and self.feedforward.time_varying
+                and self.feedforward.mode == "quintic"
                 and self.reference.duration != self.feedforward.duration):
             raise ValueError(
                 "time-varying feedforward and reference must share one duration: "
@@ -167,22 +151,24 @@ class ControllerConfig:
             )
 
 
-_Law = Callable[[float], tuple[float, float]]
+# t -> value and time rate; reference laws also get the feedforward and its rate.
+_Law = Callable[..., tuple[float, float]]
 
 
 def _ramp_law(start: float, end: float, duration: float) -> _Law:
     """t -> value and time rate of the quintic ramp from start to end.
 
+    The blend of s = t / duration has s-derivative 30 s^2 (1 - s)^2 >= 0.
     Outside [0, duration] the value holds its endpoint and the rate is zero.
     """
     rise = end - start
 
-    def ramp(t: float) -> tuple[float, float]:
+    def ramp(t: float, *_) -> tuple[float, float]:
         s = min(max(t / duration, 0.0), 1.0)
-        value = start + quintic_blend(s) * rise
+        value = start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise
         if not 0.0 <= t <= duration:
             return value, 0.0
-        return value, quintic_blend_rate(s) * rise / duration
+        return value, 30.0 * s * s * (1.0 - s) * (1.0 - s) * rise / duration
 
     return ramp
 
@@ -203,28 +189,23 @@ def _feedforward_law(profile: FeedforwardProfile) -> _Law:
     return _ramp_law(profile.tension_initial, profile.tension_final, profile.duration)
 
 
-def _reference_law(ref: ReferenceTrajectory,
-                   feedforward: FeedforwardProfile | None) -> _Law:
-    """t -> desired tip deflection and its time rate.
+def _reference_law(ref: ReferenceTrajectory) -> _Law:
+    """(t, tension, tension_rate) -> desired tip deflection and its time rate.
 
-    A map-composed reference evaluates the map along the feedforward tension,
+    A map-composed reference evaluates the map at the feedforward tension,
     with its rate by the chain rule; the derivative's coefficients are formed
-    here, once, as np.polyder forms them.
+    here, once, as np.polyder forms them.  The other modes ignore the tension.
     """
     if ref.mode == "constant":
         w = ref.w_final
-        return lambda t: (w, 0.0)
+        return lambda t, *_: (w, 0.0)
     if ref.mode == "quintic-deflection":
         return _ramp_law(ref.w_initial, ref.w_final, ref.duration)
-    if feedforward is None:
-        raise ValueError("map-composed reference needs the feedforward profile")
     coeffs = ref.map_coefficients
     degree = len(coeffs) - 1
     slopes = tuple(c * (degree - i) for i, c in enumerate(coeffs[:-1]))
-    tension_law = _feedforward_law(feedforward)
 
-    def composed(t: float) -> tuple[float, float]:
-        tension, tension_rate = tension_law(t)
+    def composed(t: float, tension: float, tension_rate: float) -> tuple[float, float]:
         return _horner(coeffs, tension), _horner(slopes, tension) * tension_rate
 
     return composed
@@ -244,14 +225,17 @@ def desired_deflection(ref: ReferenceTrajectory, t: float,
                        feedforward: FeedforwardProfile | None = None
                        ) -> tuple[float, float]:
     """Desired tip deflection and its rate at time t (holds past t_f)."""
-    return _reference_law(ref, feedforward)(t)
+    if feedforward is None and ref.mode == "map-composed":
+        raise ValueError("map-composed reference needs the feedforward profile")
+    signal = _feedforward_law(feedforward)(t) if feedforward is not None else ()
+    return _reference_law(ref)(t, *signal)
 
 
 class ControlSample(NamedTuple):
     """One evaluation of the control law, pre- and post-clamp."""
 
     time: float
-    feedforward: float
+    t_des: float
     w_des: float
     w_rate_des: float
     u_unclamped: float
@@ -263,12 +247,12 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
     k_p = cfg.gains.k_p
     k_d = cfg.gains.k_d
     feedforward = _feedforward_law(cfg.feedforward)
-    reference = _reference_law(cfg.reference, cfg.feedforward)
+    reference = _reference_law(cfg.reference)
     clamp = cfg.clamp_nonnegative
 
     def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
-        t_des = feedforward(t)[0]
-        w_des, w_rate_des = reference(t)
+        t_des, t_des_rate = feedforward(t)
+        w_des, w_rate_des = reference(t, t_des, t_des_rate)
         u_raw = t_des - k_p * (w_tip - w_des) - k_d * (w_rate - w_rate_des)
         u = max(0.0, u_raw) if clamp else u_raw
         return ControlSample(t, t_des, w_des, w_rate_des, u_raw, u)
@@ -279,6 +263,6 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
 def control_input(cfg: ControllerConfig, t: float, w_tip: float,
                   w_rate: float) -> ControlSample:
     """Evaluate the PD-plus-feedforward law; returns clamped and raw tension."""
-    if not (np.isfinite(w_tip) and np.isfinite(w_rate)):
-        raise ValueError("tip measurements must be finite")
+    if np.isnan(t) or not (np.isfinite(w_tip) and np.isfinite(w_rate)):
+        raise ValueError("time must not be NaN and tip measurements must be finite")
     return make_controller(cfg)(t, w_tip, w_rate)

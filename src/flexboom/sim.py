@@ -37,6 +37,7 @@ __all__ = [
 
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
+_STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
 TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
@@ -63,11 +64,12 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < np.inf):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (self.dt <= self.duration < np.inf):
-            raise ValueError("duration must be finite and at least one step, "
-                             f"got {self.duration!r}")
-        if self.decimation < 1:
-            raise ValueError("decimation must be >= 1")
+        steps = round(self.duration / self.dt) if 0.0 < self.duration < np.inf else 0
+        if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
+            raise ValueError("duration must be finite and a whole number, at least "
+                             f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
+        if not (isinstance(self.decimation, (int, np.integer)) and self.decimation >= 1):
+            raise ValueError(f"decimation must be an integer >= 1, got {self.decimation!r}")
 
 
 @dataclass(frozen=True)
@@ -177,14 +179,11 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             row += 1
 
     q, q_rate = x_log[:row, :n], x_log[:row, n:]
-    control = dict(zip(ControlSample._fields[1:], control_log[:row].T))
     return SimResult(
         scenario_name=scenario.name,
         time=time[:row], q=q, q_rate=q_rate,
         tip=q @ tip_row, tip_rate=q_rate @ tip_row,
-        u=control["u"], u_unclamped=control["u_unclamped"],
-        t_des=control["feedforward"], w_des=control["w_des"],
-        w_rate_des=control["w_rate_des"],
+        **dict(zip(ControlSample._fields[1:], control_log[:row].T)),
         kinetic=energy_log[:row, 0], potential=energy_log[:row, 1],
         status=status, divergence_time=divergence_time,
     )

@@ -356,3 +356,25 @@ def test_simulate_rejects_infinite_ramp_duration(tmp_path, capsys, controller):
     err = capsys.readouterr().err
     assert err.startswith("config error: controller: ") and "finite duration" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_empty_map_is_refused_by_the_reference(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": {"reference": {"mode": "map-composed"}}}))
+    out = tmp_path / "out"
+    code = main(["simulate", "--duration", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: controller: map-composed reference needs map coefficients\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_partial_final_step_is_an_error_line(tmp_path, capsys):
+    # 1 s is 2.5 steps of 0.4 s; the run used to end silently at 0.8 s.
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", "fig7a", "--duration", "1", "--dt", "0.4",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "whole number" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())

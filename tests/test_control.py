@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flexboom as fb
+from flexboom import control
 from flexboom.control import feedforward_tension_rate
 
 # Cubic torque-to-deflection map identified on the bench prototype
@@ -275,3 +276,36 @@ def test_bound_controller_matches_oracle(ff_name, ref_name):
                                        atol=64.0 * np.finfo(float).eps * size)
                 else:
                     assert sample == expected
+
+
+def test_map_controller_evaluates_the_feedforward_once_per_call(monkeypatch):
+    """The map reads the controller's own T_des rather than a second ramp."""
+    evaluations = []
+    ramp_law = control._ramp_law
+
+    def counted_ramp_law(*args):
+        ramp = ramp_law(*args)
+
+        def counted(t, *rest):
+            evaluations.append(t)
+            return ramp(t, *rest)
+        return counted
+
+    monkeypatch.setattr(control, "_ramp_law", counted_ramp_law)
+    controller = fb.make_controller(fb.ControllerConfig(
+        gains=fb.PDGains(), feedforward=quintic_profile(),
+        reference=fb.ReferenceTrajectory.map_composed(PROTOTYPE_MAP)))
+    times = (0.0, 10.0, 30.0, 40.0)
+    for t in times:
+        controller(t, 1.0, 0.0)
+    assert evaluations == list(times)
+
+
+@pytest.mark.parametrize("ff", [quintic_profile(), fb.FeedforwardProfile.constant(1.0)],
+                         ids=["quintic", "constant"])
+def test_control_input_rejects_nan_time(ff):
+    cfg = fb.ControllerConfig(gains=fb.PDGains(), feedforward=ff,
+                              reference=fb.ReferenceTrajectory.constant(1.0))
+    with pytest.raises(ValueError, match="time"):
+        fb.control_input(cfg, float("nan"), 1.0, 0.0)
+    assert fb.control_input(cfg, float("inf"), 1.0, 0.0).t_des == ff.tension_final

@@ -169,3 +169,22 @@ def test_divergence_off_the_decimation_grid_is_logged():
     assert result.status == "diverged"
     assert result.time.size == 2
     assert result.time[-1] == result.divergence_time
+
+
+@pytest.mark.parametrize("duration, dt", [(0.5, 0.3), (1.0, 0.3), (1.0, 0.4)])
+def test_scenario_rejects_partial_final_step(model3, duration, dt):
+    # round(duration / dt) steps would end the run at 0.6, 0.9 and 0.8 s.
+    with pytest.raises(ValueError, match="whole number"):
+        _unforced(model3, 0.0, duration, dt=dt)
+
+
+def test_scenario_accepts_whole_steps_despite_rounding(model3):
+    # 0.3 / 0.1 is 2.9999999999999996 in binary floating point.
+    result = fb.run_simulation(_unforced(model3, 0.0, 0.3, dt=0.1))
+    assert result.time[-1] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("decimation", [2.5, 2.0, 0])
+def test_scenario_requires_integer_decimation(model3, decimation):
+    with pytest.raises(ValueError, match="decimation"):
+        _unforced(model3, 0.0, 1.0, decimation=decimation)

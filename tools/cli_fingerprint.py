@@ -51,6 +51,26 @@ CONFIGS = {
     "nan_w_final": {"controller": {"reference": {"w_final": float("nan")}}},
 }
 
+# Configs for the controller-construction cases, each run through ``simulate``.
+SIM_CONFIGS = {
+    "map_empty": {"controller": {"reference": {"mode": "map-composed"}}},
+    "ref_unknown": {"controller": {"reference": {"mode": "bogus"}}},
+    "ff_unknown": {"controller": {"feedforward": {"mode": "bogus"}}},
+    "map_units_mismatch": {"controller": {"reference": {
+        "mode": "map-composed", "map_coefficients": [0.6, 0.5, 0.1686],
+        "map_units": ["Nm", "mm"]}}},
+    "map_units_constant": {"controller": {"reference": {
+        "mode": "constant", "map_units": ["Nm", "mm"]}}},
+    "quintic_null_ends": {"controller": {
+        "feedforward": {"mode": "quintic", "tension_initial": 0.9, "duration": 2.0},
+        "reference": {"mode": "quintic-deflection", "w_initial": None,
+                      "w_final": None, "duration": 2.0}}},
+    "int_tension_final": {"controller": {"feedforward": {"tension_final": 1}}},
+    "nan_w_init": {"simulation": {"w_init": float("nan")}},
+    "nan_w_initial_constant": {"controller": {"reference": {
+        "w_initial": float("nan")}}},
+}
+
 # Configs the checker must refuse (exit 2), one per rule it enforces.
 BAD_CONFIGS = {
     "unknown_nested_key": {"controller": {"gains": {"k_i": 1.0}}},
@@ -91,11 +111,17 @@ COMMANDS = [
     ("simulate_nan_w_final", ["simulate", "--config", "nan_w_final.json",
                               "--duration", "3", "--out", "sim_nan_w_final"]),
     ("fit_nan_deflection", ["fit", "fit_nan.csv", "--out", "fit_nan"]),
+    *[(f"simulate_{name}", ["simulate", "--config", f"{name}.json",
+                            "--duration", "1", "--out", f"sim_{name}"])
+      for name in SIM_CONFIGS],
+    # One second is not a whole number of 0.4 s steps.
+    ("simulate_partial_step", ["simulate", "--scenario", "fig7a", "--duration", "1",
+                               "--dt", "0.4", "--out", "sim_partial_step"]),
 ]
 
 
 def _write_inputs(workdir: Path) -> None:
-    for name, config in {**CONFIGS, **BAD_CONFIGS}.items():
+    for name, config in {**CONFIGS, **BAD_CONFIGS, **SIM_CONFIGS}.items():
         (workdir / f"{name}.json").write_text(json.dumps(config))
     rows = ["torque_N,deflection_m"]
     for i in range(20):
