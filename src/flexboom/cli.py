@@ -10,8 +10,11 @@ parameter defaults of ``default_grid``, ``deflection_curve``,
 ``uncertainty_sweep`` and ``scenario_suite``, and the scenarios' target
 tension and ramp duration.  A config file is checked against the defaults
 tree itself: its keys, and the types of its leaves.
-Commands write CSV outputs atomically (write-temp-then-rename), and drop a
-machine-readable ``summary.json`` next to them.  Exit code 0 means every
+A command writes nothing until it finishes.  It then returns its files and
+``main`` writes them, each atomically (write-temp-then-rename) and in order,
+then a machine-readable ``summary.json`` listing them, and only then prints.
+A command that raises leaves no file or directory behind; a result that is
+not ok (a failed passivity check) is still written.  Exit code 0 means every
 requested check or run succeeded; config and schema problems exit with 2,
 runtime failures with 1.  A simulation that ends in divergence is a
 recorded outcome, not a failure.
@@ -176,28 +179,8 @@ def _build_model(config: dict):
                              BasisSet.with_mode_count(config["modes"]))
 
 
-def _output_dir(config: dict, args: argparse.Namespace) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    elif os.environ.get(ENV_OUTPUT_DIR):
-        out = Path(os.environ[ENV_OUTPUT_DIR])
-    else:
-        out = Path(config["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_csv_atomic(path: Path, header: Sequence[str],
-                      rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+def _csv(header: Sequence[str], rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
 def _fmt(value) -> str:
@@ -206,10 +189,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_summary(outdir: Path, payload: dict) -> Path:
-    path = outdir / "summary.json"
-    _write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+# ---------------------------------------------------------------------------
+# Commands.  Each returns (summary, files, message): its own summary keys, an
+# ordered {file name: text} for ``main`` to write, and its stdout text.
+
+_Outcome = tuple[dict[str, Any], dict[str, str], str]
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +208,30 @@ def _verified_tension(label: str, tension: float, t_max: float) -> float:
     return tension
 
 
-def cmd_equilibrium(config: dict, args: argparse.Namespace) -> int:
+def cmd_equilibrium(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     model = _build_model(config)
-    outdir = _output_dir(config, args)
     t_max = float(config["equilibrium"]["t_max"])
-    summary: dict[str, Any] = {"command": "equilibrium", "ok": True, "outputs": []}
 
     if args.tension is not None:
         point = solve_equilibrium(model, _verified_tension("tension", args.tension, t_max))
-        print(f"tension {point.tension:.6g} N -> tip deflection "
-              f"{point.tip_deflection:.9g} m")
-        summary["point"] = {
+        summary = {"point": {
             "tension_N": point.tension,
             "tip_deflection_m": point.tip_deflection,
             "modal_coords": [float(v) for v in point.modal_coords],
-        }
-    else:
-        samples = int(config["equilibrium"]["samples"])
-        points = deflection_curve(model, t_max=t_max, samples=samples)
-        n = model.mode_count
-        header = ["tension_N", "tip_deflection_m"] + [f"q_{i+1}" for i in range(n)]
-        rows = [[p.tension, p.tip_deflection, *map(float, p.modal_coords)]
-                for p in points]
-        path = outdir / "equilibrium_curve.csv"
-        _write_csv_atomic(path, header, rows)
-        print(f"wrote {path} ({len(rows)} rows)")
-        summary["outputs"].append(str(path))
-        summary["curve"] = {
-            "samples": samples,
-            "t_max_N": t_max,
-            "w_at_t_max_m": points[-1].tip_deflection,
-        }
-    _write_summary(outdir, summary)
-    return 0
+        }}
+        return summary, {}, (f"tension {point.tension:.6g} N -> tip deflection "
+                             f"{point.tip_deflection:.9g} m")
+    samples = int(config["equilibrium"]["samples"])
+    points = deflection_curve(model, t_max=t_max, samples=samples)
+    header = ["tension_N", "tip_deflection_m"] + [f"q_{i+1}" for i in range(model.mode_count)]
+    rows = [[p.tension, p.tip_deflection, *map(float, p.modal_coords)] for p in points]
+    name = "equilibrium_curve.csv"
+    summary = {"curve": {
+        "samples": samples,
+        "t_max_N": t_max,
+        "w_at_t_max_m": points[-1].tip_deflection,
+    }}
+    return summary, {name: _csv(header, rows)}, f"wrote {outdir / name} ({len(rows)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +257,13 @@ _SWEEP_HEADER = [
 ]
 
 
-def cmd_bode(config: dict, args: argparse.Namespace) -> int:
+def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
+    names = [f"bode_teq_{args.teq:g}.csv"] + ([f"sweep_{args.sweep}.csv"] if args.sweep else [])
+    dump = args.dump_ss
+    if dump and (dump != Path(dump).name or dump in ("..", "summary.json", *names)):
+        raise ConfigError(f"--dump-ss needs a plain file name other than summary.json "
+                          f"and {', '.join(names)}, got {dump!r}")
     model = _build_model(config)
-    outdir = _output_dir(config, args)
     bode_cfg = config["bode"]
     grid = default_grid(int(bode_cfg["grid_points"]), float(bode_cfg["omega_min"]),
                         float(bode_cfg["omega_max"]))
@@ -296,29 +275,21 @@ def cmd_bode(config: dict, args: argparse.Namespace) -> int:
     fr = frequency_response(ss, grid)
     report = passivity_check(ss, grid, eps_tol)
 
-    bode_path = outdir / f"bode_teq_{t_eq:g}.csv"
-    rows = list(zip(fr.omega, fr.response.real, fr.response.imag,
-                    fr.magnitude_db, fr.phase_deg))
-    _write_csv_atomic(bode_path, ["omega_rad_s", "re", "im", "mag_db", "phase_deg"], rows)
-    print(f"wrote {bode_path}; nominal plant at {t_eq:g} N is {report.verdict}")
-
+    files = {names[0]: _csv(["omega_rad_s", "re", "im", "mag_db", "phase_deg"],
+                            zip(fr.omega, fr.response.real, fr.response.imag,
+                                fr.magnitude_db, fr.phase_deg))}
+    lines = [f"wrote {outdir / names[0]}; nominal plant at {t_eq:g} N is {report.verdict}"]
     summary: dict[str, Any] = {
-        "command": "bode", "outputs": [str(bode_path)],
         "t_eq_N": t_eq, "nominal_verdict": report.verdict,
         "worst_phase_deg": report.worst_phase_deg,
-        "min_re": report.min_real,
+        "min_re": report.min_real, "ok": report.passive,
     }
-    ok = report.passive
-    if args.dump_ss:
-        dump_path = outdir / args.dump_ss
-        dump_rows = []
-        for name, matrix in (("A", ss.a), ("B", ss.b.reshape(-1, 1)),
-                             ("C", ss.c.reshape(1, -1)), ("D", np.array([[ss.d]]))):
-            for i in range(matrix.shape[0]):
-                for j in range(matrix.shape[1]):
-                    dump_rows.append([name, i, j, float(matrix[i, j])])
-        _write_csv_atomic(dump_path, ["matrix", "row", "col", "value"], dump_rows)
-        summary["outputs"].append(str(dump_path))
+    if dump:
+        matrices = (("A", ss.a), ("B", ss.b.reshape(-1, 1)),
+                    ("C", ss.c.reshape(1, -1)), ("D", np.array([[ss.d]])))
+        files[dump] = _csv(["matrix", "row", "col", "value"],
+                           ([name, i, j, float(matrix[i, j])] for name, matrix in matrices
+                            for i, j in np.ndindex(matrix.shape)))
 
     if args.sweep is not None:
         if args.sweep == "uncertainty":
@@ -333,17 +304,12 @@ def cmd_bode(config: dict, args: argparse.Namespace) -> int:
             reports = mode_count_sweep(model.params, counts, t_eq, grid, eps_tol)
             key, info = "mode_sweep", {"mode_counts": counts}
             label = f"mode-count sweep over {counts}: "
-        path = outdir / f"sweep_{args.sweep}.csv"
-        _write_csv_atomic(path, _SWEEP_HEADER, [_report_row(r) for r in reports])
+        files[names[1]] = _csv(_SWEEP_HEADER, map(_report_row, reports))
         all_passive = all(r.passive for r in reports)
-        ok = ok and all_passive
-        summary["outputs"].append(str(path))
+        summary["ok"] = summary["ok"] and all_passive
         summary[key] = {**info, "all_passive": all_passive}
-        print(label + ("all passive" if all_passive else "NOT all passive"))
-
-    summary["ok"] = ok
-    _write_summary(outdir, summary)
-    return 0 if ok else 1
+        lines.append(label + ("all passive" if all_passive else "NOT all passive"))
+    return summary, files, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +357,13 @@ def _controller_from_config(config: dict, model, w_init: float) -> ControllerCon
         raise ConfigError(f"controller: {exc}") from exc
 
 
-def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     sim_cfg = dict(config["simulation"])
     if args.duration is not None:
         sim_cfg["duration"] = float(args.duration)
     if args.dt is not None:
         sim_cfg["dt"] = float(args.dt)
     scenario_name = args.scenario or sim_cfg.get("scenario")
-    outdir = _output_dir(config, args)
     w_init = float(sim_cfg["w_init"])
     timing = {"duration": float(sim_cfg["duration"]), "dt": float(sim_cfg["dt"])}
 
@@ -416,26 +381,12 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     scenario = dataclasses.replace(scenario, decimation=int(sim_cfg["decimation"]))
 
     result = run_simulation(scenario)
-    n = scenario.model.mode_count
     stem = f"sim_{result.scenario_name}"
-
     header = (["t_s", "w_tip_m", "wdot_tip_m_s", "u_N", "T_des_N", "w_des_m"]
-              + [f"q_{i+1}" for i in range(n)] + ["KE_J", "PE_J"])
-    rows = []
-    for i in range(result.time.size):
-        rows.append([result.time[i], result.tip[i], result.tip_rate[i],
-                     result.u[i], result.t_des[i], result.w_des[i],
-                     *map(float, result.q[i]), result.kinetic[i],
-                     result.potential[i]])
-    csv_path = outdir / f"{stem}.csv"
-    _write_csv_atomic(csv_path, header, rows)
-
-    control_path = outdir / f"{stem}_control.csv"
-    control_rows = list(zip(*(getattr(result, name) for name in ControlSample._fields)))
-    _write_csv_atomic(control_path,
-                      ["t_s", "T_des", "w_des", "wdot_des", "u_preclamp", "u"],
-                      control_rows)
-
+              + [f"q_{i+1}" for i in range(scenario.model.mode_count)] + ["KE_J", "PE_J"])
+    rows = zip(result.time, result.tip, result.tip_rate, result.u, result.t_des,
+               result.w_des, *result.q.T, result.kinetic, result.potential)
+    control_rows = zip(*(getattr(result, name) for name in ControlSample._fields))
     meta_lines = [
         f"scenario={result.scenario_name}",
         f"status={result.status}",
@@ -445,27 +396,26 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
         f"w_init_m={scenario.w_init}",
         f"rows={result.time.size}",
     ]
-    meta_path = outdir / f"{stem}.meta"
-    _write_text_atomic(meta_path, "\n".join(meta_lines) + "\n")
-
-    print(f"wrote {csv_path}; status={result.status}"
-          + (f" at t={result.divergence_time:.3f} s" if result.diverged else ""))
-    _write_summary(outdir, {
-        "command": "simulate", "ok": True,
-        "outputs": [str(csv_path), str(control_path), str(meta_path)],
+    files = {
+        f"{stem}.csv": _csv(header, rows),
+        f"{stem}_control.csv": _csv(["t_s", "T_des", "w_des", "wdot_des", "u_preclamp", "u"],
+                                    control_rows),
+        f"{stem}.meta": "\n".join(meta_lines) + "\n",
+    }
+    summary = {
         "scenario": result.scenario_name, "status": result.status,
         "divergence_time_s": result.divergence_time,
         "final_tip_m": float(result.tip[-1]),
-    })
-    return 0
+    }
+    return summary, files, (f"wrote {outdir / f'{stem}.csv'}; status={result.status}"
+                            + (f" at t={result.divergence_time:.3f} s" if result.diverged else ""))
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def cmd_fit(config: dict, args: argparse.Namespace) -> int:
-    outdir = _output_dir(config, args)
+def cmd_fit(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     data = MeasurementSet.from_csv(args.data)
     profile = config["unit_profile"]
     expected = PROFILE_UNITS[profile]
@@ -497,16 +447,11 @@ def cmd_fit(config: dict, args: argparse.Namespace) -> int:
             "per_degree_residual_rms": per_degree,
         },
     }
-    path = outdir / "fit_map.json"
-    _write_text_atomic(path, json.dumps(fragment, indent=2) + "\n")
-    print(f"wrote {path}; degree {fitted.degree}, "
-          f"residual RMS {fitted.residual_rms:.6g} {fitted.deflection_unit}")
-    _write_summary(outdir, {
-        "command": "fit", "ok": True, "outputs": [str(path)],
-        "degree": fitted.degree, "residual_rms": fitted.residual_rms,
-        "per_degree_residual_rms": per_degree,
-    })
-    return 0
+    summary = {"degree": fitted.degree, "residual_rms": fitted.residual_rms,
+               "per_degree_residual_rms": per_degree}
+    return summary, {"fit_map.json": json.dumps(fragment, indent=2) + "\n"}, (
+        f"wrote {outdir / 'fit_map.json'}; degree {fitted.degree}, "
+        f"residual RMS {fitted.residual_rms:.6g} {fitted.deflection_unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +514,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        return args.func(config, args)
+        outdir = Path(args.out or os.environ.get(ENV_OUTPUT_DIR) or config["output_dir"])
+        summary, files, message = args.func(config, args, outdir)
+        # The one writer: the command's files in order, then summary.json.
+        summary = {**summary, "command": args.command, "ok": summary.get("ok", True),
+                   "outputs": [str(outdir / name) for name in files]}
+        files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = outdir / f"{name}.tmp"
+            tmp.write_text(text)
+            os.replace(tmp, outdir / name)
+        print(message)
+        return 0 if summary["ok"] else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

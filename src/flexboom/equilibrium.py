@@ -76,6 +76,11 @@ class EquilibriumPoint:
     tip_deflection: float
 
 
+def _check_t_max(t_max: float) -> None:
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
+
+
 def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:
     """Equilibrium modal coordinates for a constant cable tension (N).
 
@@ -117,12 +122,13 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
 
 def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
                      samples: int = 200) -> list[EquilibriumPoint]:
-    """Equilibria sampled at evenly spaced tensions over [0, t_max].
+    """Equilibria sampled at evenly spaced tensions over [0, t_max], t_max > 0.
 
     A curve that reaches the first critical tension has no equilibrium
     there: the NearSingularStiffness of that sample propagates, and no
     partial curve is returned.
     """
+    _check_t_max(t_max)
     if samples < 2:
         raise ValueError("need at least two samples")
     return [solve_equilibrium(model, t) for t in np.linspace(0.0, t_max, samples)]
@@ -136,8 +142,10 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     returned tension reproduces w_target to within 1e-6 m.  Raises
     OutOfRange if the target exceeds what t_max can hold (or is negative);
     a t_max at or beyond the first critical tension raises
-    NearSingularStiffness.
+    NearSingularStiffness; a t_max that is not finite and positive raises
+    ValueError.
     """
+    _check_t_max(t_max)
     if w_target == 0.0:
         return 0.0
     w_max = solve_equilibrium(model, t_max).tip_deflection

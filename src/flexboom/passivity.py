@@ -81,6 +81,10 @@ class SweepSampleError(RuntimeError):
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
+    if not (0.0 < omega_min < omega_max < np.inf and n_points >= 1):
+        raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf and "
+                         f"n_points >= 1, got omega_min={omega_min!r}, "
+                         f"omega_max={omega_max!r}, n_points={n_points!r}")
     return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -378,3 +380,113 @@ def test_simulate_partial_final_step_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "whole number" in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# A command writes nothing until it returns; ``main`` then writes its files
+# in order and ``summary.json`` last.
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["simulate", "--duration", "1"],
+     {"controller": {"reference": {"mode": "map-composed"}}}, 2),
+    (["equilibrium", "--tension", "5"], {}, 1),
+], ids=["map_without_coefficients", "tension_out_of_range"])
+def test_refused_command_leaves_no_output_dir(tmp_path, capsys, argv, config, code):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_no_bode_csv(tmp_path, capsys):
+    # The nominal Bode CSV is ready before the sweep refuses zero modes.
+    out = tmp_path / "out"
+    code = main(["bode", "--teq", "0.5", "--sweep", "modes", "--modes", "0",
+                 "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium"],
+    ["equilibrium", "--tension", "0.5"],
+    ["bode", "--teq", "0.5", "--dump-ss", "ss.csv", "--sweep", "modes", "--modes", "3,4"],
+    ["simulate", "--scenario", "fig7a", "--duration", "1"],
+    ["fit", "DATA", "--degree", "1"],
+], ids=["equilibrium_curve", "equilibrium_point", "bode", "simulate", "fit"])
+def test_summary_outputs_are_the_files_written_in_order(tmp_path, monkeypatch, argv):
+    data = tmp_path / "data.csv"
+    _write_fit_data(data)
+    cfg = small_bode_config(tmp_path, unit_profile="prototype-units")
+    out = tmp_path / "out"
+    written = []
+    replace = cli.os.replace
+
+    def recording_replace(src, dst):
+        written.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording_replace)
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [str(p) for p in written] == [*summary["outputs"], str(out / "summary.json")]
+    assert sorted(out.iterdir()) == sorted(written)
+
+
+def test_not_ok_result_is_still_written(tmp_path, monkeypatch, capsys):
+    def failing_check(*args):
+        return dataclasses.replace(fb.passivity_check(*args), passive=False)
+
+    monkeypatch.setattr(cli, "passivity_check", failing_check)
+    out = tmp_path / "out"
+    cfg = small_bode_config(tmp_path)
+    assert main(["bode", "--teq", "0.5", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is False and summary["nominal_verdict"] == "not-passive"
+    assert summary["outputs"] == [str(out / "bode_teq_0.5.csv")]
+    assert "not-passive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sweep, dump", [
+    ([], "summary.json"), ([], "bode_teq_0.5.csv"), ([], "sub/x.csv"),
+    (["--sweep", "modes", "--modes", "3"], "sweep_modes.csv"),
+], ids=["summary", "bode_csv", "subdir", "sweep_csv"])
+def test_dump_ss_cannot_replace_another_output(tmp_path, capsys, sweep, dump):
+    out = tmp_path / "out"
+    cfg = small_bode_config(tmp_path)
+    assert main(["bode", "--teq", "0.5", *sweep, "--dump-ss", dump, "--config", cfg,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --dump-ss ") and repr(dump) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", [-1, 0])
+def test_equilibrium_curve_needs_a_positive_t_max(tmp_path, capsys, t_max):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"equilibrium": {"t_max": t_max}}))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t_max must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bode", [{"omega_min": 0}, {"omega_min": 2e3}, {"grid_points": 0}],
+                         ids=["zero_omega_min", "reversed", "no_points"])
+def test_bad_frequency_grid_is_one_error_line(tmp_path, capsys, bode):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bode": bode}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bode", "--teq", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frequency grid needs 0 < omega_min < omega_max < inf")
+    assert err.count("\n") == 1

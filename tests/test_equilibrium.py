@@ -136,3 +136,12 @@ def test_cantilever_has_no_critical_tension(cantilever_model, params):
     point = fb.solve_equilibrium(cantilever_model, 50.0)
     assert point.tip_deflection == pytest.approx(
         oracles.cantilever_tip_deflection(params, 50.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("t_max", [-1.0, 0.0, float("inf"), float("nan")])
+def test_t_max_must_be_finite_and_positive(model3, t_max):
+    # t_max = -1 used to draw a curve over negative tensions.
+    with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+        fb.deflection_curve(model3, t_max=t_max)
+    with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+        fb.tension_for_deflection(model3, 0.5, t_max=t_max)

@@ -356,3 +356,14 @@ def test_exact_pole_screen_emits_no_warning():
 def test_eps_tol_must_be_finite_and_nonnegative(ss_nominal, eps_tol):
     with pytest.raises(ValueError, match="eps_tol must be finite and nonnegative"):
         fb.passivity_check(ss_nominal, fb.default_grid(50), eps_tol)
+
+
+@pytest.mark.parametrize("n_points, omega_min, omega_max", [
+    (50, 0.0, 1e3), (50, -1.0, 1e3), (50, 1e3, 1e-3), (50, 1.0, 1.0),
+    (50, 1e-3, float("inf")), (50, float("nan"), 1e3), (0, 1e-3, 1e3),
+])
+def test_default_grid_refuses_a_bad_range_without_warnings(n_points, omega_min, omega_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequency grid needs 0 < omega_min"):
+            fb.default_grid(n_points, omega_min, omega_max)

@@ -3,9 +3,11 @@
 
 Runs every command of a fixed set in-process through ``flexboom.cli.main``,
 inside one work directory, with fixed relative ``--out`` paths and
-deterministic input files, and prints one ``<sha256>  <name>`` line per
-output file and per captured stdout and stderr, plus each exit code.  Two
-trees whose printouts match write byte-identical CLI outputs on this set.
+deterministic input files, and prints each exit code, whether each
+command's output directory exists (``dir present|absent  <label>``), and one
+``<sha256>  <name>`` line per output file and per captured stdout and
+stderr.  Two trees whose printouts match write byte-identical CLI outputs on
+this set, and leave the same directories behind.
 
     python tools/cli_fingerprint.py > a.txt        # in one tree
     python tools/cli_fingerprint.py > b.txt        # in the other
@@ -49,6 +51,9 @@ CONFIGS = {
     # Well-typed configs carrying non-finite numbers (JSON NaN).
     "nan_eps_tol": {"bode": {"eps_tol": float("nan")}},
     "nan_w_final": {"controller": {"reference": {"w_final": float("nan")}}},
+    # Ranges the library refuses: a curve over [0, -1] N, a grid from 0 rad/s.
+    "t_max_negative": {"equilibrium": {"t_max": -1}},
+    "omega_min_zero": {"bode": {"omega_min": 0}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -117,6 +122,18 @@ COMMANDS = [
     # One second is not a whole number of 0.4 s steps.
     ("simulate_partial_step", ["simulate", "--scenario", "fig7a", "--duration", "1",
                                "--dt", "0.4", "--out", "sim_partial_step"]),
+    # The nominal Bode CSV is ready before the sweep refuses zero modes.
+    ("bode_modes0_partial", ["bode", "--teq", "0.5", "--sweep", "modes", "--modes", "0",
+                             "--out", "bode_modes0"]),
+    # --dump-ss names that collide with another output or leave the directory.
+    *[(f"bode_dump_{label}", ["bode", "--teq", "0.5", "--dump-ss", name,
+                              "--out", f"bode_dump_{label}"])
+      for label, name in (("summary", "summary.json"), ("bode_csv", "bode_teq_0.5.csv"),
+                          ("subdir", "sub/x.csv"))],
+    ("equilibrium_t_max_negative", ["equilibrium", "--config", "t_max_negative.json",
+                                    "--out", "eq_t_max_negative"]),
+    ("bode_omega_min_zero", ["bode", "--config", "omega_min_zero.json", "--teq", "0.5",
+                             "--out", "bode_omega_min_zero"]),
 ]
 
 
@@ -149,9 +166,10 @@ def fingerprint(workdir: Path) -> list[str]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = flexboom_main(argv)
             lines.append(f"exit {code}  {label}")
+            outdir = Path(argv[argv.index("--out") + 1])
+            lines.append(f"dir {'present' if outdir.is_dir() else 'absent'}  {label}")
             lines.append(f"{_digest(out.getvalue().encode())}  {label}:stdout")
             lines.append(f"{_digest(err.getvalue().encode())}  {label}:stderr")
-            outdir = Path(argv[argv.index("--out") + 1])
             for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
                 lines.append(f"{_digest(path.read_bytes())}  {path.as_posix()}")
     finally:
