@@ -9,15 +9,16 @@ the field defaults of ``BoomParams``, ``PDGains`` (the fig7a gains),
 parameter defaults of ``default_grid``, ``deflection_curve``,
 ``uncertainty_sweep`` and ``scenario_suite``, and the scenarios' target
 tension and ramp duration.  A config file is checked against the defaults
-tree itself: its keys, and the types of its leaves.
-A command writes nothing until it finishes.  It then returns its files and
-``main`` writes them, each atomically (write-temp-then-rename) and in order,
-then a machine-readable ``summary.json`` listing them, and only then prints.
-A command that raises leaves no file or directory behind; a result that is
-not ok (a failed passivity check) is still written.  Exit code 0 means every
-requested check or run succeeded; config and schema problems exit with 2,
-runtime failures with 1.  A simulation that ends in divergence is a
-recorded outcome, not a failure.
+tree itself, keys and leaf types, and each leaf comes back in its default's
+type (an int given for a float is a float).  A command writes nothing until
+it finishes.  It then returns its files and ``main`` writes them, each
+atomically (write-temp-then-rename) and in order, then a machine-readable
+``summary.json`` listing them, and only then prints.  A command that raises
+leaves no file or directory behind; a result that is not ok (a failed
+passivity check) is still written.  Exit code 0 means every requested check
+or run succeeded; a config problem exits with 2, and any library failure (a
+RuntimeError or ValueError) is one ``error:`` line and exit 1.  A simulation
+that ends in divergence is a recorded outcome, not a failure.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from . import __version__
 from .calibration import MeasurementSet, fit_map, select_degree
 from .control import (ControllerConfig, ControlSample, FeedforwardProfile, PDGains,
                       ReferenceTrajectory)
-from .equilibrium import (DEFAULT_TENSION_MAX, NearSingularStiffness,
-                          OutOfRange, deflection_curve, solve_equilibrium)
+from .equilibrium import (DEFAULT_TENSION_MAX, OutOfRange, check_t_max,
+                          deflection_curve, solve_equilibrium)
 from .linearization import linearize
 from .model import BasisSet, BoomParams, assemble_matrices
-from .passivity import (DEFAULT_EPS_TOL, InconsistentTests, PoleOnGrid,
-                        SweepSampleError, default_grid, frequency_response,
+from .passivity import (DEFAULT_EPS_TOL, default_grid, frequency_response,
                         mode_count_sweep, passivity_check, scaling_factory,
                         uncertainty_sweep)
 from .sim import (RAMP_DURATION, SCENARIO_NAMES, TARGET_TENSION, SimScenario,
@@ -123,8 +123,8 @@ def _checked(user: Any, default: Any, path: str = "") -> Any:
 
     Every key must exist in the defaults, and an object replaces only the
     keys it sets.  A leaf must have its default's type, or the ``_NULLABLE``
-    type where the default is null; an int may stand for a float, and a
-    boolean only for a boolean.
+    type where the default is null; an int may stand for a float and comes
+    back as one, and a boolean stands only for a boolean.
     """
     if isinstance(default, dict):
         if not isinstance(user, dict):
@@ -139,7 +139,9 @@ def _checked(user: Any, default: Any, path: str = "") -> Any:
     allowed = (type(default),) if default is not None else (_NULLABLE[path], type(None))
     if isinstance(user, bool) and bool not in allowed:
         raise ConfigError(f"{path}: boolean not allowed here")
-    if isinstance(user, tuple((int, float) if k is float else k for k in allowed)):
+    if float in allowed and isinstance(user, (int, float)):
+        return float(user)
+    if isinstance(user, allowed):
         return user
     names = "/".join("null" if k is type(None) else k.__name__ for k in allowed)
     raise ConfigError(f"{path}: expected {names}, got {type(user).__name__}")
@@ -201,8 +203,8 @@ _Outcome = tuple[dict[str, Any], dict[str, str], str]
 
 
 def _verified_tension(label: str, tension: float, t_max: float) -> float:
-    """``tension`` as a float; OutOfRange unless it lies in [0, t_max]."""
-    tension = float(tension)
+    """``tension``; OutOfRange unless it lies in [0, t_max] for a valid t_max."""
+    check_t_max(t_max)
     if not 0.0 <= tension <= t_max:
         raise OutOfRange(f"{label} {tension} N outside the verified range [0, {t_max}] N")
     return tension
@@ -210,21 +212,21 @@ def _verified_tension(label: str, tension: float, t_max: float) -> float:
 
 def cmd_equilibrium(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     model = _build_model(config)
-    t_max = float(config["equilibrium"]["t_max"])
+    t_max = config["equilibrium"]["t_max"]
 
     if args.tension is not None:
         point = solve_equilibrium(model, _verified_tension("tension", args.tension, t_max))
         summary = {"point": {
             "tension_N": point.tension,
             "tip_deflection_m": point.tip_deflection,
-            "modal_coords": [float(v) for v in point.modal_coords],
+            "modal_coords": list(point.modal_coords),
         }}
         return summary, {}, (f"tension {point.tension:.6g} N -> tip deflection "
                              f"{point.tip_deflection:.9g} m")
-    samples = int(config["equilibrium"]["samples"])
+    samples = config["equilibrium"]["samples"]
     points = deflection_curve(model, t_max=t_max, samples=samples)
     header = ["tension_N", "tip_deflection_m"] + [f"q_{i+1}" for i in range(model.mode_count)]
-    rows = [[p.tension, p.tip_deflection, *map(float, p.modal_coords)] for p in points]
+    rows = [[p.tension, p.tip_deflection, *p.modal_coords] for p in points]
     name = "equilibrium_curve.csv"
     summary = {"curve": {
         "samples": samples,
@@ -265,19 +267,20 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
                           f"and {', '.join(names)}, got {dump!r}")
     model = _build_model(config)
     bode_cfg = config["bode"]
-    grid = default_grid(int(bode_cfg["grid_points"]), float(bode_cfg["omega_min"]),
-                        float(bode_cfg["omega_max"]))
-    eps_tol = float(bode_cfg["eps_tol"])
-    t_eq = _verified_tension("t_eq", args.teq, float(config["equilibrium"]["t_max"]))
+    grid = default_grid(bode_cfg["grid_points"], bode_cfg["omega_min"], bode_cfg["omega_max"])
+    eps_tol = bode_cfg["eps_tol"]
+    t_eq = _verified_tension("t_eq", args.teq, config["equilibrium"]["t_max"])
 
     eq = solve_equilibrium(model, t_eq)
     ss = linearize(model, eq)
     fr = frequency_response(ss, grid)
     report = passivity_check(ss, grid, eps_tol)
 
+    g = fr.response
     files = {names[0]: _csv(["omega_rad_s", "re", "im", "mag_db", "phase_deg"],
-                            zip(fr.omega, fr.response.real, fr.response.imag,
-                                fr.magnitude_db, fr.phase_deg))}
+                            zip(fr.omega, g.real, g.imag,
+                                20.0 * np.log10(np.maximum(np.abs(g), 1e-300)),
+                                np.degrees(np.unwrap(np.angle(g)))))}
     lines = [f"wrote {outdir / names[0]}; nominal plant at {t_eq:g} N is {report.verdict}"]
     summary: dict[str, Any] = {
         "t_eq_N": t_eq, "nominal_verdict": report.verdict,
@@ -288,16 +291,16 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
         matrices = (("A", ss.a), ("B", ss.b.reshape(-1, 1)),
                     ("C", ss.c.reshape(1, -1)), ("D", np.array([[ss.d]])))
         files[dump] = _csv(["matrix", "row", "col", "value"],
-                           ([name, i, j, float(matrix[i, j])] for name, matrix in matrices
+                           ([name, i, j, matrix[i, j]] for name, matrix in matrices
                             for i, j in np.ndindex(matrix.shape)))
 
     if args.sweep is not None:
         if args.sweep == "uncertainty":
             factory = scaling_factory(model.params, model.basis)
-            reports = uncertainty_sweep(factory, t_eq, float(args.pct) / 100.0,
-                                        int(args.samples), grid, eps_tol)
+            reports = uncertainty_sweep(factory, t_eq, args.pct / 100.0, args.samples,
+                                        grid, eps_tol)
             key = "uncertainty_sweep"
-            info = {"samples": len(reports), "perturbation_pct": float(args.pct)}
+            info = {"samples": len(reports), "perturbation_pct": args.pct}
             label = f"uncertainty sweep: {len(reports)} samples, "
         else:
             counts = [int(v) for v in args.modes.split(",")]
@@ -322,14 +325,11 @@ def _reference_from_config(ref_cfg: dict, model, ff: FeedforwardProfile,
     w_final = ref_cfg["w_final"]
     if w_final is None and mode != "map-composed":
         w_final = solve_equilibrium(model, ff.tension_final).tip_deflection
-    w_initial = ref_cfg["w_initial"]
-    if w_initial is None:
-        w_initial = w_init
+    w_initial = w_init if ref_cfg["w_initial"] is None else ref_cfg["w_initial"]
     if mode == "constant":
-        return ReferenceTrajectory.constant(float(w_final))
+        return ReferenceTrajectory.constant(w_final)
     if mode == "quintic-deflection":
-        return ReferenceTrajectory.quintic(float(w_initial), float(w_final),
-                                           float(ref_cfg["duration"]))
+        return ReferenceTrajectory.quintic(w_initial, w_final, ref_cfg["duration"])
     # ReferenceTrajectory refuses an unknown mode and an empty map.
     reference = ReferenceTrajectory(mode=mode,
                                     map_coefficients=ref_cfg["map_coefficients"])
@@ -351,34 +351,31 @@ def _controller_from_config(config: dict, model, w_init: float) -> ControllerCon
                                            config["unit_profile"])
         return ControllerConfig(
             gains=gains, feedforward=ff, reference=reference,
-            clamp_nonnegative=bool(ctrl["clamp_nonnegative"]),
+            clamp_nonnegative=ctrl["clamp_nonnegative"],
         )
     except ValueError as exc:
         raise ConfigError(f"controller: {exc}") from exc
 
 
 def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
-    sim_cfg = dict(config["simulation"])
-    if args.duration is not None:
-        sim_cfg["duration"] = float(args.duration)
-    if args.dt is not None:
-        sim_cfg["dt"] = float(args.dt)
-    scenario_name = args.scenario or sim_cfg.get("scenario")
-    w_init = float(sim_cfg["w_init"])
-    timing = {"duration": float(sim_cfg["duration"]), "dt": float(sim_cfg["dt"])}
+    sim_cfg = config["simulation"]
+    scenario_name = args.scenario or sim_cfg["scenario"]
+    w_init = sim_cfg["w_init"]
+    timing = {"duration": sim_cfg["duration"] if args.duration is None else args.duration,
+              "dt": sim_cfg["dt"] if args.dt is None else args.dt}
 
     if scenario_name is not None:
         if scenario_name not in SCENARIO_NAMES:
             raise ConfigError(
                 f"unknown scenario {scenario_name!r}; pick one of {SCENARIO_NAMES}")
         suite = scenario_suite(params=_boom_params(config),
-                               mode_count=int(config["modes"]), w_init=w_init, **timing)
+                               mode_count=config["modes"], w_init=w_init, **timing)
         scenario = next(s for s in suite if s.name == scenario_name)
     else:
         model = _build_model(config)
         controller = _controller_from_config(config, model, w_init)
         scenario = SimScenario(model=model, controller=controller, w_init=w_init, **timing)
-    scenario = dataclasses.replace(scenario, decimation=int(sim_cfg["decimation"]))
+    scenario = dataclasses.replace(scenario, decimation=sim_cfg["decimation"])
 
     result = run_simulation(scenario)
     stem = f"sim_{result.scenario_name}"
@@ -405,7 +402,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outco
     summary = {
         "scenario": result.scenario_name, "status": result.status,
         "divergence_time_s": result.divergence_time,
-        "final_tip_m": float(result.tip[-1]),
+        "final_tip_m": result.tip[-1],
     }
     return summary, files, (f"wrote {outdir / f'{stem}.csv'}; status={result.status}"
                             + (f" at t={result.divergence_time:.3f} s" if result.diverged else ""))
@@ -530,8 +527,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NearSingularStiffness, SweepSampleError, PoleOnGrid, InconsistentTests,
-            ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

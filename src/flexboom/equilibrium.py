@@ -76,7 +76,8 @@ class EquilibriumPoint:
     tip_deflection: float
 
 
-def _check_t_max(t_max: float) -> None:
+def check_t_max(t_max: float) -> None:
+    """ValueError unless the tension limit ``t_max`` is finite and positive."""
     if not (np.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
 
@@ -128,7 +129,7 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
     there: the NearSingularStiffness of that sample propagates, and no
     partial curve is returned.
     """
-    _check_t_max(t_max)
+    check_t_max(t_max)
     if samples < 2:
         raise ValueError("need at least two samples")
     return [solve_equilibrium(model, t) for t in np.linspace(0.0, t_max, samples)]
@@ -145,7 +146,7 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     NearSingularStiffness; a t_max that is not finite and positive raises
     ValueError.
     """
-    _check_t_max(t_max)
+    check_t_max(t_max)
     if w_target == 0.0:
         return 0.0
     w_max = solve_equilibrium(model, t_max).tip_deflection

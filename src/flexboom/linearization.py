@@ -82,9 +82,10 @@ class StateSpaceModel:
 def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
     """Linearize the boom dynamics about a forced equilibrium.
 
-    Raises if any eigenvalue of A strays off the imaginary axis by more
-    than 1e-6 (absolute), which would indicate a broken spreader-matrix
-    convention at the requested tension.
+    Raises RuntimeError if an eigenvalue of A strays off the imaginary axis
+    by more than 1e-6 (absolute): flutter, where M^-1 K_eff(T) has complex
+    eigenvalues (two modes: from about 25.86 N), or a broken spreader-matrix
+    convention.
     """
     n = model.mode_count
     t_eq = eq.tension
@@ -107,6 +108,7 @@ def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
     if real_drift > _EIG_AXIS_TOL:
         raise RuntimeError(
             f"eigenvalues of A drift off the imaginary axis by {real_drift:.3e} "
-            f"at tension {t_eq} N; spreader-matrix convention is suspect"
+            f"at tension {t_eq} N: M^-1 K_eff has complex eigenvalues there (flutter "
+            "under the cable load), or the spreader-matrix convention is broken"
         )
     return ss

@@ -90,12 +90,10 @@ def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """Complex gains over a frequency grid, with Bode magnitude and phase."""
+    """Complex gains on a frequency grid (Bode columns are left to the caller)."""
 
     omega: np.ndarray = field(repr=False)
     response: np.ndarray = field(repr=False)
-    magnitude_db: np.ndarray = field(repr=False)
-    phase_deg: np.ndarray = field(repr=False)  # unwrapped, for Bode export
     nudged: tuple[int, ...] = ()
 
     @property
@@ -197,13 +195,7 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
     response = re_part + 1j * im_part
     if np.any(~np.isfinite(response)):
         raise PoleOnGrid("non-finite frequency response after nudging")
-
-    magnitude_db = 20.0 * np.log10(np.maximum(np.abs(response), 1e-300))
-    phase_deg = np.degrees(np.unwrap(np.angle(response)))
-    return FrequencyResponse(
-        omega=grid, response=response, magnitude_db=magnitude_db,
-        phase_deg=phase_deg, nudged=tuple(nudged_idx),
-    )
+    return FrequencyResponse(omega=grid, response=response, nudged=tuple(nudged_idx))
 
 
 def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,

@@ -490,3 +490,78 @@ def test_bad_frequency_grid_is_one_error_line(tmp_path, capsys, bode):
     err = capsys.readouterr().err
     assert err.startswith("error: frequency grid needs 0 < omega_min < omega_max < inf")
     assert err.count("\n") == 1
+
+
+# The CLI boundary: config leaves typed once at load, Bode columns formatted
+# by ``bode``, and every library failure one ``error:`` line.
+
+
+def test_load_config_types_leaves_like_their_defaults(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": 3, "equilibrium": {"t_max": 2},
+                               "controller": {"feedforward": {"tension_final": 1}}}))
+    config = load_config(cfg)
+    assert type(config["modes"]) is int
+    assert type(config["equilibrium"]["t_max"]) is float
+    assert type(config["controller"]["feedforward"]["tension_final"]) is float
+
+
+def test_boolean_for_a_float_leaf_is_a_config_error(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"equilibrium": {"t_max": True}}))
+    with pytest.raises(cli.ConfigError, match="equilibrium.t_max: boolean"):
+        load_config(cfg)
+
+
+def test_every_exported_exception_is_a_runtime_or_value_error():
+    # ``main`` maps library failures by these two families alone.
+    exported = ([getattr(fb, name) for name in fb.__all__]
+                + [getattr(cli, name) for name in cli.__all__])
+    classes = [obj for obj in exported
+               if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(classes) >= 5
+    assert all(issubclass(cls, (RuntimeError, ValueError)) for cls in classes)
+
+
+def test_flutter_is_one_error_line(tmp_path, capsys):
+    # Two modes never reach a critical tension, but at 26 N the eigenvalues
+    # of M^-1 K_eff are a complex pair, so linearize refuses the plant.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": 2, "equilibrium": {"t_max": 40}}))
+    out = tmp_path / "out"
+    assert main(["bode", "--teq", "26", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "complex eigenvalues" in err and "flutter" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["equilibrium", "--tension", "0"], ["bode", "--teq", "0"]],
+                         ids=["equilibrium_point", "bode"])
+def test_point_commands_name_a_bad_t_max(tmp_path, capsys, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"equilibrium": {"t_max": -1}}))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: t_max must be finite and > 0, got -1.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("winding", [False, True], ids=["plant", "winding_phase"])
+def test_bode_csv_columns_are_magnitude_and_unwrapped_phase(tmp_path, monkeypatch, winding):
+    if winding:  # a phase that wraps several turns, so unwrapping shows
+        def wound(ss, grid):
+            fr = fb.frequency_response(ss, grid)
+            return dataclasses.replace(
+                fr, response=fr.response * np.exp(-2j * np.log(fr.omega)))
+        monkeypatch.setattr(cli, "frequency_response", wound)
+    out = tmp_path / "out"
+    cfg = small_bode_config(tmp_path)
+    assert main(["bode", "--teq", "0.5", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "bode_teq_0.5.csv")
+    assert header == ["omega_rad_s", "re", "im", "mag_db", "phase_deg"]
+    _, re, im, mag_db, phase_deg = np.array(rows, dtype=float).T
+    g = re + 1j * im
+    np.testing.assert_allclose(mag_db, 20.0 * np.log10(np.abs(g)), rtol=1e-10, atol=1e-9)
+    np.testing.assert_allclose(phase_deg, np.degrees(np.unwrap(np.angle(g))), atol=1e-8)
+    assert (np.ptp(phase_deg) > 360.0) == winding

@@ -3,8 +3,9 @@
 
 Runs every command of a fixed set in-process through ``flexboom.cli.main``,
 inside one work directory, with fixed relative ``--out`` paths and
-deterministic input files, and prints each exit code, whether each
-command's output directory exists (``dir present|absent  <label>``), and one
+deterministic input files, and prints each exit code (``exit raised <Type>``
+for an exception that escapes ``main``), whether each command's output
+directory exists (``dir present|absent  <label>``), and one
 ``<sha256>  <name>`` line per output file and per captured stdout and
 stderr.  Two trees whose printouts match write byte-identical CLI outputs on
 this set, and leave the same directories behind.
@@ -54,6 +55,13 @@ CONFIGS = {
     # Ranges the library refuses: a curve over [0, -1] N, a grid from 0 rad/s.
     "t_max_negative": {"equilibrium": {"t_max": -1}},
     "omega_min_zero": {"bode": {"omega_min": 0}},
+    # Two modes have no critical tension, but their eigenvalues turn complex
+    # (flutter) between 25.85 and 25.86 N.
+    "flutter": {"modes": 2, "equilibrium": {"t_max": 40}},
+    # JSON ints for float leaves; each must act as the float it stands for.
+    "int_leaves": {"equilibrium": {"t_max": 1},
+                   "bode": {"omega_min": 1, "omega_max": 100},
+                   "simulation": {"w_init": 1, "duration": 1}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -134,6 +142,16 @@ COMMANDS = [
                                     "--out", "eq_t_max_negative"]),
     ("bode_omega_min_zero", ["bode", "--config", "omega_min_zero.json", "--teq", "0.5",
                              "--out", "bode_omega_min_zero"]),
+    ("bode_flutter", ["bode", "--config", "flutter.json", "--teq", "26",
+                      "--out", "bode_flutter"]),
+    ("equilibrium_point_t_max_negative", ["equilibrium", "--config", "t_max_negative.json",
+                                          "--tension", "0", "--out", "eq_point_t_max_negative"]),
+    ("bode_t_max_negative", ["bode", "--config", "t_max_negative.json", "--teq", "0",
+                             "--out", "bode_t_max_negative"]),
+    *[(f"int_leaves_{command}", [command, "--config", "int_leaves.json", *extra,
+                                 "--out", f"int_leaves_{command}"])
+      for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]),
+                             ("simulate", []))],
 ]
 
 
@@ -163,8 +181,11 @@ def fingerprint(workdir: Path) -> list[str]:
     try:
         for label, argv in COMMANDS:
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = flexboom_main(argv)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = flexboom_main(argv)
+            except Exception as exc:  # an escaping exception is a result too
+                code = f"raised {type(exc).__name__}"
             lines.append(f"exit {code}  {label}")
             outdir = Path(argv[argv.index("--out") + 1])
             lines.append(f"dir {'present' if outdir.is_dir() else 'absent'}  {label}")
