@@ -116,6 +116,11 @@ _NULLABLE = {
     "controller.reference.w_initial": float,
     "simulation.scenario": str,
 }
+# List leaves, with the default each of their items is checked against.
+_ITEMS = {
+    "controller.reference.map_coefficients": 0.0,
+    "controller.reference.map_units": "",
+}
 
 
 def _checked(user: Any, default: Any, path: str = "") -> Any:
@@ -123,7 +128,8 @@ def _checked(user: Any, default: Any, path: str = "") -> Any:
 
     Every key must exist in the defaults, and an object replaces only the
     keys it sets.  A leaf must have its default's type, or the ``_NULLABLE``
-    type where the default is null; an int may stand for a float and comes
+    type where the default is null; each item of a list leaf is checked as a
+    leaf with its ``_ITEMS`` default.  An int may stand for a float and comes
     back as one, and a boolean stands only for a boolean.
     """
     if isinstance(default, dict):
@@ -141,6 +147,8 @@ def _checked(user: Any, default: Any, path: str = "") -> Any:
         raise ConfigError(f"{path}: boolean not allowed here")
     if float in allowed and isinstance(user, (int, float)):
         return float(user)
+    if isinstance(user, list) and list in allowed:
+        return [_checked(item, _ITEMS[path], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(user, allowed):
         return user
     names = "/".join("null" if k is type(None) else k.__name__ for k in allowed)

@@ -13,17 +13,14 @@ structure of the state matrix: with A = [[0, I], [S, 0]] and B = [0; b],
 
 so the real and imaginary parts come out structurally separated (for the
 rate output C_q = 0 the real part is exactly D, not rounding noise).
-Near-pole grid points are detected by the condition number of the balanced
-solve and nudged by one part in 1e6; nudges are reported.  The exact
-condition (one SVD per point) is needed only near a pole: with the
-eigendecomposition S_bal = V diag(lam) V^-1, Bauer-Fike gives
-
-    cond(S_bal + w^2 I) <= (||S_bal|| + w^2) cond(V) / min_i |lam_i + w^2|,
-
-and points whose bound lies at or below the nudge threshold divided by a
-safety factor of 64 skip the SVD.  A defective or unresolved V (huge or
-non-finite cond(V)) leaves every point on the exact path, so nudges,
-rejections and responses are those of the exact test at every point.
+S is balanced once and reduced once to Schur form, S_bal = Z T Z^H with T
+upper triangular (Laub, IEEE TAC 1981); every grid point is then one
+back-substitution on T + w^2 I, vectorised over the grid, and one step of
+residual refinement against S_bal in real arithmetic (Skeel, Math. Comp.
+1980).  The diagonal of T holds the eigenvalues of S_bal, so a grid point
+near a pole is found without a condition number: it is nudged by one part
+in 1e6 when min_k |T_kk + w^2| * 1e12 <= ||S_bal||_2 + w^2.  Nudges are
+reported.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import matrix_balance
+from scipy.linalg import matrix_balance, rsf2csf, schur
 
 from .equilibrium import solve_equilibrium
 from .linearization import StateSpaceModel, linearize
@@ -54,14 +51,11 @@ __all__ = [
 ]
 
 _NUDGE = 1e-6           # relative frequency shift applied to near-pole points
-_COND_NUDGE = 1e12      # condition above which a grid point is nudged
-_COND_FAIL = 1e14       # condition above which the nudged point is rejected
-# Margin of the eigenvalue screen below the nudge threshold.  Near condition
-# 1e12, rounding in eig and in the SVD each move the bound and the exact
-# condition by parts in 1e4 (smallest measured bound/condition ratio 0.9999,
-# on symmetric blocks where the bound is otherwise tight); unscaled, the
-# screen could skip a point that must be nudged.
-_SCREEN_SAFETY = 64.0
+# Bounds on the condition estimate (||S_bal||_2 + w^2) / min_k |T_kk + w^2|
+# of a grid point's solve: above the first the point is nudged, above the
+# second the nudged point is rejected.
+_COND_NUDGE = 1e12
+_COND_FAIL = 1e14
 _PHASE_SLACK_DEG = 1e-6
 DEFAULT_EPS_TOL = 1e-9
 
@@ -120,13 +114,13 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
                        ) -> FrequencyResponse:
     """Evaluate G(j w) = C (j w I - A)^-1 B + D over a frequency grid.
 
-    A point is nudged by one part in 1e6 when the condition of its balanced
-    solve S_bal + w^2 I exceeds 1e12, and PoleOnGrid is raised when the
-    nudged point still exceeds 1e14.  The condition is computed exactly only
-    where the Bauer-Fike bound (||S_bal|| + w^2) cond(V) / min_i |lam_i + w^2|
-    is not at or below 1e12 / 64 (NaN and inf bounds included); a defective
-    V or a non-finite eigendecomposition sends every point to the exact test.
-    The result equals that of the exact test at every point.
+    The balanced rate block is factored once, S_bal = Z T Z^H (a real Schur
+    form when its eigenvalues are real, else a complex one).  Each point is
+    one back-substitution on T + w^2 I and one step of residual refinement
+    against S_bal.  A point is nudged by one part in 1e6 when
+    min_k |T_kk + w^2| * 1e12 <= ||S_bal||_2 + w^2; PoleOnGrid is raised when
+    the nudged point still meets that test at 1e14, or when the response is
+    not finite.
     """
     grid = default_grid() if omega is None else np.asarray(omega, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -135,67 +129,47 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
         raise ValueError("frequency grid must be finite and strictly increasing")
 
     n = ss.mode_count
-    s_mat = ss.rate_block
-    b2 = ss.b[n:]
-    c_q = ss.c[:n]
-    c_v = ss.c[n:]
-
-    # Balanced similarity scaling: the monomial coordinates are badly scaled,
-    # balancing keeps the per-frequency solves well conditioned away from poles.
-    s_bal, t_diag = matrix_balance(s_mat, permute=False)
+    # Balanced similarity scaling: the monomial coordinates are badly scaled.
+    s_bal, t_diag = matrix_balance(ss.rate_block, permute=False)
     t_scale = np.diag(t_diag)
-    b_bal = b2 / t_scale
-    cq_bal = c_q * t_scale
-    cv_bal = c_v * t_scale
-
-    eye = np.eye(n)
-
-    # One eigendecomposition per call feeds the Bauer-Fike screen.  A
-    # non-finite cond(V) makes every bound inf or NaN, so every point is exact.
-    lam, vecs = np.linalg.eig(s_bal)
-    resolved = np.all(np.isfinite(lam)) and np.all(np.isfinite(vecs))
-    kappa = np.linalg.cond(vecs) if resolved else np.inf
+    # With real eigenvalues the real Schur form is triangular, a complex Schur
+    # form in real arithmetic; complex pairs leave 2x2 blocks to convert.
+    tri, unitary = schur(s_bal)
+    if np.any(np.diag(tri, -1)):
+        tri, unitary = rsf2csf(tri, unitary)
+    eigs = tri.diagonal()[:, None]
     s_norm = np.linalg.norm(s_bal, 2)
 
-    def solve_points(omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w2 = omegas ** 2
-        mats = s_bal[None, :, :] + w2[:, None, None] * eye[None, :, :]
-        with np.errstate(all="ignore"):  # an exact pole divides by zero
-            bound = (s_norm + w2) * kappa / np.min(np.abs(lam + w2[:, None]), axis=1)
-        exact = ~(bound <= _COND_NUDGE / _SCREEN_SAFETY)  # NaN bounds are exact
-        # A screened point stays below the nudge threshold; its condition is
-        # recorded as 0 so its bound never reaches the retry or reject tests.
-        conds = np.zeros(omegas.size)
-        conds[exact] = np.linalg.cond(mats[exact])
-        rhs = np.broadcast_to(-b_bal, (omegas.size, n))[:, :, None]
-        good = np.isfinite(conds) & (conds <= _COND_FAIL)
-        z = np.full((omegas.size, n), np.nan)
-        if np.any(good):
-            z[good] = np.linalg.solve(mats[good], rhs[good])[:, :, 0]
-        return z, conds
+    def near_pole(w2: np.ndarray, limit: float) -> np.ndarray:
+        return np.abs(eigs + w2).min(axis=0) * limit <= s_norm + w2
 
     grid = grid.copy()
-    z, conds = solve_points(grid)
-    nudged_idx: list[int] = []
-    retry = np.where(conds > _COND_NUDGE)[0]
-    if retry.size:
-        grid[retry] = grid[retry] * (1.0 + _NUDGE)
-        z_retry, conds_retry = solve_points(grid[retry])
-        bad = conds_retry > _COND_FAIL
-        if np.any(bad):
-            raise PoleOnGrid(
-                f"grid frequencies {grid[retry[bad]]} rad/s remain on a pole "
-                f"after nudging (condition {conds_retry[bad].max():.3e})"
-            )
-        z[retry] = z_retry
-        nudged_idx = [int(i) for i in retry]
+    retry = np.flatnonzero(near_pole(grid ** 2, _COND_NUDGE))
+    grid[retry] *= 1.0 + _NUDGE
+    bad = near_pole(grid[retry] ** 2, _COND_FAIL)
+    if np.any(bad):
+        raise PoleOnGrid(f"grid frequencies {grid[retry[bad]]} rad/s remain on a pole "
+                         f"after nudging (condition estimate above {_COND_FAIL:.0e})")
 
-    re_part = z @ cq_bal + ss.d
-    im_part = grid * (z @ cv_bal)
-    response = re_part + 1j * im_part
+    # Columns are grid points: z[:, i] solves (S_bal + w_i^2 I) z = rhs[:, i]
+    # as Z (T + w_i^2 I)^-1 Z^H rhs, one back-substitution row at a time.
+    w2 = grid ** 2
+    shifted = eigs + w2
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        for k in range(n - 1, -1, -1):
+            y[k] = (y[k] - tri[k, k + 1:] @ y[k + 1:]) / shifted[k]
+        return (unitary @ y).real  # z is real; a complex Z leaves rounding in .imag
+
+    rhs = -ss.b[n:] / t_scale
+    z = solve(np.repeat((unitary.conj().T @ rhs)[:, None], grid.size, axis=1))
+    z += solve(unitary.conj().T @ (rhs[:, None] - s_bal @ z - w2 * z))  # refinement
+
+    response = (t_scale * ss.c[:n] @ z + ss.d) + 1j * (grid * (t_scale * ss.c[n:] @ z))
     if np.any(~np.isfinite(response)):
         raise PoleOnGrid("non-finite frequency response after nudging")
-    return FrequencyResponse(omega=grid, response=response, nudged=tuple(nudged_idx))
+    return FrequencyResponse(omega=grid, response=response,
+                             nudged=tuple(int(i) for i in retry))
 
 
 def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,

@@ -2,9 +2,12 @@
 
 Everything here deliberately avoids the code paths under test: matrices
 come from adaptive quadrature instead of closed forms, Jacobians from
-finite differences of the nonlinear right-hand side, and the cantilever
-deflection from the classic tip-moment formula.
+finite differences of the nonlinear right-hand side, the cantilever
+deflection from the classic tip-moment formula, and frequency responses
+from an exact rational solve of the second-order equations.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -89,3 +92,45 @@ def entrywise_close(actual, expected, rel, abs_floor=0.0):
     expected = np.asarray(expected, dtype=float)
     return bool(np.all(np.abs(actual - expected)
                        <= rel * np.abs(expected) + abs_floor))
+
+
+def exact_solve(matrix, rhs):
+    """x with matrix x = rhs, by Gaussian elimination over Fractions."""
+    n = len(rhs)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (rows[r][n] - sum(rows[r][c] * x[c] for c in range(r + 1, n))) / rows[r][r]
+    return x
+
+
+def exact_tip_rate_response(model, eq, omegas):
+    """G(j w) = j w psi(L) . z with (K_eff(T) - w^2 M) z = f, solved exactly.
+
+    The float entries of M, K_eff(T_eq), f = f(q_eq, 1) and psi(L), and each
+    float w, are taken as exact rationals, so the only rounding is the final
+    conversion of each response to a complex float.
+    """
+    def exact(values):
+        return [Fraction(float(v)) for v in np.ravel(values)]
+
+    n = model.mode_count
+    mass = exact(model.mass_matrix)
+    stiffness = exact(model.effective_stiffness(eq.tension))
+    force = exact(fb.actuation_force(model, eq.modal_coords, 1.0))
+    tip = exact(model.tip_row)
+    out = []
+    for w in omegas:
+        w = Fraction(float(w))
+        matrix = [[stiffness[i * n + j] - w * w * mass[i * n + j] for j in range(n)]
+                  for i in range(n)]
+        z = exact_solve(matrix, force)
+        out.append(1j * float(w * sum(p * zi for p, zi in zip(tip, z))))
+    return np.array(out)

@@ -565,3 +565,51 @@ def test_bode_csv_columns_are_magnitude_and_unwrapped_phase(tmp_path, monkeypatc
     np.testing.assert_allclose(mag_db, 20.0 * np.log10(np.abs(g)), rtol=1e-10, atol=1e-9)
     np.testing.assert_allclose(phase_deg, np.degrees(np.unwrap(np.angle(g))), atol=1e-8)
     assert (np.ptp(phase_deg) > 360.0) == winding
+
+
+# List leaves: each item is checked as a leaf.
+
+
+@pytest.mark.parametrize("reference, where", [
+    ({"map_coefficients": [[1]]}, "map_coefficients[0]: expected float, got list"),
+    ({"map_coefficients": [0.6, True]}, "map_coefficients[1]: boolean not allowed here"),
+    ({"map_units": ["N", 3]}, "map_units[1]: expected str, got int"),
+], ids=["nested_list", "boolean_coefficient", "int_unit"])
+def test_bad_list_item_is_a_config_error(tmp_path, capsys, reference, where):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": {"reference": {"mode": "map-composed",
+                                                            **reference}}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--duration", "1", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: controller.reference.{where}\n"
+    assert not out.exists()
+
+
+def test_list_items_are_typed_like_leaves(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": {"reference": {
+        "map_coefficients": [1, 0.5], "map_units": ["N", "m"]}}}))
+    reference = load_config(cfg)["controller"]["reference"]
+    assert [type(c) for c in reference["map_coefficients"]] == [float, float]
+    assert reference["map_units"] == ["N", "m"]
+
+
+def test_six_mode_uncertainty_sweep_at_one_newton_gives_a_verdict(tmp_path, capsys):
+    # Sample (0.8, 1.0, 0.8) puts a default-grid point 1.75e-6 (relative)
+    # above its lowest pole; the sweep nudges it and goes on.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": 6}))
+    out = tmp_path / "out"
+    code = main(["bode", "--teq", "1", "--sweep", "uncertainty", "--samples", "27",
+                 "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "uncertainty sweep: 27 samples, " in captured.out
+    summary = json.loads((out / "summary.json").read_text())
+    assert code == (0 if summary["uncertainty_sweep"]["all_passive"] else 1)
+    header, rows = read_csv(out / "sweep_uncertainty.csv")
+    assert len(rows) == 27
+    nudged = {tuple(row[:3]): int(row[header.index("nudged_points")]) for row in rows}
+    assert nudged[("0.8", "1", "0.8")] >= 1

@@ -46,8 +46,10 @@ CONFIGS = {
                           "map_units": ["N", "m"]},
         },
     },
-    # Six assumed modes put grid points near poles: at 0.75 N the sweep nudges
-    # points, at 1 N one sample stays on a pole after nudging (PoleOnGrid).
+    # Six assumed modes put grid points near poles: at 1 N the sweep nudges
+    # point 624 of sample (0.8, 1.0, 0.8), 1.75e-6 (relative) above its lowest
+    # pole; at 0.75 N point 702 of two samples lies 6.9e-5 from a pole and is
+    # not nudged.
     "modes6": {"modes": 6},
     # Well-typed configs carrying non-finite numbers (JSON NaN).
     "nan_eps_tol": {"bode": {"eps_tol": float("nan")}},
@@ -82,6 +84,8 @@ SIM_CONFIGS = {
     "nan_w_init": {"simulation": {"w_init": float("nan")}},
     "nan_w_initial_constant": {"controller": {"reference": {
         "w_initial": float("nan")}}},
+    "map_nested_coefficients": {"controller": {"reference": {
+        "mode": "map-composed", "map_coefficients": [[1]]}}},
 }
 
 # Configs the checker must refuse (exit 2), one per rule it enforces.
