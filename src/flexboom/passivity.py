@@ -17,10 +17,14 @@ S is balanced once and reduced once to Schur form, S_bal = Z T Z^H with T
 upper triangular (Laub, IEEE TAC 1981); every grid point is then one
 back-substitution on T + w^2 I, vectorised over the grid, and one step of
 residual refinement against S_bal in real arithmetic (Skeel, Math. Comp.
-1980).  The diagonal of T holds the eigenvalues of S_bal, so a grid point
-near a pole is found without a condition number: it is nudged by one part
-in 1e6 when min_k |T_kk + w^2| * 1e12 <= ||S_bal||_2 + w^2.  Nudges are
-reported.
+1980).  The diagonal of T holds the eigenvalues of S_bal, so the condition
+of a point's solve is estimated without a condition number as
+cond = (||S_bal||_2 + w^2) / min_k |T_kk + w^2|.  A point whose estimate
+exceeds 1e12 is nudged by one part in 1e6; nudges are reported.  A float
+residual leaves G off by about eps * cond times the ratio of the terms
+summed into G to |G|: that is large next to a pole (cond large) and at an
+antiresonance (|G| small), so where cond times that ratio exceeds 1e6 the
+residual is formed in extended precision (np.longdouble) instead.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ __all__ = [
 ]
 
 _NUDGE = 1e-6           # relative frequency shift applied to near-pole points
-# Bounds on the condition estimate (||S_bal||_2 + w^2) / min_k |T_kk + w^2|
-# of a grid point's solve: above the first the point is nudged, above the
-# second the nudged point is rejected.
+# Bounds on a point's condition estimate (module docstring): nudge the point,
+# reject it after the nudge, and (times G's cancellation ratio) extend its residual.
 _COND_NUDGE = 1e12
 _COND_FAIL = 1e14
+_COND_EXTENDED = 1e6
 _PHASE_SLACK_DEG = 1e-6
 DEFAULT_EPS_TOL = 1e-9
 
@@ -75,11 +79,16 @@ class SweepSampleError(RuntimeError):
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
-    if not (0.0 < omega_min < omega_max < np.inf and n_points >= 1):
-        raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf and "
-                         f"n_points >= 1, got omega_min={omega_min!r}, "
+    if not (0.0 < omega_min < omega_max and _squares_finite(omega_max) and n_points >= 1):
+        raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
+                         f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
                          f"omega_max={omega_max!r}, n_points={n_points!r}")
     return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
+
+
+def _squares_finite(omega) -> bool:  # w**2 overflows above about 1.3e154 rad/s
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(np.isfinite(np.square(omega, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -114,19 +123,15 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
                        ) -> FrequencyResponse:
     """Evaluate G(j w) = C (j w I - A)^-1 B + D over a frequency grid.
 
-    The balanced rate block is factored once, S_bal = Z T Z^H (a real Schur
-    form when its eigenvalues are real, else a complex one).  Each point is
-    one back-substitution on T + w^2 I and one step of residual refinement
-    against S_bal.  A point is nudged by one part in 1e6 when
-    min_k |T_kk + w^2| * 1e12 <= ||S_bal||_2 + w^2; PoleOnGrid is raised when
-    the nudged point still meets that test at 1e14, or when the response is
-    not finite.
+    The method is the module docstring's.  PoleOnGrid is raised when a nudged
+    point's condition estimate still exceeds 1e14, or when the response is
+    not finite; a grid whose squares overflow is refused with ValueError.
     """
-    grid = default_grid() if omega is None else np.asarray(omega, dtype=float)
+    grid = default_grid() if omega is None else np.array(omega, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-d array")
-    if np.any(~np.isfinite(grid)) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("frequency grid must be finite and strictly increasing")
+    if not _squares_finite(grid) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("frequency grid must be strictly increasing with finite squares")
 
     n = ss.mode_count
     # Balanced similarity scaling: the monomial coordinates are badly scaled.
@@ -143,7 +148,6 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
     def near_pole(w2: np.ndarray, limit: float) -> np.ndarray:
         return np.abs(eigs + w2).min(axis=0) * limit <= s_norm + w2
 
-    grid = grid.copy()
     retry = np.flatnonzero(near_pole(grid ** 2, _COND_NUDGE))
     grid[retry] *= 1.0 + _NUDGE
     bad = near_pole(grid[retry] ** 2, _COND_FAIL)
@@ -162,10 +166,23 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
         return (unitary @ y).real  # z is real; a complex Z leaves rounding in .imag
 
     rhs = -ss.b[n:] / t_scale
+    c_q, c_v = t_scale * ss.c[:n], t_scale * ss.c[n:]
     z = solve(np.repeat((unitary.conj().T @ rhs)[:, None], grid.size, axis=1))
-    z += solve(unitary.conj().T @ (rhs[:, None] - s_bal @ z - w2 * z))  # refinement
+    # One refinement step.  A float residual leaves G with a relative error of
+    # about eps * cond * (|C_q| + w |C_v|) |z| / |G|: next to a pole (cond
+    # large) or an antiresonance (|G| small), where cond times that ratio
+    # exceeds 1e6, the residual is formed in extended precision instead.
+    residual = rhs[:, None] - s_bal @ z - w2 * z
+    size = np.abs(z)
+    spread = np.abs(c_q) @ size + grid * (np.abs(c_v) @ size)
+    gain = np.hypot(c_q @ z + ss.d, grid * (c_v @ z))
+    ext = np.flatnonzero((s_norm + w2) * spread
+                         > _COND_EXTENDED * np.abs(shifted).min(axis=0) * gain)
+    z_ext = z[:, ext].astype(np.longdouble)
+    residual[:, ext] = rhs[:, None] - s_bal.astype(np.longdouble) @ z_ext - w2[ext] * z_ext
+    z += solve(unitary.conj().T @ residual)
 
-    response = (t_scale * ss.c[:n] @ z + ss.d) + 1j * (grid * (t_scale * ss.c[n:] @ z))
+    response = (c_q @ z + ss.d) + 1j * (grid * (c_v @ z))
     if np.any(~np.isfinite(response)):
         raise PoleOnGrid("non-finite frequency response after nudging")
     return FrequencyResponse(omega=grid, response=response,

@@ -134,3 +134,27 @@ def exact_tip_rate_response(model, eq, omegas):
         z = exact_solve(matrix, force)
         out.append(1j * float(w * sum(p * zi for p, zi in zip(tip, z))))
     return np.array(out)
+
+
+def exact_state_space_response(ss, omegas):
+    """G(j w) = C_q z + D + j w C_v z with (S + w^2 I) z = -b, solved exactly.
+
+    The float entries of the rate block S, of b, C and D, and each float w,
+    are taken as exact rationals: this is the response of the float system a
+    solver is given, so a comparison with it measures the solver's error alone.
+    """
+    n = ss.mode_count
+    rate = [[Fraction(float(v)) for v in row] for row in ss.rate_block]
+    rhs = [-Fraction(float(v)) for v in ss.b[n:]]
+    c_q = [Fraction(float(v)) for v in ss.c[:n]]
+    c_v = [Fraction(float(v)) for v in ss.c[n:]]
+    d = Fraction(float(ss.d))
+    out = []
+    for w in omegas:
+        w = Fraction(float(w))
+        matrix = [[v + (w * w if i == j else 0) for j, v in enumerate(row)]
+                  for i, row in enumerate(rate)]
+        z = exact_solve(matrix, rhs)
+        out.append(complex(float(sum(c * zi for c, zi in zip(c_q, z)) + d),
+                           float(w * sum(c * zi for c, zi in zip(c_v, z)))))
+    return np.array(out)

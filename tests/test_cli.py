@@ -492,6 +492,20 @@ def test_bad_frequency_grid_is_one_error_line(tmp_path, capsys, bode):
     assert err.count("\n") == 1
 
 
+def test_frequency_grid_whose_squares_overflow_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"bode": {"omega_max": 1e200, "grid_points": 50}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bode", "--teq", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frequency grid needs 0 < omega_min < omega_max < inf")
+    assert "omega_max=1e+200" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # The CLI boundary: config leaves typed once at load, Bode columns formatted
 # by ``bode``, and every library failure one ``error:`` line.
 

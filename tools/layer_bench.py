@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Per-layer micro-benchmark of the passivity chain.
 
-Times each layer of one passivity certificate on the nominal boom at a fixed
-tension: ``assemble_matrices``, ``solve_equilibrium``, ``linearize``,
-``frequency_response`` and ``passivity_check``, for several assumed-mode
-counts, on the default 2000-point grid.  Each figure is the best of
-``--repeats`` batches of ``--calls`` calls, in microseconds per call.
+Times each layer of one passivity certificate on the nominal boom at 0.77 N:
+``assemble_matrices``, ``solve_equilibrium``, ``linearize``,
+``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
+modes, on the default 2000-point grid.  Each figure is the best of 5 batches
+of 40 calls, in microseconds per call.
 
-    python tools/layer_bench.py                 # n = 3, 4, 6 at 0.77 N
-    python tools/layer_bench.py --modes 3 --tension 1.0
+    python tools/layer_bench.py
 
 The package is imported from the ``src`` directory next to this script, so a
 copy of the script placed in another checkout measures that checkout.  BLAS
@@ -17,7 +16,6 @@ is pinned to one thread before numpy loads, as in ``bench/run.py``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import timeit
@@ -29,43 +27,38 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import flexboom as fb  # noqa: E402
 
+MODES = (3, 4, 6)
+TENSION = 0.77   # N
+REPEATS = 5
+CALLS = 40
 
-def layer_times(modes: int, tension: float, repeats: int, calls: int) -> dict[str, float]:
-    """Best-of-``repeats`` microseconds per call for each layer."""
+
+def layer_times(modes: int) -> dict[str, float]:
+    """Best-of-REPEATS microseconds per call for each layer."""
     params = fb.BoomParams()
     basis = fb.BasisSet.with_mode_count(modes)
     grid = fb.default_grid()
     model = fb.assemble_matrices(params, basis)
-    eq = fb.solve_equilibrium(model, tension)
+    eq = fb.solve_equilibrium(model, TENSION)
     ss = fb.linearize(model, eq)
     layers = {
         "assemble_matrices": lambda: fb.assemble_matrices(params, basis),
-        "solve_equilibrium": lambda: fb.solve_equilibrium(model, tension),
+        "solve_equilibrium": lambda: fb.solve_equilibrium(model, TENSION),
         "linearize": lambda: fb.linearize(model, eq),
         "frequency_response": lambda: fb.frequency_response(ss, grid),
         "passivity_check": lambda: fb.passivity_check(ss, grid),
     }
-    return {name: 1e6 * min(timeit.repeat(call, number=calls, repeat=repeats)) / calls
+    return {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
             for name, call in layers.items()}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--modes", default="3,4,6",
-                        help="comma-separated assumed-mode counts (default 3,4,6)")
-    parser.add_argument("--tension", type=float, default=0.77,
-                        help="equilibrium cable tension in N (default 0.77)")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--calls", type=int, default=40)
-    args = parser.parse_args(argv)
-
-    counts = [int(v) for v in args.modes.split(",")]
-    table = {n: layer_times(n, args.tension, args.repeats, args.calls) for n in counts}
-    print(f"us per call, best of {args.repeats} x {args.calls}, "
-          f"{fb.default_grid().size}-point grid, {args.tension:g} N")
-    print(f"{'layer':<20}" + "".join(f"{f'n={n}':>10}" for n in counts))
-    for name in table[counts[0]]:
-        print(f"{name:<20}" + "".join(f"{table[n][name]:>10.1f}" for n in counts))
+def main() -> int:
+    table = {n: layer_times(n) for n in MODES}
+    print(f"us per call, best of {REPEATS} x {CALLS}, "
+          f"{fb.default_grid().size}-point grid, {TENSION:g} N")
+    print(f"{'layer':<20}" + "".join(f"{f'n={n}':>10}" for n in MODES))
+    for name in table[MODES[0]]:
+        print(f"{name:<20}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
     return 0
 
 
