@@ -5,7 +5,9 @@ stage time and stage state (the control law is an explicit function of
 time and the tip measurements, so no zero-order hold is emulated).  Each
 stage is one call of ``model.state_rate``, the same kernel that defines
 ``dynamics_rhs``: one stacked product gives the tip measurements the
-controller reads and both parts of the state rate.
+controller reads and both parts of the state rate.  An unforced run binds
+a zero control law.  The loop records only the time and state of each
+logged step; the rest of the log is derived from those states after it.
 Divergence is declared when the state norm exceeds 1e6 times its initial
 norm or any entry stops being finite; a diverged run is returned with
 status rather than raised, since blow-up is a legitimate experimental
@@ -42,6 +44,7 @@ _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may ma
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
 TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
 RAMP_DURATION = 100.0  # s, length of the fig8 quintic feedforward and reference
+_ZERO_SAMPLE = ControlSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,22 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < np.inf):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        steps = round(self.duration / self.dt) if 0.0 < self.duration < np.inf else 0
+        ratio = self.duration / self.dt  # inf on overflow; 2**63 steps never finish
+        steps = round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
         if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
                              f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
-        if not (isinstance(self.decimation, (int, np.integer)) and self.decimation >= 1):
-            raise ValueError(f"decimation must be an integer >= 1, got {self.decimation!r}")
+        d = self.decimation
+        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
+            raise ValueError(f"decimation must be an integer >= 1, got {d!r}")
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Logged closed-loop trajectory.
 
+    ``time``, ``q`` and ``q_rate`` are the recorded states; the tip, control
+    and energy columns are derived from them after the integration.
     All rows are finite unless status is "diverged", in which case the last
     row records the state at the divergence time.
     """
@@ -111,50 +118,27 @@ def initial_state_from_deflection(model: StructuralModel, w_init: float) -> Stat
     return State(q=q, q_rate=np.zeros(model.mode_count))
 
 
+def _zero_law(t: float, w_tip: float, w_rate: float) -> ControlSample:
+    """The control law of an unforced run: the all-zero sample at any time and tip."""
+    return _ZERO_SAMPLE
+
+
 def run_simulation(scenario: SimScenario) -> SimResult:
-    """Integrate the closed loop with fixed-step RK4 and log decimated rows."""
+    """Integrate the closed loop with fixed-step RK4, then derive the log's columns."""
     model = scenario.model
     n = model.mode_count
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
+    law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
 
-    tip_row = model.tip_row
+    def rhs(t: float, x: np.ndarray) -> np.ndarray:
+        return state_rate(model, x, lambda w_tip, w_rate: law(t, w_tip, w_rate).u)
 
-    if scenario.controller is not None:
-        controller = make_controller(scenario.controller)
-
-        def rhs(t: float, x: np.ndarray) -> np.ndarray:
-            return state_rate(model, x, lambda w_tip, w_rate:
-                              controller(t, w_tip, w_rate).u)
-    else:
-        controller = None
-
-        def rhs(t: float, x: np.ndarray) -> np.ndarray:
-            return state_rate(model, x, lambda w_tip, w_rate: 0.0)
-
-    state0 = initial_state_from_deflection(model, scenario.w_init)
-    x = state0.as_vector()
+    x = initial_state_from_deflection(model, scenario.w_init).as_vector()
     norm0 = max(float(np.linalg.norm(x)), _NORM_FLOOR)
     threshold_sq = (_DIVERGENCE_FACTOR * norm0) ** 2
-
-    n_rows = -(-n_steps // scenario.decimation) + 1
-    time = np.zeros(n_rows)
-    x_log = np.zeros((n_rows, 2 * n))
-    # Columns are the ControlSample fields after time, read back by name.
-    control_log = np.zeros((n_rows, len(ControlSample._fields) - 1))
-    energy_log = np.zeros((n_rows, 2))
-
-    def log_row(row: int, t: float, x: np.ndarray) -> None:
-        time[row] = t
-        x_log[row] = x
-        if controller is not None:
-            control_log[row] = controller(t, tip_row @ x[:n], tip_row @ x[n:])[1:]
-        energy_log[row] = total_energy(model, State.from_vector(x))
-
-    log_row(0, 0.0, x)
-    row = 1
-    status = "completed"
-    divergence_time = None
+    times, states = [0.0], [x]
+    diverged = False
 
     t = 0.0
     half = 0.5 * dt
@@ -166,26 +150,27 @@ def run_simulation(scenario: SimScenario) -> SimResult:
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         t = (k + 1) * dt
-        norm_sq = float(x @ x)
         # NaN fails the comparison too, so this catches non-finite states.
-        if not norm_sq <= threshold_sq:
-            status = "diverged"
-            divergence_time = t
-            log_row(row, t, x)
-            row += 1
-            break
-        if (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
-            log_row(row, t, x)
-            row += 1
+        diverged = not float(x @ x) <= threshold_sq
+        if diverged or (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
+            times.append(t)
+            states.append(x)
+            if diverged:
+                break
 
-    q, q_rate = x_log[:row, :n], x_log[:row, n:]
+    time, x_log = np.array(times), np.array(states)
+    q, q_rate = x_log[:, :n], x_log[:, n:]
+    tip, tip_rate = q @ model.tip_row, q_rate @ model.tip_row
+    # Columns are the ControlSample fields after time, read back by name.
+    control = np.array([law(*row)[1:] for row in zip(times, tip.tolist(), tip_rate.tolist())])
+    energy = np.array([total_energy(model, State.from_vector(row)) for row in x_log])
     return SimResult(
         scenario_name=scenario.name,
-        time=time[:row], q=q, q_rate=q_rate,
-        tip=q @ tip_row, tip_rate=q_rate @ tip_row,
-        **dict(zip(ControlSample._fields[1:], control_log[:row].T)),
-        kinetic=energy_log[:row, 0], potential=energy_log[:row, 1],
-        status=status, divergence_time=divergence_time,
+        time=time, q=q, q_rate=q_rate, tip=tip, tip_rate=tip_rate,
+        **dict(zip(ControlSample._fields[1:], control.T)),
+        kinetic=energy[:, 0], potential=energy[:, 1],
+        status="diverged" if diverged else "completed",
+        divergence_time=t if diverged else None,
     )
 
 

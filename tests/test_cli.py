@@ -299,6 +299,19 @@ def test_simulate_non_finite_duration_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "duration" in err and "Traceback" not in err
 
 
+def test_simulate_duration_whose_step_count_overflows_is_an_error_line(tmp_path, capsys):
+    # 1e308 s in 1 ms steps overflows the step count; it used to raise
+    # OverflowError out of round().
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", "fig7a", "--duration", "1e308",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duration" in err and "1e+308" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_default_custom_simulate_is_fig7a(tmp_path):
     # The default controller and simulation sections are the fig7a scenario.
     custom, fig7a = tmp_path / "custom", tmp_path / "fig7a"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -188,3 +189,37 @@ def test_scenario_accepts_whole_steps_despite_rounding(model3):
 def test_scenario_requires_integer_decimation(model3, decimation):
     with pytest.raises(ValueError, match="decimation"):
         _unforced(model3, 0.0, 1.0, decimation=decimation)
+
+
+@pytest.mark.parametrize("duration", [1e308, 1e300])
+def test_scenario_refuses_a_step_count_that_overflows(model3, duration):
+    # 1e308 / 1e-3 overflows to inf, which round() cannot take; 1e303 steps
+    # are finite but exceed any index, and no such run could end.
+    with pytest.raises(ValueError, match=rf"duration .*got {re.escape(repr(duration))}"):
+        _unforced(model3, 0.0, duration, dt=1e-3)
+
+
+def test_scenario_refuses_boolean_decimation(model3):
+    with pytest.raises(ValueError, match="decimation"):
+        _unforced(model3, 0.0, 1.0, decimation=True)
+
+
+CONTROL_COLUMNS = fb.ControlSample._fields[1:]
+
+
+@pytest.mark.parametrize("name", fb.SCENARIO_NAMES)
+def test_logged_control_is_the_law_at_the_logged_tip(name):
+    scenario = next(s for s in fb.scenario_suite(duration=2.0) if s.name == name)
+    result = fb.run_simulation(dataclasses.replace(scenario, decimation=1))
+    controller = fb.make_controller(scenario.controller)
+    expected = np.array([controller(*row)[1:] for row in zip(
+        result.time.tolist(), result.tip.tolist(), result.tip_rate.tolist())])
+    logged = np.column_stack([getattr(result, col) for col in CONTROL_COLUMNS])
+    assert result.time.size == 2001
+    assert np.array_equal(logged, expected)
+
+
+def test_unforced_run_logs_zero_control(model3):
+    result = fb.run_simulation(_unforced(model3, 0.5, 2.0, decimation=1))
+    for col in CONTROL_COLUMNS:
+        assert np.array_equal(getattr(result, col), np.zeros(result.time.size)), col

@@ -64,6 +64,8 @@ CONFIGS = {
     "int_leaves": {"equilibrium": {"t_max": 1},
                    "bode": {"omega_min": 1, "omega_max": 100},
                    "simulation": {"w_init": 1, "duration": 1}},
+    # A log row for every step, so every row's bytes are compared.
+    "every_step": {"simulation": {"decimation": 1}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -156,6 +158,11 @@ COMMANDS = [
                                  "--out", f"int_leaves_{command}"])
       for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]),
                              ("simulate", []))],
+    ("simulate_every_step", ["simulate", "--config", "every_step.json", "--duration", "1",
+                             "--out", "sim_every_step"]),
+    # 1e308 s of 1 ms steps: a step count that overflows.
+    ("simulate_duration_overflow", ["simulate", "--scenario", "fig7a", "--duration",
+                                    "1e308", "--out", "sim_duration_overflow"]),
 ]
 
 

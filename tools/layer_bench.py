@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Per-layer micro-benchmark of the passivity chain.
+"""Per-layer micro-benchmark of the passivity chain and the RK4 loop.
 
 Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``assemble_matrices``, ``solve_equilibrium``, ``linearize``,
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
 modes, on the default 2000-point grid.  Each figure is the best of 5 batches
-of 40 calls, in microseconds per call.
+of 40 calls, in microseconds per call.  Then times the RK4 loop: a whole
+``run_simulation`` of 5 s (5000 steps of 1 ms) at 3 modes, for the fig7a
+scenario and for the same scenario unforced, best of 5 runs, in
+microseconds per step.  The per-run setup (the initial equilibrium) and the
+log derived after the loop are included in that figure.
 
     python tools/layer_bench.py
 
@@ -16,6 +20,8 @@ is pinned to one thread before numpy loads, as in ``bench/run.py``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import sys
 import timeit
@@ -31,6 +37,8 @@ MODES = (3, 4, 6)
 TENSION = 0.77   # N
 REPEATS = 5
 CALLS = 40
+SIM_MODES = 3
+SIM_DURATION = 5.0  # s, of the scenarios' 1 ms steps
 
 
 def layer_times(modes: int) -> dict[str, float]:
@@ -52,6 +60,18 @@ def layer_times(modes: int) -> dict[str, float]:
             for name, call in layers.items()}
 
 
+def rk4_step_times() -> dict[str, float]:
+    """Best-of-REPEATS microseconds per RK4 step of a whole simulation run."""
+    fig7a = next(s for s in fb.scenario_suite(mode_count=SIM_MODES, duration=SIM_DURATION)
+                 if s.name == "fig7a")
+    runs = {"fig7a": fig7a,
+            "unforced": dataclasses.replace(fig7a, controller=None, name="unforced")}
+    steps = round(SIM_DURATION / fig7a.dt)
+    return {name: 1e6 * min(timeit.repeat(functools.partial(fb.run_simulation, scenario),
+                                          number=1, repeat=REPEATS)) / steps
+            for name, scenario in runs.items()}
+
+
 def main() -> int:
     table = {n: layer_times(n) for n in MODES}
     print(f"us per call, best of {REPEATS} x {CALLS}, "
@@ -59,6 +79,9 @@ def main() -> int:
     print(f"{'layer':<20}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
         print(f"{name:<20}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
+    print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
+    for name, value in rk4_step_times().items():
+        print(f"{'rk4 ' + name:<20}{value:>10.2f}")
     return 0
 
 
