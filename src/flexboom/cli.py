@@ -43,8 +43,7 @@ from .equilibrium import (DEFAULT_TENSION_MAX, OutOfRange, check_t_max,
 from .linearization import linearize
 from .model import BasisSet, BoomParams, assemble_matrices
 from .passivity import (DEFAULT_EPS_TOL, default_grid, frequency_response,
-                        mode_count_sweep, passivity_check, scaling_factory,
-                        uncertainty_sweep)
+                        mode_count_sweep, passivity_check, uncertainty_sweep)
 from .sim import (RAMP_DURATION, SCENARIO_NAMES, TARGET_TENSION, SimScenario,
                   run_simulation, scenario_suite)
 
@@ -273,6 +272,8 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     if dump and (dump != Path(dump).name or dump in ("..", "summary.json", *names)):
         raise ConfigError(f"--dump-ss needs a plain file name other than summary.json "
                           f"and {', '.join(names)}, got {dump!r}")
+    if dump and dump.endswith(".tmp"):  # ``main`` stages each output as <name>.tmp
+        raise ConfigError(f"--dump-ss may not end in .tmp, the staging suffix, got {dump!r}")
     model = _build_model(config)
     bode_cfg = config["bode"]
     grid = default_grid(bode_cfg["grid_points"], bode_cfg["omega_min"], bode_cfg["omega_max"])
@@ -304,9 +305,8 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
 
     if args.sweep is not None:
         if args.sweep == "uncertainty":
-            factory = scaling_factory(model.params, model.basis)
-            reports = uncertainty_sweep(factory, t_eq, args.pct / 100.0, args.samples,
-                                        grid, eps_tol)
+            reports = uncertainty_sweep(model.params, model.basis, t_eq, args.pct / 100.0,
+                                        args.samples, grid, eps_tol)
             key = "uncertainty_sweep"
             info = {"samples": len(reports), "perturbation_pct": args.pct}
             label = f"uncertainty sweep: {len(reports)} samples, "
@@ -410,7 +410,8 @@ def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outco
     summary = {
         "scenario": result.scenario_name, "status": result.status,
         "divergence_time_s": result.divergence_time,
-        "final_tip_m": result.tip[-1],
+        # JSON has no NaN or inf: a diverged run's non-finite tip is null.
+        "final_tip_m": result.tip[-1] if np.isfinite(result.tip[-1]) else None,
     }
     return summary, files, (f"wrote {outdir / f'{stem}.csv'}; status={result.status}"
                             + (f" at t={result.divergence_time:.3f} s" if result.diverged else ""))

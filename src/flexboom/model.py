@@ -37,12 +37,10 @@ __all__ = [
     "StructuralModel",
     "evaluate_basis",
     "build_spreader_matrix",
-    "zero_spreader_matrix",
     "assemble_matrices",
     "equilibrate",
     "actuation_force",
     "state_rate",
-    "modal_acceleration",
     "dynamics_rhs",
     "tip_deflection",
     "tip_rate",
@@ -180,12 +178,6 @@ def build_spreader_matrix(params: BoomParams, basis: BasisSet) -> np.ndarray:
     return matrix
 
 
-def zero_spreader_matrix(params: BoomParams, basis: BasisSet) -> np.ndarray:
-    """Spreader model with no transverse reactions (tip moment only)."""
-    n = basis.mode_count
-    return np.zeros((n, n))
-
-
 @dataclass(frozen=True)
 class State:
     """Modal coordinates and rates; non-finite entries mean integration failure."""
@@ -249,9 +241,6 @@ class StructuralModel:
     def mode_count(self) -> int:
         return self.basis.mode_count
 
-    def evaluate_basis(self, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return evaluate_basis(self.basis, x, self.params.length)
-
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs through the cached equilibrated Cholesky factor."""
         return _mass_solve(self._mass_chol, self.tip_row,
@@ -289,14 +278,11 @@ def _first_critical_tension(stiffness: np.ndarray, spreader: np.ndarray,
     return float(1.0 / real.max()) if real.size else float("inf")
 
 
-SpreaderModel = Callable[[BoomParams, BasisSet], np.ndarray]
-
-
-def assemble_matrices(params: BoomParams, basis: BasisSet,
-                      spreader_model: SpreaderModel = build_spreader_matrix
-                      ) -> StructuralModel:
+def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     """Assemble mass, stiffness, spreader, and tip quantities in closed form.
 
+    A model is fully described by (params, basis); the cantilever with no
+    spreader reactions is ``dataclasses.replace(params, spreader_count=0)``.
     M_jk = rho * L^(pj+pk+1) / (pj+pk+1) and
     K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
     are the exact monomial integrals of the kinetic and strain energies.
@@ -316,7 +302,7 @@ def assemble_matrices(params: BoomParams, basis: BasisSet,
     stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
 
     tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
-    spreader = spreader_model(params, basis)
+    spreader = build_spreader_matrix(params, basis)
     spreader_per_dx = spreader / params.node_spacing
 
     # Equilibrate by the basis scale at the tip before factorizing: the raw
@@ -386,12 +372,6 @@ def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:
     """First-order dynamics: d/dt (q, q_rate) = (q_rate, M^-1 (f(q, u) - K q))."""
     return State.from_vector(state_rate(model, state.as_vector(),
                                         lambda w_tip, w_rate: u))
-
-
-def modal_acceleration(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
-    """Modal acceleration M^-1 (f(q, u) - K q) under cable tension u."""
-    q = np.asarray(q, dtype=float)
-    return dynamics_rhs(model, State(q=q, q_rate=np.zeros_like(q)), u).q_rate
 
 
 def tip_deflection(model: StructuralModel, q: np.ndarray) -> float:

@@ -49,7 +49,6 @@ __all__ = [
     "default_grid",
     "frequency_response",
     "passivity_check",
-    "scaling_factory",
     "uncertainty_sweep",
     "mode_count_sweep",
 ]
@@ -232,9 +231,6 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
     )
 
 
-ModelFactory = Callable[[float, float, float], StructuralModel]
-
-
 def _sweep_sample(label: str, sample: dict, build: Callable[[], StructuralModel],
                   t_eq: float, omega: Sequence[float] | None,
                   eps_tol: float) -> PassivityReport:
@@ -248,21 +244,14 @@ def _sweep_sample(label: str, sample: dict, build: Callable[[], StructuralModel]
             f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
 
 
-def scaling_factory(params: BoomParams, basis: BasisSet) -> ModelFactory:
-    """Factory assembling models with scaled (E, rho, I) about nominal params."""
-
-    def factory(e_scale: float, rho_scale: float, i_scale: float) -> StructuralModel:
-        return assemble_matrices(params.scaled(e_scale, rho_scale, i_scale), basis)
-
-    return factory
-
-
-def uncertainty_sweep(model_factory: ModelFactory, t_eq: float,
+def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
                       perturbation: float, samples: int = 125,
                       omega: Sequence[float] | None = None,
                       eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports over a Cartesian grid of (E, rho, I) scalings.
 
+    Each sample is the model of ``params.scaled(e, rho, i)`` on ``basis``;
+    the cantilever is swept by ``replace(params, spreader_count=0)``.
     ``samples`` is rounded to the nearest full cube (k levels per axis give
     k^3 samples); the default 125 uses five levels spanning +-perturbation.
     Sample order is deterministic (E outermost, I innermost).
@@ -279,7 +268,7 @@ def uncertainty_sweep(model_factory: ModelFactory, t_eq: float,
 
     return [_sweep_sample(
         "sweep sample", {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)},
-        lambda: model_factory(e, rho, i), t_eq, omega, eps_tol)
+        lambda: assemble_matrices(params.scaled(e, rho, i), basis), t_eq, omega, eps_tol)
         for e, rho, i in itertools.product(axis, repeat=3)]
 
 

@@ -143,27 +143,29 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     t = 0.0
     half = 0.5 * dt
     sixth = dt / 6.0
-    for k in range(n_steps):
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t = (k + 1) * dt
-        # NaN fails the comparison too, so this catches non-finite states.
-        diverged = not float(x @ x) <= threshold_sq
-        if diverged or (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
-            times.append(t)
-            states.append(x)
-            if diverged:
-                break
+    # Overflow is how a run diverges, and divergence is reported as a status.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = rhs(t, x)
+            k2 = rhs(t + half, x + half * k1)
+            k3 = rhs(t + half, x + half * k2)
+            k4 = rhs(t + dt, x + dt * k3)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            t = (k + 1) * dt
+            # NaN fails the comparison too, so this catches non-finite states.
+            diverged = not float(x @ x) <= threshold_sq
+            if diverged or (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
+                times.append(t)
+                states.append(x)
+                if diverged:
+                    break
 
-    time, x_log = np.array(times), np.array(states)
-    q, q_rate = x_log[:, :n], x_log[:, n:]
-    tip, tip_rate = q @ model.tip_row, q_rate @ model.tip_row
-    # Columns are the ControlSample fields after time, read back by name.
-    control = np.array([law(*row)[1:] for row in zip(times, tip.tolist(), tip_rate.tolist())])
-    energy = np.array([total_energy(model, State.from_vector(row)) for row in x_log])
+        time, x_log = np.array(times), np.array(states)
+        q, q_rate = x_log[:, :n], x_log[:, n:]
+        tip, tip_rate = q @ model.tip_row, q_rate @ model.tip_row
+        # Columns are the ControlSample fields after time, read back by name.
+        control = np.array([law(*row)[1:] for row in zip(times, tip.tolist(), tip_rate.tolist())])
+        energy = np.array([total_energy(model, State.from_vector(row)) for row in x_log])
     return SimResult(
         scenario_name=scenario.name,
         time=time, q=q, q_rate=q_rate, tip=tip, tip_rate=tip_rate,

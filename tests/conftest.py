@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import flexboom as fb
@@ -21,5 +23,4 @@ def model3(params, basis3):
 @pytest.fixture(scope="session")
 def cantilever_model(params, basis3):
     """Model with spreader reactions disabled (tip moment only)."""
-    return fb.assemble_matrices(params, basis3,
-                                spreader_model=fb.zero_spreader_matrix)
+    return fb.assemble_matrices(dataclasses.replace(params, spreader_count=0), basis3)

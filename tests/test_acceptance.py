@@ -83,10 +83,9 @@ def test_03_equilibrium_curve_properties(model3, nominal_curve):
 def test_04_passivity_sweeps(params, basis3):
     start = time.perf_counter()
     grid = fb.default_grid()
-    factory = fb.scaling_factory(params, basis3)
     all_reports = []
     for t_eq in (0.0, 1.0):
-        all_reports += fb.uncertainty_sweep(factory, t_eq, 0.20, samples=125,
+        all_reports += fb.uncertainty_sweep(params, basis3, t_eq, 0.20, samples=125,
                                             omega=grid)
         all_reports += fb.mode_count_sweep(params, (3, 4, 5, 6), t_eq,
                                            omega=grid)

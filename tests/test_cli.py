@@ -312,6 +312,23 @@ def test_simulate_duration_whose_step_count_overflows_is_an_error_line(tmp_path,
     assert not out.exists() or not any(out.iterdir())
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulate_overflowing_run_writes_strict_json_and_no_warnings(tmp_path, capsys):
+    # 1e60 s steps overflow the state at once: the run diverges, which is a status.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--scenario", "fig7a", "--dt", "1e60",
+                     "--duration", "1e61", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+    assert summary["status"] == "diverged" and summary["final_tip_m"] is None
+
+
 def test_default_custom_simulate_is_fig7a(tmp_path):
     # The default controller and simulation sections are the fig7a scenario.
     custom, fig7a = tmp_path / "custom", tmp_path / "fig7a"
@@ -473,6 +490,19 @@ def test_dump_ss_cannot_replace_another_output(tmp_path, capsys, sweep, dump):
     out = tmp_path / "out"
     cfg = small_bode_config(tmp_path)
     assert main(["bode", "--teq", "0.5", *sweep, "--dump-ss", dump, "--config", cfg,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --dump-ss ") and repr(dump) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dump", ["summary.json.tmp", "bode_teq_0.5.csv.tmp", "ss.tmp"])
+def test_dump_ss_refuses_the_staging_suffix(tmp_path, capsys, dump):
+    # ``main`` stages each output as <name>.tmp, so summary.json's staging
+    # write would clobber a dump named summary.json.tmp.
+    out = tmp_path / "out"
+    cfg = small_bode_config(tmp_path)
+    assert main(["bode", "--teq", "0.5", "--dump-ss", dump, "--config", cfg,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --dump-ss ") and repr(dump) in err

@@ -8,13 +8,14 @@ def test_package_exports_the_module_lists_once():
     names = [name for module in MODULES for name in module.__all__]
     assert len(names) == len(set(names))
     assert fb.__all__ == ["__version__", *names]
-    assert len(fb.__all__) == 60
+    assert len(fb.__all__) == 57
     for module in MODULES:
         for name in module.__all__:
             assert getattr(fb, name) is getattr(module, name)
 
 
 def test_blend_helpers_are_folded_into_the_ramp():
-    for name in ("quintic_blend", "quintic_blend_rate"):
+    for name in ("quintic_blend", "quintic_blend_rate", "zero_spreader_matrix",
+                 "scaling_factory", "modal_acceleration"):
         assert name not in fb.__all__
-        assert not hasattr(fb, name) and not hasattr(fb.control, name)
+        assert not any(hasattr(module, name) for module in (fb, *MODULES))

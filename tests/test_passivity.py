@@ -139,18 +139,16 @@ def test_grid_validation(ss_nominal):
 
 
 def test_degenerate_sweep_matches_nominal(params, basis3, ss_tensioned):
-    factory = fb.scaling_factory(params, basis3)
     grid = fb.default_grid(300)
-    reports = fb.uncertainty_sweep(factory, 1.0, 0.0, samples=1, omega=grid)
+    reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.0, samples=1, omega=grid)
     assert len(reports) == 1
     nominal = fb.passivity_check(ss_tensioned, grid)
     assert reports[0].passive == nominal.passive
 
 
 def test_small_uncertainty_sweep_all_passive(params, basis3):
-    factory = fb.scaling_factory(params, basis3)
     grid = fb.default_grid(300)
-    reports = fb.uncertainty_sweep(factory, 1.0, 0.2, samples=8, omega=grid)
+    reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.2, samples=8, omega=grid)
     assert len(reports) == 8
     assert all(r.passive for r in reports)
     scales = {(r.metadata["e_scale"], r.metadata["rho_scale"], r.metadata["i_scale"])
@@ -166,20 +164,18 @@ def test_mode_count_sweep_all_passive(params):
 
 
 def test_sweep_wraps_sample_failures(params, basis3):
-    factory = fb.scaling_factory(params, basis3)
     with pytest.raises(fb.SweepSampleError):
         # 50 N is far beyond the softening limit: equilibria do not exist
-        fb.uncertainty_sweep(factory, 50.0, 0.2, samples=8,
+        fb.uncertainty_sweep(params, basis3, 50.0, 0.2, samples=8,
                              omega=fb.default_grid(50))
 
 
 def test_bad_perturbation_rejected(params, basis3):
-    factory = fb.scaling_factory(params, basis3)
     with pytest.raises(ValueError):
-        fb.uncertainty_sweep(factory, 1.0, 1.5, samples=8)
+        fb.uncertainty_sweep(params, basis3, 1.0, 1.5, samples=8)
     for samples in (0, -8):
         with pytest.raises(ValueError):
-            fb.uncertainty_sweep(factory, 1.0, 0.2, samples=samples)
+            fb.uncertainty_sweep(params, basis3, 1.0, 0.2, samples=samples)
 
 
 # Exact-condition reference: the nudge rule with np.linalg.cond at every point.

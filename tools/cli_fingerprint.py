@@ -143,7 +143,7 @@ COMMANDS = [
     *[(f"bode_dump_{label}", ["bode", "--teq", "0.5", "--dump-ss", name,
                               "--out", f"bode_dump_{label}"])
       for label, name in (("summary", "summary.json"), ("bode_csv", "bode_teq_0.5.csv"),
-                          ("subdir", "sub/x.csv"))],
+                          ("subdir", "sub/x.csv"), ("staging", "summary.json.tmp"))],
     ("equilibrium_t_max_negative", ["equilibrium", "--config", "t_max_negative.json",
                                     "--out", "eq_t_max_negative"]),
     ("bode_omega_min_zero", ["bode", "--config", "omega_min_zero.json", "--teq", "0.5",
@@ -163,6 +163,9 @@ COMMANDS = [
     # 1e308 s of 1 ms steps: a step count that overflows.
     ("simulate_duration_overflow", ["simulate", "--scenario", "fig7a", "--duration",
                                     "1e308", "--out", "sim_duration_overflow"]),
+    # 1e60 s steps overflow the state at once: a diverged run, no NaN in the JSON.
+    ("simulate_state_overflow", ["simulate", "--scenario", "fig7a", "--dt", "1e60",
+                                 "--duration", "1e61", "--out", "sim_state_overflow"]),
 ]
 
 
