@@ -251,11 +251,9 @@ def _report_row(report) -> list:
     meta = report.metadata
     return [
         meta.get("e_scale", 1.0), meta.get("rho_scale", 1.0),
-        meta.get("i_scale", 1.0), meta.get("mode_count", ""),
-        meta.get("t_eq", ""), report.verdict,
+        meta.get("i_scale", 1.0), meta["mode_count"], meta["t_eq"], report.verdict,
         report.worst_phase_deg, report.worst_phase_omega,
-        report.min_real, report.min_real_omega,
-        meta.get("nudged_points", 0),
+        report.min_real, report.min_real_omega, meta["nudged_points"],
     ]
 
 
@@ -414,7 +412,7 @@ def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outco
         "final_tip_m": result.tip[-1] if np.isfinite(result.tip[-1]) else None,
     }
     return summary, files, (f"wrote {outdir / f'{stem}.csv'}; status={result.status}"
-                            + (f" at t={result.divergence_time:.3f} s" if result.diverged else ""))
+                            + (f" at t={result.divergence_time:g} s" if result.diverged else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 The boom is an undamped Euler-Bernoulli beam clamped at the root, with
 transverse deflection discretized as w(x, t) = psi(x) q(t) over a monomial
 basis psi(x) = [x^2, x^3, ...] (each basis function satisfies the clamped
-root conditions w(0) = 0, w'(0) = 0).  A single cable runs from the root,
-over evenly spaced spreader standoffs, to an attachment post at the tip
-offset by ``cable_offset`` from the neutral axis.  Cable tension u enters
-the dynamics in two ways:
+root conditions w(0) = 0, w'(0) = 0); ``evaluate_basis`` is its one
+definition.  A single cable runs from the root, over evenly spaced spreader
+standoffs, to an attachment post at the tip offset by ``cable_offset`` from
+the neutral axis.  Cable tension u enters the dynamics in two ways:
 
 * a follower moment ``cable_offset * u`` at the tip (generalized force
   h * psi'(L)^T u), and
-* transverse kink reactions at the spreaders, linear in both the modal
-  coordinates and the tension, collected in the constant spreader matrix
-  so the force reads (spreader_matrix / node_spacing) q u.
+* transverse kink reactions along the cable route, linear in both the modal
+  coordinates and the tension, summed over the route into the constant
+  spreader matrix so the force reads (spreader_matrix / node_spacing) q u.
 
 Mass and stiffness matrices are assembled in closed form (the basis is
 polynomial, so the energy integrals are exact); no numeric quadrature is
@@ -73,8 +73,8 @@ class BoomParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.spreader_count < 0:
-            raise ValueError(f"spreader_count must be >= 0, got {self.spreader_count}")
+        if not (isinstance(self.spreader_count, (int, np.integer)) and self.spreader_count >= 0):
+            raise ValueError(f"spreader_count must be an int >= 0, got {self.spreader_count!r}")
         if self.spreader_count * self.node_spacing > self.length * (1.0 + _TIP_TOL):
             raise ValueError(
                 "spreader nodes must lie on the boom: "
@@ -125,57 +125,48 @@ class BasisSet:
         return len(self.exponents)
 
 
-def evaluate_basis(basis: BasisSet, x: float, length: float
+def evaluate_basis(basis: BasisSet, x: float | np.ndarray, length: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows psi(x), psi'(x), psi''(x) of the monomial basis.
+    """Rows psi(x), psi'(x), psi''(x): the one definition of the mode shapes.
 
-    Raises ValueError if x lies outside [0, length].
+    ``x`` is a position or an array of positions, and each row gets a last
+    axis over the basis (1-d rows for a scalar x).  Raises ValueError if any
+    position lies outside [0, length] or is NaN.
     """
-    if not 0.0 <= x <= length:
+    xs = np.asarray(x, dtype=float)[..., None]
+    if not ((0.0 <= xs) & (xs <= length)).all():
         raise ValueError(f"x = {x} outside the boom span [0, {length}]")
-    p = np.asarray(basis.exponents, dtype=float)
-    psi = x ** p
-    dpsi = p * x ** (p - 1.0)
-    ddpsi = p * (p - 1.0) * x ** (p - 2.0)
-    return psi, dpsi, ddpsi
+    # One exponent per entry: numpy turns a broadcast exponent of 2 into x * x,
+    # which rounds unlike its pow, and array calls would differ from scalar ones.
+    p = np.zeros_like(xs) + basis.exponents
+    return xs ** p, p * xs ** (p - 1.0), p * (p - 1.0) * xs ** (p - 2.0)
 
 
 def build_spreader_matrix(params: BoomParams, basis: BasisSet) -> np.ndarray:
     """Spreader reaction matrix of the taut-cable kink model.
 
-    The cable is routed through spreader nodes x_i = i * node_spacing
-    (i = 1..spreader_count) and terminates at the tip attachment.  The
-    transverse reaction at a node under tension u is the discrete-curvature
-    kink force u * (w_prev - 2 w_node + w_next) / node_spacing, with the
-    root anchor (w = 0) and the tip attachment (w = w(L)) as the boundary
-    neighbors.  A node coincident with the tip attachment contributes no
-    reaction row of its own: the kink there belongs to the attachment,
-    whose moment is carried by the tip-slope term of the actuation force.
+    The cable route runs from the root anchor (w = 0) through the spreader
+    nodes x_i = i * node_spacing (i = 1..spreader_count) to the tip
+    attachment (w = w(L)).  The transverse reaction at an interior route
+    point under tension u is the discrete-curvature kink force
+    u * (w_prev - 2 w_node + w_next) / node_spacing, and the matrix is the
+    sum over those points of psi(x_node)^T (psi(x_prev) - 2 psi(x_node) +
+    psi(x_next)).  A node coincident with the tip attachment is not on the
+    route: the kink there belongs to the attachment, whose moment is
+    carried by the tip-slope term of the actuation force.
 
     The assembled matrix enters the dynamics as (spreader_matrix / dx) q u
     and softens the effective stiffness under tension, which is what makes
     the equilibrium tip deflection grow superlinearly with tension.
     """
-    p = np.asarray(basis.exponents, dtype=float)
-    n = basis.mode_count
     length = params.length
-    dx = params.node_spacing
-    tol = _TIP_TOL * length
-
-    def psi(x: float) -> np.ndarray:
-        return x ** p
-
-    matrix = np.zeros((n, n))
-    for i in range(1, params.spreader_count + 1):
-        x_node = i * dx
-        if x_node >= length - tol:
-            continue
-        x_prev = (i - 1) * dx
-        x_next = (i + 1) * dx
-        if i + 1 > params.spreader_count or x_next >= length - tol:
-            x_next = length
-        matrix += np.outer(psi(x_node), psi(x_prev) - 2.0 * psi(x_node) + psi(x_next))
-    return matrix
+    nodes = params.node_spacing * np.arange(params.spreader_count + 1)
+    route = np.append(nodes[nodes < length - _TIP_TOL * length], length)
+    psi = evaluate_basis(basis, route, length)[0]
+    kink = psi[:-2] - 2.0 * psi[1:-1] + psi[2:]
+    # Summed in route order: a matrix product, or numpy's pairwise reduction
+    # (at one mode the node axis is its inner loop), would reorder the sum.
+    return sum(psi[1:-1, :, None] * kink[:, None, :], np.zeros((basis.mode_count,) * 2))
 
 
 @dataclass(frozen=True)

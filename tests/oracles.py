@@ -158,3 +158,28 @@ def exact_state_space_response(ss, omegas):
         out.append(complex(float(sum(c * zi for c, zi in zip(c_q, z)) + d),
                            float(w * sum(c * zi for c, zi in zip(c_v, z)))))
     return np.array(out)
+
+
+def exact_spreader_matrix(params, basis):
+    """Spreader matrix from the kink-force definition, summed over Fractions.
+
+    The route is the root anchor, each spreader node x_i = i * node_spacing
+    (the float product) short of the tip by more than a relative 1e-9, and
+    the tip attachment.  Interior route point x_k carries the kink reaction
+    psi(x_{k-1}) - 2 psi(x_k) + psi(x_{k+1}) (per unit tension, times
+    node_spacing), weighted by psi(x_k), so entry (a, b) is
+    sum_k psi_a(x_k) kink_b(x_k).  The float node positions and length are
+    taken as exact rationals, so the returned Fractions carry no rounding.
+    """
+    length = Fraction(params.length)
+    tip = length * (1 - Fraction(1e-9))
+    nodes = [Fraction(i * params.node_spacing) for i in range(1, params.spreader_count + 1)]
+    route = [Fraction(0)] + [x for x in nodes if x < tip] + [length]
+    psi = [[x ** p for p in basis.exponents] for x in route]
+    n = basis.mode_count
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for prev, node, nxt in zip(psi, psi[1:], psi[2:]):
+        for a in range(n):
+            for b in range(n):
+                out[a][b] += node[a] * (prev[b] - 2 * node[b] + nxt[b])
+    return out

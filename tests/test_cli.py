@@ -670,3 +670,59 @@ def test_six_mode_uncertainty_sweep_at_one_newton_gives_a_verdict(tmp_path, caps
     assert len(rows) == 27
     nudged = {tuple(row[:3]): int(row[header.index("nudged_points")]) for row in rows}
     assert nudged[("0.8", "1", "0.8")] >= 1
+
+
+def test_diverged_run_prints_its_divergence_time_in_short_form(tmp_path, capsys):
+    # A 1e60 s divergence time prints as 1e+60, not as a 61-digit integer.
+    code = main(["simulate", "--scenario", "fig7a", "--dt", "1e60",
+                 "--duration", "1e61", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith("status=diverged at t=1e+60 s")
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["equilibrium"], None, 2, "config error: cannot read config "),
+    (["equilibrium"], {"unit_profile": "imperial"}, 2, "config error: unit_profile must be"),
+    (["equilibrium"], {"boom": {"length": -1}}, 2, "config error: boom: length must be"),
+    (["simulate", "--duration", "1"],
+     {"controller": {"reference": {"mode": "map-composed", "map_coefficients": [0.6, 0.5],
+                                   "map_units": ["Nm", "mm"]}}},
+     2, "config error: controller: map units ['Nm', 'mm'] inconsistent"),
+    (["simulate", "--duration", "1"], {"simulation": {"scenario": "fig9"}},
+     2, "config error: unknown scenario 'fig9'"),
+    (["equilibrium", "--tension", "0.5", "--out", "FILE"], {}, 1, "i/o error: "),
+], ids=["unreadable_config", "unknown_unit_profile", "bad_boom", "map_units_mismatch",
+        "unknown_config_scenario", "out_is_a_file"])
+def test_config_and_io_errors_are_one_line_and_write_nothing(tmp_path, capsys, argv,
+                                                             config, code, message):
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = [str(taken) if arg == "FILE" else arg for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    before = _tree(tmp_path)
+    assert main(argv + ["--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+    assert _tree(tmp_path) == before
+
+
+def test_map_composed_run_with_matching_units_succeeds(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"controller": {"reference": {
+        "mode": "map-composed", "map_coefficients": [0.6, 0.5, 0.1686],
+        "map_units": ["N", "m"]}}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--duration", "1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ok"] is True and summary["scenario"] == "custom"

@@ -228,3 +228,52 @@ def test_dynamics_rhs_matches_dense_solve(params, n):
         np.testing.assert_allclose(measured, [(fb.tip_deflection(model, q),
                                                fb.tip_rate(model, q_rate))],
                                    rtol=1e-13)
+
+
+# Route layouts: the default's last node sits on the tip and gives no row;
+# nine nodes at 3 m end the route 2.4 m short of the tip.
+SPREADER_LAYOUTS = {
+    "default": {},
+    "no_spreaders": {"spreader_count": 0},
+    "one_spreader": {"spreader_count": 1},
+    "five_spreaders": {"spreader_count": 5},
+    "nine_at_3m": {"spreader_count": 9, "node_spacing": 3.0},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("layout", SPREADER_LAYOUTS.values(), ids=SPREADER_LAYOUTS.keys())
+def test_spreader_matrix_matches_exact_kink_sum(layout, n):
+    # Measured worst entrywise relative error on these layouts is 1.5e-14
+    # (nine_at_3m, n >= 4); the bound leaves a factor of about 7.
+    params = fb.BoomParams(**layout)
+    basis = fb.BasisSet.with_mode_count(n)
+    exact = oracles.exact_spreader_matrix(params, basis)
+    assert oracles.entrywise_close(fb.build_spreader_matrix(params, basis),
+                                   np.array(exact, dtype=float), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_evaluate_basis_on_an_array_stacks_its_scalar_calls(params, n):
+    # Enough positions that x * x and pow(x, 2) differ at some of them.
+    basis = fb.BasisSet.with_mode_count(n)
+    xs = np.linspace(0.0, params.length, 1000).reshape(10, 100)
+    scalar_calls = [fb.evaluate_basis(basis, x, params.length) for x in xs.ravel()]
+    for k, row in enumerate(fb.evaluate_basis(basis, xs, params.length)):
+        stacked = np.array([rows[k] for rows in scalar_calls]).reshape(xs.shape + (n,))
+        assert row.shape == stacked.shape
+        assert row.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1e-9, 29.4 + 1e-9, np.nan])
+def test_evaluate_basis_refuses_an_array_with_one_bad_position(basis3, params, bad):
+    xs = np.array([0.0, 1.0, bad, params.length])
+    with pytest.raises(ValueError, match="outside the boom span"):
+        fb.evaluate_basis(basis3, xs, params.length)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, float("nan")])
+def test_params_refuse_a_fractional_spreader_count(count):
+    # The route takes spreader_count nodes; 2.5 must not quietly mean three.
+    with pytest.raises(ValueError, match="spreader_count must be an int >= 0"):
+        fb.BoomParams(spreader_count=count)

@@ -66,6 +66,11 @@ CONFIGS = {
                    "simulation": {"w_init": 1, "duration": 1}},
     # A log row for every step, so every row's bytes are compared.
     "every_step": {"simulation": {"decimation": 1}},
+    # Cable routes: no spreader, one spreader, and nine nodes at 3 m, which
+    # end the route 2.4 m short of the tip (the default's last node sits on it).
+    "route_none": {"boom": {"spreader_count": 0}},
+    "route_one": {"boom": {"spreader_count": 1}},
+    "route_short": {"boom": {"spreader_count": 9, "node_spacing": 3.0}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -166,6 +171,10 @@ COMMANDS = [
     # 1e60 s steps overflow the state at once: a diverged run, no NaN in the JSON.
     ("simulate_state_overflow", ["simulate", "--scenario", "fig7a", "--dt", "1e60",
                                  "--duration", "1e61", "--out", "sim_state_overflow"]),
+    *[(f"{route}_{command}", [command, "--config", f"{route}.json", *extra,
+                              "--out", f"{route}_{command}"])
+      for route in ("route_none", "route_one", "route_short")
+      for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]))],
 ]
 
 
