@@ -279,8 +279,9 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     are the exact monomial integrals of the kinetic and strain energies.
     The first critical tension (see ``StructuralModel``) is computed here
     once, so per-tension solves only compare against it.
-    Raises if the mass matrix is not positive definite (impossible for
-    valid parameters; guards a broken custom basis).
+    Raises ValueError if a matrix overflows (from about 103 modes on the
+    nominal boom) or the mass matrix is not positive definite (from about
+    13 modes, where the monomial basis is numerically dependent).
     """
     p = np.asarray(basis.exponents, dtype=float)
     length = params.length
@@ -288,12 +289,17 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     ei = params.bending_stiffness
 
     psum = p[:, None] + p[None, :]
-    mass = rho * length ** (psum + 1.0) / (psum + 1.0)
     curv = p * (p - 1.0)
-    stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        mass = rho * length ** (psum + 1.0) / (psum + 1.0)
+        stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
+        spreader = build_spreader_matrix(params, basis)
+    if not (np.isfinite(mass).all() and np.isfinite(stiffness).all()
+            and np.isfinite(spreader).all()):
+        raise ValueError(f"{basis.mode_count} modes overflow the closed-form matrices "
+                         f"of a {length} m boom")
 
     tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
-    spreader = build_spreader_matrix(params, basis)
     spreader_per_dx = spreader / params.node_spacing
 
     # Equilibrate by the basis scale at the tip before factorizing: the raw

@@ -1,8 +1,9 @@
 """Frequency response and passivity certification of the linearized boom.
 
-A SISO LTI map is passive when its phase stays inside [-90, +90] degrees,
-equivalently when the real part of its frequency response is nonnegative.
-Both tests are computed on a log-spaced grid and must agree.
+A SISO LTI map is passive when the real part of its frequency response is
+nonnegative, which is the same as a phase inside [-90, +90] degrees.  The
+verdict is the real-part test on a log-spaced grid, min Re G(j w) >= -eps_tol;
+the worst principal phase is reported beside it but not tested.
 
 The plant is undamped, so its poles sit on the imaginary axis and a grid
 point can land on one.  Frequency responses exploit the second-order block
@@ -42,7 +43,6 @@ from .model import BasisSet, BoomParams, StructuralModel, assemble_matrices
 
 __all__ = [
     "PoleOnGrid",
-    "InconsistentTests",
     "SweepSampleError",
     "FrequencyResponse",
     "PassivityReport",
@@ -59,16 +59,11 @@ _NUDGE = 1e-6           # relative frequency shift applied to near-pole points
 _COND_NUDGE = 1e12
 _COND_FAIL = 1e14
 _COND_EXTENDED = 1e6
-_PHASE_SLACK_DEG = 1e-6
 DEFAULT_EPS_TOL = 1e-9
 
 
 class PoleOnGrid(RuntimeError):
     """A grid frequency sits on a pole even after nudging."""
-
-
-class InconsistentTests(RuntimeError):
-    """Phase-band and real-part passivity verdicts disagree."""
 
 
 class SweepSampleError(RuntimeError):
@@ -100,7 +95,7 @@ class FrequencyResponse:
 
     @property
     def phase_principal_deg(self) -> np.ndarray:
-        """Pointwise principal phase in (-180, 180]; used by passivity tests."""
+        """Pointwise principal phase in (-180, 180]; reported by passivity_check."""
         return np.degrees(np.angle(self.response))
 
 
@@ -191,10 +186,9 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
 def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
                     eps_tol: float = DEFAULT_EPS_TOL,
                     metadata: dict | None = None) -> PassivityReport:
-    """Certify passivity on a grid by the phase-band and real-part tests.
+    """Certify passivity on a grid: passive iff min Re G(j w) >= -eps_tol.
 
-    The two tests must agree; disagreement raises InconsistentTests since it
-    signals a phase-handling bug rather than a property of the plant.
+    The worst principal phase and its frequency are reported, not tested.
     """
     if not 0.0 <= eps_tol < np.inf:  # NaN fails too
         raise ValueError(f"eps_tol must be finite and nonnegative, got {eps_tol!r}")
@@ -202,28 +196,17 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
 
     principal = fr.phase_principal_deg
     worst_idx = int(np.argmax(np.abs(principal)))
-    worst_phase = float(principal[worst_idx])
-    phase_ok = bool(abs(worst_phase) <= 90.0 + _PHASE_SLACK_DEG)
-
     re_part = fr.response.real
     min_idx = int(np.argmin(re_part))
     min_real = float(re_part[min_idx])
-    real_ok = bool(min_real >= -eps_tol)
-
-    if phase_ok != real_ok:
-        raise InconsistentTests(
-            f"phase test ({'pass' if phase_ok else 'fail'}, worst {worst_phase:.6f} deg) "
-            f"disagrees with real-part test ({'pass' if real_ok else 'fail'}, "
-            f"min Re {min_real:.3e})"
-        )
 
     meta = dict(metadata or {})
     meta.setdefault("t_eq", ss.t_eq)
     meta.setdefault("mode_count", ss.mode_count)
     meta["nudged_points"] = len(fr.nudged)
     return PassivityReport(
-        passive=phase_ok,
-        worst_phase_deg=worst_phase,
+        passive=bool(min_real >= -eps_tol),
+        worst_phase_deg=float(principal[worst_idx]),
         worst_phase_omega=float(fr.omega[worst_idx]),
         min_real=min_real,
         min_real_omega=float(fr.omega[min_idx]),

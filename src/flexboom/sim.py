@@ -67,14 +67,19 @@ class SimScenario:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < np.inf):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        ratio = self.duration / self.dt  # inf on overflow; 2**63 steps never finish
-        steps = round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
+        steps = self.step_count
         if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
                              f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
         d = self.decimation
         if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
             raise ValueError(f"decimation must be an integer >= 1, got {d!r}")
+
+    @property
+    def step_count(self) -> int:
+        """Nearest whole number of steps dt in duration; 0 when there is none to run."""
+        ratio = self.duration / self.dt  # inf on overflow; 2**63 steps never finish
+        return round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     model = scenario.model
     n = model.mode_count
     dt = scenario.dt
-    n_steps = int(round(scenario.duration / dt))
+    n_steps = scenario.step_count
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:

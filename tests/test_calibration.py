@@ -127,12 +127,37 @@ def test_csv_round_trip(tmp_path):
     "torque_Nm,angle_deg\n0.2,1.5\n",     # wrong column
     "torque_Nm,deflection_mm\n0.2\n",     # short row
     "torque_Nm,deflection_mm\n0.2,abc\n",  # non-numeric
+    "torque_Nm,deflection_mm,note\n0.2,1.5\n",  # three header columns
 ])
 def test_csv_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError):
         fb.MeasurementSet.from_csv(path)
+
+
+def test_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("torque_N,deflection_m\n0.2,1.5\n\n0.3,3.5\n\n")
+    data = fb.MeasurementSet.from_csv(path)
+    np.testing.assert_array_equal(data.torques, [0.2, 0.3])
+    np.testing.assert_array_equal(data.deflections, [1.5, 3.5])
+
+
+@pytest.mark.parametrize("torques, deflections", [
+    ([0.1, 0.2], [1.0]),
+    ([[0.1, 0.2]], [[1.0, 2.0]]),
+], ids=["lengths", "two_d"])
+def test_measurements_must_be_matching_1d_arrays(torques, deflections):
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        fb.MeasurementSet(torques=torques, deflections=deflections)
+
+
+def test_fit_degree_above_three_refused():
+    torques = np.linspace(0.1, 1.0, 8)
+    data = fb.MeasurementSet(torques=torques, deflections=torques ** 4)
+    with pytest.raises(ValueError, match="degree must be 1, 2, or 3"):
+        fb.fit_map(data, 4)
 
 
 def test_non_finite_torque_rejected():

@@ -726,3 +726,19 @@ def test_map_composed_run_with_matching_units_succeeds(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     summary = json.loads((out / "summary.json").read_text())
     assert summary["ok"] is True and summary["scenario"] == "custom"
+
+
+@pytest.mark.parametrize("modes", [104, 150])
+def test_overflowing_mode_count_is_one_error_line(tmp_path, capsys, modes):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": modes}))
+    before = _tree(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {modes} modes overflow the closed-form matrices "
+                            "of a 29.4 m boom\n")
+    assert _tree(tmp_path) == before

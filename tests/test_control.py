@@ -101,6 +101,19 @@ def test_map_composed_requires_map_and_profile():
         fb.desired_deflection(ref, 1.0, None)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: fb.FeedforwardProfile(mode="bogus", tension_final=1.0),
+     "unknown feedforward mode"),
+    (lambda: fb.FeedforwardProfile.constant(float("nan")), "feedforward tensions must be finite"),
+    (lambda: fb.FeedforwardProfile.quintic(float("inf"), 1.0, 2.0),
+     "feedforward tensions must be finite"),
+    (lambda: fb.ReferenceTrajectory(mode="bogus"), "unknown reference mode"),
+], ids=["ff_mode", "ff_final_nan", "ff_initial_inf", "ref_mode"])
+def test_profiles_refuse_unknown_modes_and_non_finite_tensions(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_quintic_reference_endpoints():
     ref = fb.ReferenceTrajectory.quintic(1.0, 1.5, 100.0)
     assert fb.desired_deflection(ref, 0.0) == (1.0, 0.0)

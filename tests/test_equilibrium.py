@@ -107,6 +107,12 @@ def test_curve_propagates_failure(model3):
         fb.deflection_curve(model3, t_max=50.0, samples=120)
 
 
+@pytest.mark.parametrize("samples", [1, 0])
+def test_curve_needs_two_samples(model3, samples):
+    with pytest.raises(ValueError, match="at least two samples"):
+        fb.deflection_curve(model3, t_max=1.0, samples=samples)
+
+
 def test_non_finite_tension_rejected(model3):
     with pytest.raises(ValueError):
         fb.solve_equilibrium(model3, float("nan"))

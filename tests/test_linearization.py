@@ -101,6 +101,46 @@ def test_structure_validation_rejects_bad_blocks(ss_at_1n):
                            t_eq=1.0, x_bar=ss_at_1n.x_bar)
 
 
+def _odd_a(ss):
+    return {"a": np.zeros((3, 3))}
+
+
+def _non_square_a(ss):
+    return {"a": np.zeros((6, 8))}
+
+
+def _skewed_top_right(ss):
+    a = ss.a.copy()
+    a[0, ss.mode_count] = 2.0
+    return {"a": a}
+
+
+def _b_drives_positions(ss):
+    b = ss.b.copy()
+    b[0] = 1.0
+    return {"b": b}
+
+
+def _non_finite_a(ss):
+    a = ss.a.copy()
+    a[ss.mode_count, 0] = np.nan
+    return {"a": a}
+
+
+@pytest.mark.parametrize("broken, message", [
+    (_odd_a, "square with even size"),
+    (_non_square_a, "square with even size"),
+    (_skewed_top_right, "top-right block of A must be the identity"),
+    (_b_drives_positions, "B must drive only the rate block"),
+    (_non_finite_a, "must be finite"),
+    (lambda ss: {"c": np.full_like(ss.c, np.inf)}, "must be finite"),
+    (lambda ss: {"d": np.nan}, "must be finite"),
+], ids=["odd", "non_square", "top_right", "b_positions", "a_nan", "c_inf", "d_nan"])
+def test_structure_validation_names_the_broken_part(ss_at_1n, broken, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(ss_at_1n, **broken(ss_at_1n))
+
+
 def test_replace_keeps_structure(ss_at_1n):
     n = ss_at_1n.mode_count
     c_position = np.concatenate([ss_at_1n.c[n:], np.zeros(n)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,28 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         fb.BasisSet.with_mode_count(0)
     assert fb.BasisSet.with_mode_count(5).exponents == (2, 3, 4, 5, 6)
+    with pytest.raises(ValueError, match="at least one exponent"):
+        fb.BasisSet(exponents=())
+
+
+def test_state_shapes_must_match():
+    with pytest.raises(ValueError, match="same shape"):
+        fb.State(q=[1.0, 2.0], q_rate=[0.0])
+
+
+def test_mass_matrix_not_positive_definite_from_13_modes(params):
+    with pytest.raises(ValueError, match="mass matrix is not positive definite"):
+        fb.assemble_matrices(params, fb.BasisSet.with_mode_count(13))
+
+
+@pytest.mark.parametrize("n", [103, 104, 150])
+def test_overflowing_mode_count_is_refused_without_warnings(params, n):
+    # The closed-form stiffness overflows from 103 modes, the mass from 104.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{n} modes overflow the closed-form "
+                                             "matrices of a 29.4 m boom$"):
+            fb.assemble_matrices(params, fb.BasisSet.with_mode_count(n))
 
 
 def test_evaluate_basis_clamped_root(basis3, params):

@@ -88,6 +88,37 @@ def test_feedthrough_gives_margin(ss_nominal):
     assert report.min_real == pytest.approx(0.1)
 
 
+def _position_leak(ss, k):
+    """Variant whose output adds -k times the tip deflection to the tip rate."""
+    n = ss.mode_count
+    c = ss.c.copy()
+    c[:n] = -k * ss.c[n:]
+    return dataclasses.replace(ss, c=c)
+
+
+@pytest.fixture(scope="module")
+def ss_half_newton(model3):
+    return fb.linearize(model3, fb.solve_equilibrium(model3, 0.5))
+
+
+def test_real_part_decides_when_the_phase_stays_in_band(ss_half_newton):
+    # min Re G = -2.0e-9 fails eps_tol = 1e-9 while the worst phase, 90 +
+    # 5.7e-7 deg, is inside a 1e-6 deg band: a phase test would pass it.
+    report = fb.passivity_check(_position_leak(ss_half_newton, 1e-11))
+    assert not report.passive
+    assert report.min_real < -1e-9
+    assert abs(report.worst_phase_deg) < 90.0 + 1e-6
+
+
+def test_real_part_decides_when_the_phase_leaves_the_band(ss_half_newton):
+    # At 1e-5 rad/s min Re G = -4.8e-12 is within eps_tol while the phase,
+    # 90 + 2.3e-5 deg, is outside a 1e-6 deg band: a phase test would fail it.
+    report = fb.passivity_check(_position_leak(ss_half_newton, 4e-12), np.array([1e-5]))
+    assert report.passive
+    assert -1e-9 <= report.min_real < 0.0
+    assert abs(report.worst_phase_deg) > 90.0 + 1e-6
+
+
 def test_conjugate_symmetry(ss_tensioned):
     for omega in (0.05, 0.4, 3.0):
         pos = fb.frequency_response(ss_tensioned, np.array([omega])).response[0]
@@ -136,6 +167,23 @@ def test_grid_validation(ss_nominal):
         fb.frequency_response(ss_nominal, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         fb.frequency_response(ss_nominal, np.array([np.nan]))
+    for grid in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            fb.frequency_response(ss_nominal, grid)
+
+
+def test_non_finite_response_is_refused(ss_nominal):
+    # A huge input gain overflows the response 1e-5 (relative) off the lowest
+    # pole, where the point is not close enough to be nudged.
+    eigs = ss_nominal.eigenvalues()
+    omega_pole = float(np.min(eigs.imag[eigs.imag > 0.0]))
+    n = ss_nominal.mode_count
+    b = np.zeros(2 * n)
+    b[n] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(fb.PoleOnGrid, match="non-finite frequency response"):
+        fb.frequency_response(dataclasses.replace(ss_nominal, b=b),
+                              np.array([omega_pole * (1.0 + 1e-5)]))
 
 
 def test_degenerate_sweep_matches_nominal(params, basis3, ss_tensioned):

@@ -71,6 +71,10 @@ CONFIGS = {
     "route_none": {"boom": {"spreader_count": 0}},
     "route_one": {"boom": {"spreader_count": 1}},
     "route_short": {"boom": {"spreader_count": 9, "node_spacing": 3.0}},
+    # Mode counts past the basis's reach: from 13 modes the mass matrix is not
+    # numerically positive definite; at 150 the closed-form matrices overflow.
+    "modes13": {"modes": 13},
+    "modes150": {"modes": 150},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -175,6 +179,9 @@ COMMANDS = [
                               "--out", f"{route}_{command}"])
       for route in ("route_none", "route_one", "route_short")
       for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]))],
+    *[(f"equilibrium_{name}", ["equilibrium", "--config", f"{name}.json",
+                               "--out", f"eq_{name}"])
+      for name in ("modes13", "modes150")],
 ]
 
 
