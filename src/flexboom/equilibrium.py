@@ -8,11 +8,12 @@ because the spreader reactions soften the effective stiffness.  That
 softening makes the effective stiffness singular at the model's first
 critical tension T_c (``StructuralModel.critical_tension``), where the
 deflection grows without bound; past T_c the linear solve still returns
-numbers, but they are not equilibria the boom can hold.  Equilibria are
-therefore only returned on [0, T_c), and every tension at or beyond T_c
-raises NearSingularStiffness.  The map is monotone on the verified tension
-range, so the inverse (tension required for a target tip deflection) is
-computed by bracketing root finding.
+numbers, but they are not equilibria the boom can hold.  The one rule:
+equilibria exist exactly on [0, T_c).  A tension at or beyond T_c raises
+NearSingularStiffness, a negative (a cable cannot push) or non-finite one
+ValueError; no conditioning test refuses a tension below T_c.  The map is
+monotone on the verified tension range, so the inverse (tension required
+for a target tip deflection) is computed by bracketing root finding.
 """
 
 from __future__ import annotations
@@ -39,29 +40,20 @@ __all__ = [
 # verified for the nominal boom.  CLI commands guard against leaving it.
 DEFAULT_TENSION_MAX = 2.0
 
-_COND_LIMIT = 1e12
 _RESIDUAL_REL = 1e-9
 _RESIDUAL_FLOOR = 1e-12  # N
 
 
 class NearSingularStiffness(RuntimeError):
-    """No equilibrium: the effective stiffness is singular or nearly so.
+    """The one refusal of a valid tension: it is at or beyond the first critical tension."""
 
-    Raised for a tension at or beyond the model's first critical tension,
-    and for any tension at which the equilibrated effective stiffness has a
-    condition number above the solver's limit.
-    """
-
-    def __init__(self, tension: float, condition: float,
-                 critical_tension: float):
+    def __init__(self, tension: float, critical_tension: float):
         self.tension = tension
-        self.condition = condition
         self.critical_tension = critical_tension
         super().__init__(
             f"no equilibrium at tension {tension} N: outside the valid "
             "actuation range, which ends below the first critical tension "
-            f"{critical_tension:.6g} N (equilibrated effective stiffness "
-            f"condition {condition:.3e})"
+            f"{critical_tension:.6g} N"
         )
 
 
@@ -85,26 +77,21 @@ def check_t_max(t_max: float) -> None:
 def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:
     """Equilibrium modal coordinates for a constant cable tension (N).
 
-    Raises NearSingularStiffness at or beyond the model's first critical
-    tension, and wherever the condition number exceeds 1e12.
-    The linear solve runs on the diagonally equilibrated system (one
-    iterative-refinement pass) and the condition number is estimated on the
-    equilibrated matrix, so the check detects the physical approach to
-    singularity rather than the intrinsic scaling of the monomial basis.
+    Equilibria exist exactly on [0, T_c): a tension at or beyond the first
+    critical tension raises NearSingularStiffness, a negative or non-finite
+    one ValueError.  The solve runs on the diagonally equilibrated system
+    with one refinement pass; a residual above 1e-9 (relative) is a RuntimeError.
     """
-    if not np.isfinite(tension):
-        raise ValueError(f"tension must be finite, got {tension!r}")
+    if not (np.isfinite(tension) and tension >= 0.0):
+        raise ValueError(f"tension must be finite and >= 0, got {tension!r}")
     n = model.mode_count
     if tension == 0.0:
         return EquilibriumPoint(0.0, np.zeros(n), 0.0)
+    if tension >= model.critical_tension:
+        raise NearSingularStiffness(tension, model.critical_tension)
 
     scale = model.tip_row
     scaled = equilibrate(model.effective_stiffness(tension), scale)
-    condition = float(np.linalg.cond(scaled))
-    if (tension >= model.critical_tension or not np.isfinite(condition)
-            or condition > _COND_LIMIT):
-        raise NearSingularStiffness(tension, condition, model.critical_tension)
-
     rhs_scaled = actuation_force(model, np.zeros(n), tension) / scale
     q_scaled = np.linalg.solve(scaled, rhs_scaled)
     q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)

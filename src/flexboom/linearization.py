@@ -93,6 +93,7 @@ def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
 
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
+    # K_eff(T) before the mass solve: -M^-1 K + T M^-1 S/dx cancels next to a pole.
     a[n:, :n] = -model.mass_solve(model.effective_stiffness(t_eq))
 
     b = np.zeros(2 * n)

@@ -158,15 +158,26 @@ def build_spreader_matrix(params: BoomParams, basis: BasisSet) -> np.ndarray:
     The assembled matrix enters the dynamics as (spreader_matrix / dx) q u
     and softens the effective stiffness under tension, which is what makes
     the equilibrium tip deflection grow superlinearly with tension.
+    Raises ValueError if the sum overflows (from 106 modes on the nominal boom).
     """
     length = params.length
     nodes = params.node_spacing * np.arange(params.spreader_count + 1)
     route = np.append(nodes[nodes < length - _TIP_TOL * length], length)
     psi = evaluate_basis(basis, route, length)[0]
-    kink = psi[:-2] - 2.0 * psi[1:-1] + psi[2:]
-    # Summed in route order: a matrix product, or numpy's pairwise reduction
-    # (at one mode the node axis is its inner loop), would reorder the sum.
-    return sum(psi[1:-1, :, None] * kink[:, None, :], np.zeros((basis.mode_count,) * 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        kink = psi[:-2] - 2.0 * psi[1:-1] + psi[2:]
+        # Summed in route order: a matrix product, or numpy's pairwise reduction
+        # (at one mode the node axis is its inner loop), would reorder the sum.
+        spreader = sum(psi[1:-1, :, None] * kink[:, None, :], np.zeros((basis.mode_count,) * 2))
+    return _finite(spreader, basis, length)
+
+
+def _finite(matrices: np.ndarray, basis: BasisSet, length: float) -> np.ndarray:
+    """``matrices`` unchanged, or the one ValueError for a closed-form overflow."""
+    if np.isfinite(matrices).all():
+        return matrices
+    raise ValueError(f"{basis.mode_count} modes overflow the closed-form matrices "
+                     f"of a {length} m boom")
 
 
 @dataclass(frozen=True)
@@ -293,11 +304,8 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         mass = rho * length ** (psum + 1.0) / (psum + 1.0)
         stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
-        spreader = build_spreader_matrix(params, basis)
-    if not (np.isfinite(mass).all() and np.isfinite(stiffness).all()
-            and np.isfinite(spreader).all()):
-        raise ValueError(f"{basis.mode_count} modes overflow the closed-form matrices "
-                         f"of a {length} m boom")
+    mass, stiffness = _finite(np.stack((mass, stiffness)), basis, length)
+    spreader = build_spreader_matrix(params, basis)
 
     tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
     spreader_per_dx = spreader / params.node_spacing

@@ -161,22 +161,22 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
 
     rhs = -ss.b[n:] / t_scale
     c_q, c_v = t_scale * ss.c[:n], t_scale * ss.c[n:]
-    z = solve(np.repeat((unitary.conj().T @ rhs)[:, None], grid.size, axis=1))
-    # One refinement step.  A float residual leaves G with a relative error of
-    # about eps * cond * (|C_q| + w |C_v|) |z| / |G|: next to a pole (cond
-    # large) or an antiresonance (|G| small), where cond times that ratio
-    # exceeds 1e6, the residual is formed in extended precision instead.
-    residual = rhs[:, None] - s_bal @ z - w2 * z
-    size = np.abs(z)
-    spread = np.abs(c_q) @ size + grid * (np.abs(c_v) @ size)
-    gain = np.hypot(c_q @ z + ss.d, grid * (c_v @ z))
-    ext = np.flatnonzero((s_norm + w2) * spread
-                         > _COND_EXTENDED * np.abs(shifted).min(axis=0) * gain)
-    z_ext = z[:, ext].astype(np.longdouble)
-    residual[:, ext] = rhs[:, None] - s_bal.astype(np.longdouble) @ z_ext - w2[ext] * z_ext
-    z += solve(unitary.conj().T @ residual)
-
-    response = (c_q @ z + ss.d) + 1j * (grid * (c_v @ z))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        z = solve(np.repeat((unitary.conj().T @ rhs)[:, None], grid.size, axis=1))
+        # One refinement step.  A float residual leaves G with a relative error of
+        # about eps * cond * (|C_q| + w |C_v|) |z| / |G|: next to a pole (cond
+        # large) or an antiresonance (|G| small), where cond times that ratio
+        # exceeds 1e6, the residual is formed in extended precision instead.
+        residual = rhs[:, None] - s_bal @ z - w2 * z
+        size = np.abs(z)
+        spread = np.abs(c_q) @ size + grid * (np.abs(c_v) @ size)
+        gain = np.hypot(c_q @ z + ss.d, grid * (c_v @ z))
+        ext = np.flatnonzero((s_norm + w2) * spread
+                             > _COND_EXTENDED * np.abs(shifted).min(axis=0) * gain)
+        z_ext = z[:, ext].astype(np.longdouble)
+        residual[:, ext] = rhs[:, None] - s_bal.astype(np.longdouble) @ z_ext - w2[ext] * z_ext
+        z += solve(unitary.conj().T @ residual)
+        response = (c_q @ z + ss.d) + 1j * (grid * (c_v @ z))
     if np.any(~np.isfinite(response)):
         raise PoleOnGrid("non-finite frequency response after nudging")
     return FrequencyResponse(omega=grid, response=response,

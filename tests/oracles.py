@@ -111,6 +111,20 @@ def exact_solve(matrix, rhs):
     return x
 
 
+def exact_equilibrium_tip(model, tension):
+    """psi(L) q with K_eff(T) q = f(0, T), solved exactly.
+
+    The float entries of K_eff(T), f(0, T) and psi(L) are taken as exact
+    rationals, so the result measures the error of a solver given that system.
+    """
+    n = model.mode_count
+    stiffness = [[Fraction(float(v)) for v in row]
+                 for row in model.effective_stiffness(tension)]
+    force = [Fraction(float(v)) for v in fb.actuation_force(model, np.zeros(n), tension)]
+    q = exact_solve(stiffness, force)
+    return float(sum(Fraction(float(p)) * qi for p, qi in zip(model.tip_row, q)))
+
+
 def exact_tip_rate_response(model, eq, omegas):
     """G(j w) = j w psi(L) . z with (K_eff(T) - w^2 M) z = f, solved exactly.
 

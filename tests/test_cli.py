@@ -292,6 +292,18 @@ def test_equilibrium_curve_past_critical_tension_is_an_error(tmp_path, capsys):
     assert not (out / "equilibrium_curve.csv").exists()
 
 
+def test_equilibrium_curve_at_ten_modes(tmp_path, capsys):
+    # Ten modes buckle at 11.1 N, far beyond the default [0, 2] N curve.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": 10}))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(out / "equilibrium_curve.csv")
+    assert header[2:] == [f"q_{i}" for i in range(1, 11)]
+    assert len(rows) == 200
+
+
 def test_simulate_non_finite_duration_is_an_error_line(tmp_path, capsys):
     code = main(["simulate", "--duration", "inf", "--out", str(tmp_path)])
     assert code == 1

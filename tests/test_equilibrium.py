@@ -118,6 +118,24 @@ def test_non_finite_tension_rejected(model3):
         fb.solve_equilibrium(model3, float("nan"))
 
 
+def test_negative_tension_rejected(model3):
+    # A cable cannot push: no equilibrium below zero tension.
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        fb.solve_equilibrium(model3, -0.5)
+
+
+# The monomial basis alone has an equilibrated condition number above 1e12
+# from ten modes, yet the solve stays accurate: worst relative tip errors over
+# 0.5, 1 and 2 N were 1.8e-9 (10 modes), 4.3e-7 (11) and 2.4e-5 (12).
+@pytest.mark.parametrize("modes, rel", [(10, 1e-8), (11, 2e-6), (12, 1e-4)])
+@pytest.mark.parametrize("tension", [0.5, 1.0, 2.0])
+def test_many_mode_equilibrium_matches_exact_solve(params, modes, rel, tension):
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    point = fb.solve_equilibrium(model, tension)
+    assert point.tip_deflection == pytest.approx(
+        oracles.exact_equilibrium_tip(model, tension), rel=rel)
+
+
 def test_single_mode_refused_past_critical_tension(params):
     # n=1 buckles at T_c = 0.924 N; below the old 2 N limit, 1 N gave -4.6 m.
     model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(1))

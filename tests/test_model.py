@@ -54,6 +54,16 @@ def test_overflowing_mode_count_is_refused_without_warnings(params, n):
             fb.assemble_matrices(params, fb.BasisSet.with_mode_count(n))
 
 
+@pytest.mark.parametrize("n", [120, 150])
+def test_overflowing_spreader_matrix_is_refused_without_warnings(params, n):
+    # The spreader sum overflows from 106 modes; it is refused where it is built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{n} modes overflow the closed-form "
+                                             "matrices of a 29.4 m boom$"):
+            fb.build_spreader_matrix(params, fb.BasisSet.with_mode_count(n))
+
+
 def test_evaluate_basis_clamped_root(basis3, params):
     psi, dpsi, ddpsi = fb.evaluate_basis(basis3, 0.0, params.length)
     assert np.array_equal(psi, [0.0, 0.0, 0.0])

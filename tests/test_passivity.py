@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -184,6 +185,40 @@ def test_non_finite_response_is_refused(ss_nominal):
             pytest.raises(fb.PoleOnGrid, match="non-finite frequency response"):
         fb.frequency_response(dataclasses.replace(ss_nominal, b=b),
                               np.array([omega_pole * (1.0 + 1e-5)]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_response_is_refused_without_warnings(ss_nominal):
+    eigs = ss_nominal.eigenvalues()
+    omega_pole = float(np.min(eigs.imag[eigs.imag > 0.0]))
+    n = ss_nominal.mode_count
+    b = np.zeros(2 * n)
+    b[n] = 1e300
+    with pytest.raises(fb.PoleOnGrid, match="non-finite frequency response"):
+        fb.frequency_response(dataclasses.replace(ss_nominal, b=b),
+                              np.array([omega_pole * (1.0 + 1e-5)]))
+
+
+# Metamorphic oracle for the uncertainty box.  M scales with rho and K with
+# E*I, while the spreader matrix and the actuation vector depend on neither,
+# so sample (e, rho, i) at tension T is the nominal boom at T / (e i), with
+# time and gain rescaled.  Worst relative errors measured over the 27-sample
+# box at 0.3 and 0.6 N: 2.9e-14 (q), 7.8e-13 (T_c), 7.4e-10 (G, 300 points).
+@pytest.mark.parametrize("t_eq", [0.3, 0.6])
+def test_uncertainty_sample_is_the_rescaled_nominal(params, basis3, model3, t_eq):
+    grid = fb.default_grid(300)
+    for e, rho, i in itertools.product((0.8, 1.0, 1.2), repeat=3):
+        sample = fb.assemble_matrices(params.scaled(e, rho, i), basis3)
+        assert sample.critical_tension == pytest.approx(
+            e * i * model3.critical_tension, rel=1e-11)
+        eq = fb.solve_equilibrium(sample, t_eq)
+        eq_nom = fb.solve_equilibrium(model3, t_eq / (e * i))
+        assert oracles.entrywise_close(eq.modal_coords, eq_nom.modal_coords, rel=1e-12)
+        fr = fb.frequency_response(fb.linearize(sample, eq), grid)
+        fr_nom = fb.frequency_response(fb.linearize(model3, eq_nom),
+                                       grid / np.sqrt(e * i / rho))
+        expected = fr_nom.response / np.sqrt(e * i * rho)
+        assert np.max(np.abs(fr.response - expected) / np.abs(expected)) <= 1e-8
 
 
 def test_degenerate_sweep_matches_nominal(params, basis3, ss_tensioned):

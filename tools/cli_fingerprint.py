@@ -75,6 +75,12 @@ CONFIGS = {
     # numerically positive definite; at 150 the closed-form matrices overflow.
     "modes13": {"modes": 13},
     "modes150": {"modes": 150},
+    # Refusals at the first critical tension: one mode buckles at 0.924 N, inside
+    # the default [0, 2] N curve; three modes at 8.0 N, below a 9 N point.  Ten
+    # modes buckle at 11.1 N, so their curve and 1 N plant are answered.
+    "modes1": {"modes": 1},
+    "t_max10": {"equilibrium": {"t_max": 10}},
+    "modes10": {"modes": 10},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -181,7 +187,11 @@ COMMANDS = [
       for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]))],
     *[(f"equilibrium_{name}", ["equilibrium", "--config", f"{name}.json",
                                "--out", f"eq_{name}"])
-      for name in ("modes13", "modes150")],
+      for name in ("modes13", "modes150", "modes1", "modes10")],
+    ("equilibrium_past_critical", ["equilibrium", "--config", "t_max10.json",
+                                   "--tension", "9", "--out", "eq_past_critical"]),
+    ("bode_modes10", ["bode", "--config", "modes10.json", "--teq", "1",
+                      "--out", "bode_modes10"]),
 ]
 
 
