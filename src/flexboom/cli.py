@@ -309,10 +309,9 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
             info = {"samples": len(reports), "perturbation_pct": args.pct}
             label = f"uncertainty sweep: {len(reports)} samples, "
         else:
-            counts = [int(v) for v in args.modes.split(",")]
-            reports = mode_count_sweep(model.params, counts, t_eq, grid, eps_tol)
-            key, info = "mode_sweep", {"mode_counts": counts}
-            label = f"mode-count sweep over {counts}: "
+            reports = mode_count_sweep(model.params, args.modes, t_eq, grid, eps_tol)
+            key, info = "mode_sweep", {"mode_counts": args.modes}
+            label = f"mode-count sweep over {args.modes}: "
         files[names[1]] = _csv(_SWEEP_HEADER, map(_report_row, reports))
         all_passive = all(r.passive for r in reports)
         summary["ok"] = summary["ok"] and all_passive
@@ -461,6 +460,13 @@ def cmd_fit(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
 # ---------------------------------------------------------------------------
 
 
+def _mode_counts(text: str) -> list[int]:
+    try:  # a malformed list is a usage error that names --modes
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration file")
@@ -490,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bode.add_argument("--samples", type=int,
                         default=_default(uncertainty_sweep, "samples"),
                         help="uncertainty sweep sample count (rounded to a cube)")
-    p_bode.add_argument("--modes", default="3,4,5,6",
+    p_bode.add_argument("--modes", type=_mode_counts, default="3,4,5,6",
                         help="comma-separated mode counts for --sweep modes")
     p_bode.add_argument("--dump-ss", metavar="FILE",
                         help="also dump the state-space matrices to FILE (CSV)")

@@ -96,12 +96,8 @@ def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
     # K_eff(T) before the mass solve: -M^-1 K + T M^-1 S/dx cancels next to a pole.
     a[n:, :n] = -model.mass_solve(model.effective_stiffness(t_eq))
 
-    b = np.zeros(2 * n)
-    b[n:] = model.mass_solve(actuation_force(model, q_eq, 1.0))
-
-    c = np.zeros(2 * n)
-    c[n:] = model.tip_row
-
+    b = np.concatenate((np.zeros(n), model.mass_solve(actuation_force(model, q_eq, 1.0))))
+    c = np.concatenate((np.zeros(n), model.tip_row))
     x_bar = np.concatenate([q_eq, np.zeros(n)])
     ss = StateSpaceModel(a=a, b=b, c=c, d=0.0, t_eq=t_eq, x_bar=x_bar)
 

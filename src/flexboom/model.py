@@ -24,6 +24,7 @@ factorizations accurate for mode counts up to at least six.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -222,9 +223,10 @@ class StructuralModel:
     ``effective_stiffness`` turns singular (inf when no positive tension
     does); static equilibria exist only below it.
 
-    The private fields cache the equilibrated mass factorization and the
-    stacked state-rate operator; read them through ``mass_solve`` and
-    ``state_rate``, the one definition of the dynamics.
+    ``mass_solve`` reads the cached equilibrated mass factorization.  The
+    operator of ``state_rate``, the one definition of the dynamics, is built
+    through it on a model's first ``state_rate`` and then kept: a pure
+    function of the read-only fields, so the model stays safe to share.
     """
 
     params: BoomParams
@@ -236,8 +238,6 @@ class StructuralModel:
     tip_slope: np.ndarray = field(repr=False)
     critical_tension: float
     _mass_chol: tuple = field(repr=False)
-    _rate_op: np.ndarray = field(repr=False)      # R, (2+4n) x 2n; see state_rate
-    _input_rate: np.ndarray = field(repr=False)   # (0, M^-1 h psi'(L)^T)
 
     @property
     def mode_count(self) -> int:
@@ -245,23 +245,34 @@ class StructuralModel:
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs through the cached equilibrated Cholesky factor."""
-        return _mass_solve(self._mass_chol, self.tip_row,
-                           np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        scale = self.tip_row if rhs.ndim == 1 else self.tip_row[:, None]
+        return cho_solve(self._mass_chol, rhs / scale) / scale
 
     def effective_stiffness(self, tension: float) -> np.ndarray:
         """Stiffness under constant cable tension: K - spreader_matrix * tension / dx."""
         return self.stiffness_matrix - self.spreader_matrix * (
             tension / self.params.node_spacing)
 
+    @functools.cached_property
+    def _rate_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, (0, M^-1 h psi'(L)^T)) for ``state_rate``; its docstring names the rows of R x."""
+        n = self.mode_count
+        rate_op = np.zeros((2 + 4 * n, 2 * n))
+        rate_op[0, :n] = self.tip_row
+        rate_op[1, n:] = self.tip_row
+        rate_op[2:2 + n, n:] = np.eye(n)
+        rate_op[2 + n:2 + 2 * n, :n] = -self.mass_solve(self.stiffness_matrix)
+        rate_op[2 + 3 * n:, :n] = self.mass_solve(
+            self.spreader_matrix / self.params.node_spacing)
+        input_rate = np.concatenate((np.zeros(n), self.mass_solve(
+            self.params.cable_offset * self.tip_slope)))
+        return _readonly(rate_op), _readonly(input_rate)
+
 
 def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """D^-1 matrix D^-1 with D = diag(scale); A x = b becomes (D^-1 A D^-1)(D x) = b / scale."""
     return matrix / scale[:, None] / scale[None, :]
-
-
-def _mass_solve(mass_chol: tuple, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    s = scale if rhs.ndim == 1 else scale[:, None]
-    return cho_solve(mass_chol, rhs / s) / s
 
 
 def _first_critical_tension(stiffness: np.ndarray, spreader: np.ndarray,
@@ -317,19 +328,6 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     except np.linalg.LinAlgError as exc:
         raise ValueError("mass matrix is not positive definite") from exc
 
-    # Rows of R x, for x = (q, q_rate): w_tip, w_rate, then the unforced rate
-    # (q_rate, -M^-1 K q), then the part the tension multiplies,
-    # (0, M^-1 spreader_matrix q / dx).
-    n = basis.mode_count
-    rate_op = np.zeros((2 + 4 * n, 2 * n))
-    rate_op[0, :n] = tip_row
-    rate_op[1, n:] = tip_row
-    rate_op[2:2 + n, n:] = np.eye(n)
-    rate_op[2 + n:2 + 2 * n, :n] = -_mass_solve(mass_chol, tip_row, stiffness)
-    rate_op[2 + 3 * n:, :n] = _mass_solve(mass_chol, tip_row, spreader_per_dx)
-    input_rate = np.concatenate((np.zeros(n), _mass_solve(
-        mass_chol, tip_row, params.cable_offset * tip_slope)))
-
     return StructuralModel(
         params=params,
         basis=basis,
@@ -340,8 +338,6 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
         tip_slope=_readonly(tip_slope),
         critical_tension=_first_critical_tension(stiffness, spreader_per_dx, tip_row),
         _mass_chol=mass_chol,
-        _rate_op=_readonly(rate_op),
-        _input_rate=_readonly(input_rate),
     )
 
 
@@ -367,10 +363,11 @@ def state_rate(model: StructuralModel, x: np.ndarray,
     unforced + u (tension part + (0, M^-1 h psi'(L)^T)), which is
     (q_rate, M^-1 (f(q, u) - K q)).
     """
-    y = model._rate_op @ x
+    rate_op, input_rate = model._rate_operator
+    y = rate_op @ x
     u = tension_law(y.item(0), y.item(1))
     split = x.size + 2
-    return y[2:split] + u * (y[split:] + model._input_rate)
+    return y[2:split] + u * (y[split:] + input_rate)
 
 
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:

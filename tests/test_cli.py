@@ -280,6 +280,20 @@ def test_sweep_failure_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("modes", ["3,x", ","])
+def test_malformed_mode_list_is_a_usage_error(tmp_path, capsys, modes):
+    # Parsed in cmd_bode, these were one "error: invalid literal for int()"
+    # line and exit 1; the parser now refuses them, naming the flag.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["bode", "--teq", "1", "--sweep", "modes", "--modes", modes, "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --modes: expected comma-separated integers, got {modes!r}" in captured.err
+    assert not out.exists()
+
+
 def test_equilibrium_curve_past_critical_tension_is_an_error(tmp_path, capsys):
     # A single mode buckles at 0.92 N, inside the default [0, 2] N curve.
     cfg = tmp_path / "config.json"

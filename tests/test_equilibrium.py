@@ -169,3 +169,25 @@ def test_t_max_must_be_finite_and_positive(model3, t_max):
         fb.deflection_curve(model3, t_max=t_max)
     with pytest.raises(ValueError, match="t_max must be finite and > 0"):
         fb.tension_for_deflection(model3, 0.5, t_max=t_max)
+
+
+def test_residual_check_refuses_an_inaccurate_solve(params):
+    # Eleven modes: the lowest root of det K_eff(T) is a complex pair, which
+    # critical_tension skips (T_c = 8286 N; CHANGES.md records it as an open
+    # fault), so no limit refuses 6 N and the residual check stops a wrong answer.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(11))
+    assert model.critical_tension > 6.0
+    fb.solve_equilibrium(model, 5.0)
+    with pytest.raises(RuntimeError, match="left residual .* above tolerance") as err:
+        fb.solve_equilibrium(model, 6.0)
+    assert not isinstance(err.value, fb.NearSingularStiffness)
+
+
+def test_inverse_refuses_a_root_that_misses_the_target(model3):
+    # Just below T_c, dw/dT is so steep that brentq's 1e-12 N tolerance moves
+    # the tip by more than the 1e-6 m round-trip check allows.
+    t_max = model3.critical_tension * (1.0 - 1e-6)
+    w_target = 0.5 * fb.solve_equilibrium(model3, t_max).tip_deflection
+    assert w_target > 1e7
+    with pytest.raises(RuntimeError, match="inverse map did not converge"):
+        fb.tension_for_deflection(model3, w_target, t_max=t_max)

@@ -4,10 +4,10 @@
 Runs every command of a fixed set in-process through ``flexboom.cli.main``,
 inside one work directory, with fixed relative ``--out`` paths and
 deterministic input files, and prints each exit code (``exit raised <Type>``
-for an exception that escapes ``main``), whether each command's output
-directory exists (``dir present|absent  <label>``), and one
-``<sha256>  <name>`` line per output file and per captured stdout and
-stderr.  Two trees whose printouts match write byte-identical CLI outputs on
+for an exception that escapes ``main``, ``exit raised SystemExit <code>`` for
+a usage error), whether each command's output directory exists
+(``dir present|absent  <label>``), and one ``<sha256>  <name>`` line per
+output file and per captured stdout and stderr.  Two trees whose printouts match write byte-identical CLI outputs on
 this set, and leave the same directories behind.
 
     python tools/cli_fingerprint.py > a.txt        # in one tree
@@ -192,6 +192,10 @@ COMMANDS = [
                                    "--tension", "9", "--out", "eq_past_critical"]),
     ("bode_modes10", ["bode", "--config", "modes10.json", "--teq", "1",
                       "--out", "bode_modes10"]),
+    # Malformed --modes lists: usage errors from the parser, nothing written.
+    *[(f"bode_modes_malformed_{label}", ["bode", "--teq", "1", "--sweep", "modes",
+                                         "--modes", modes, "--out", f"bode_modes_{label}"])
+      for label, modes in (("letter", "3,x"), ("empty", ","))],
 ]
 
 
@@ -226,6 +230,8 @@ def fingerprint(workdir: Path) -> list[str]:
                     code = flexboom_main(argv)
             except Exception as exc:  # an escaping exception is a result too
                 code = f"raised {type(exc).__name__}"
+            except SystemExit as exc:  # argparse's usage errors
+                code = f"raised SystemExit {exc.code}"
             lines.append(f"exit {code}  {label}")
             outdir = Path(argv[argv.index("--out") + 1])
             lines.append(f"dir {'present' if outdir.is_dir() else 'absent'}  {label}")

@@ -4,12 +4,15 @@
 Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``assemble_matrices``, ``solve_equilibrium``, ``linearize``,
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
-modes, on the default 2000-point grid.  Each figure is the best of 5 batches
-of 40 calls, in microseconds per call.  Then times the RK4 loop: a whole
-``run_simulation`` of 5 s (5000 steps of 1 ms) at 3 modes, for the fig7a
-scenario and for the same scenario unforced, best of 5 runs, in
-microseconds per step.  The per-run setup (the initial equilibrium) and the
-log derived after the loop are included in that figure.
+modes, on the default 2000-point grid.  One more row times a fresh model's
+``assemble_matrices`` plus its first ``state_rate``, which builds the
+stacked operator that every later ``state_rate`` of that model reuses.
+Each figure is the best of 5 batches of 40 calls, in microseconds per call.
+Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
+1 ms) at 3 modes, for the fig7a scenario and for the same scenario
+unforced, best of 5 runs, in microseconds per step.  The per-run setup (the
+initial equilibrium) and the log derived after the loop are included in that
+figure; both runs share one model, so its operator is built once, not per run.
 
     python tools/layer_bench.py
 
@@ -31,6 +34,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 import flexboom as fb  # noqa: E402
 
 MODES = (3, 4, 6)
@@ -49,8 +54,11 @@ def layer_times(modes: int) -> dict[str, float]:
     model = fb.assemble_matrices(params, basis)
     eq = fb.solve_equilibrium(model, TENSION)
     ss = fb.linearize(model, eq)
+    x = np.concatenate((eq.modal_coords, np.zeros(modes)))
     layers = {
         "assemble_matrices": lambda: fb.assemble_matrices(params, basis),
+        "assemble+state_rate": lambda: fb.state_rate(fb.assemble_matrices(params, basis), x,
+                                                     lambda w_tip, w_rate: TENSION),
         "solve_equilibrium": lambda: fb.solve_equilibrium(model, TENSION),
         "linearize": lambda: fb.linearize(model, eq),
         "frequency_response": lambda: fb.frequency_response(ss, grid),
