@@ -11,10 +11,13 @@ deflection grows without bound; past T_c the linear solve still returns
 numbers, but they are not equilibria the boom can hold.  The one rule:
 equilibria exist exactly on [0, T_c).  A tension at or beyond T_c raises
 NearSingularStiffness, a negative (a cable cannot push) or non-finite one
-ValueError; no conditioning test refuses a tension below T_c.  The inverse
-(tension for a target tip deflection) is a bracketing root find: at 2001
-even steps the nominal map rises strictly on [0, min(2 N, T_c)) for 1 to 12
-modes, but need not beyond (with two modes it falls from 3.51 N).
+ValueError; no conditioning test refuses a tension below T_c.  The sampled
+curve is one batched solve of all its tensions, row-identical to
+``solve_equilibrium`` at each; a curve that reaches T_c is refused at its
+end point t_max.  The inverse (tension for a target tip deflection) is a
+bracketing root find: at 2001 even steps the nominal map rises strictly on
+[0, min(2 N, T_c)) for 1 to 12 modes, but need not beyond (with two modes
+it falls from 3.51 N).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (StructuralModel, actuation_force, equilibrate,
                     tip_deflection)
@@ -74,6 +76,37 @@ def check_t_max(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
 
 
+def _equilibria(model: StructuralModel, tensions: np.ndarray) -> np.ndarray:
+    """Equilibrium modal coordinates, one row per tension in (0, T_c), in one batched solve.
+
+    Each row solves the diagonally equilibrated system with one refinement
+    pass; the first row whose residual is above 1e-9 (relative) raises RuntimeError.
+    A row does not depend on the other tensions of the stack.
+    """
+    n = model.mode_count
+    scale = model.tip_row
+    t = tensions[:, None]
+    scaled = equilibrate(model.effective_stiffness(t[..., None]), scale)
+    rhs_scaled = (actuation_force(model, np.zeros(n), t) / scale)[..., None]
+    q_scaled = np.linalg.solve(scaled, rhs_scaled)
+    q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)
+    q = q_scaled[..., 0] / scale
+
+    stiffness_load = (model.stiffness_matrix @ q[..., None])[..., 0]
+    imbalance = actuation_force(model, q, t) - stiffness_load
+    residual = np.sqrt(np.vecdot(imbalance, imbalance))  # each row's np.linalg.norm
+    tol = np.maximum(_RESIDUAL_REL * np.sqrt(np.vecdot(stiffness_load, stiffness_load)),
+                     _RESIDUAL_FLOOR)
+    failed = residual > tol
+    if failed.any():
+        i = failed.argmax()
+        raise RuntimeError(
+            f"equilibrium solve at {tensions[i]} N left residual "
+            f"{residual[i]:.3e} N above tolerance {tol[i]:.3e} N"
+        )
+    return q
+
+
 def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:
     """Equilibrium modal coordinates for a constant cable tension (N).
 
@@ -84,27 +117,11 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
     """
     if not (np.isfinite(tension) and tension >= 0.0):
         raise ValueError(f"tension must be finite and >= 0, got {tension!r}")
-    n = model.mode_count
     if tension == 0.0:
-        return EquilibriumPoint(0.0, np.zeros(n), 0.0)
+        return EquilibriumPoint(0.0, np.zeros(model.mode_count), 0.0)
     if tension >= model.critical_tension:
         raise NearSingularStiffness(tension, model.critical_tension)
-
-    scale = model.tip_row
-    scaled = equilibrate(model.effective_stiffness(tension), scale)
-    rhs_scaled = actuation_force(model, np.zeros(n), tension) / scale
-    q_scaled = np.linalg.solve(scaled, rhs_scaled)
-    q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)
-    q = q_scaled / scale
-
-    stiffness_load = model.stiffness_matrix @ q
-    residual = np.linalg.norm(actuation_force(model, q, tension) - stiffness_load)
-    tol = max(_RESIDUAL_REL * np.linalg.norm(stiffness_load), _RESIDUAL_FLOOR)
-    if residual > tol:
-        raise RuntimeError(
-            f"equilibrium solve at {tension} N left residual "
-            f"{residual:.3e} N above tolerance {tol:.3e} N"
-        )
+    q = _equilibria(model, np.array([tension], dtype=float))[0]
     return EquilibriumPoint(tension, q, tip_deflection(model, q))
 
 
@@ -112,27 +129,39 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
                      samples: int = 200) -> list[EquilibriumPoint]:
     """Equilibria sampled at evenly spaced tensions over [0, t_max], t_max > 0.
 
-    A curve that reaches the first critical tension has no equilibrium
-    there: the NearSingularStiffness of that sample propagates, and no
-    partial curve is returned.
+    One batched solve, row-identical to ``solve_equilibrium`` at each
+    sample's tension.  The end point is solved first: a curve that reaches
+    the first critical tension raises the NearSingularStiffness of t_max,
+    and no partial curve is returned.
     """
     check_t_max(t_max)
     if samples < 2:
         raise ValueError("need at least two samples")
-    return [solve_equilibrium(model, t) for t in np.linspace(0.0, t_max, samples)]
+    tensions = np.linspace(0.0, t_max, samples)
+    end = solve_equilibrium(model, tensions[-1])
+    inner = tensions[1:-1]
+    points = [EquilibriumPoint(t, q, tip_deflection(model, q))
+              for t, q in zip(inner, _equilibria(model, inner))]
+    return [solve_equilibrium(model, 0.0), *points, end]
 
 
 def tension_for_deflection(model: StructuralModel, w_target: float,
                            t_max: float = DEFAULT_TENSION_MAX) -> float:
     """Tension (N) whose equilibrium tip deflection equals w_target (m).
 
-    Bracketing root find on the monotone tension-deflection map; the
-    returned tension reproduces w_target to within 1e-6 m.  Raises
-    OutOfRange if the target exceeds what t_max can hold (or is negative);
-    a t_max at or beyond the first critical tension raises
-    NearSingularStiffness; a t_max that is not finite and positive raises
-    ValueError.
+    Bracketing root find on [0, t_max]; the returned tension reproduces
+    w_target to within 1e-6 m.  Raises OutOfRange if the target is negative
+    or above w(t_max); a t_max at or beyond the first critical tension
+    raises NearSingularStiffness; a t_max that is not finite and positive
+    raises ValueError.  w(t_max) is taken as the largest reachable
+    deflection, which holds only where the map rises up to t_max: a
+    reachable target above w(t_max) is refused as well (with two modes the
+    map peaks at 5.89 m near 3.5 N and falls to 4.12 m at 10 N, so with
+    t_max = 10 N the target 5 m, held at 2.38 N, is refused).
     """
+    # Imported here: scipy.optimize adds about 0.3 s to importing the package.
+    from scipy.optimize import brentq
+
     check_t_max(t_max)
     if w_target == 0.0:
         return 0.0

@@ -345,10 +345,11 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
     """Generalized cable force f(q, u) = (spreader_matrix q / dx + h psi'(L)^T) u.
 
     The one definition of the cable load: the equilibrium right-hand side is
-    f(0, T) and the linearized input vector is df/du = f(q_eq, 1).
+    f(0, T) and the linearized input vector is df/du = f(q_eq, 1).  ``q`` may
+    be a stack of coordinate rows (..., n), with ``u`` broadcast against it.
     """
     q = np.asarray(q, dtype=float)
-    return (model.spreader_matrix @ q / model.params.node_spacing
+    return ((model.spreader_matrix @ q[..., None])[..., 0] / model.params.node_spacing
             + model.params.cable_offset * model.tip_slope) * u
 
 

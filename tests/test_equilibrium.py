@@ -107,6 +107,46 @@ def test_curve_propagates_failure(model3):
         fb.deflection_curve(model3, t_max=50.0, samples=120)
 
 
+def test_one_mode_curve_is_refused_at_t_max(params):
+    # T_c = 0.924 N lies inside [0, 2] N; the refusal names the curve's end point.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(1))
+    with pytest.raises(fb.NearSingularStiffness) as err:
+        fb.deflection_curve(model, t_max=2.0)
+    assert err.value.tension == 2.0
+
+
+def _point_solve(model, tension):
+    """The per-tension solve the batched curve replaced, kept as the reference for its rows."""
+    scale = model.tip_row
+    scaled = fb.equilibrate(model.effective_stiffness(tension), scale)
+    rhs_scaled = fb.actuation_force(model, np.zeros(model.mode_count), tension) / scale
+    q_scaled = np.linalg.solve(scaled, rhs_scaled)
+    q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)
+    return q_scaled / scale
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.8, 1.2, 0.8)])
+@pytest.mark.parametrize("modes", range(1, 10))
+def test_curve_rows_are_the_point_solves(params, scales, modes):
+    # One batched solve for the whole curve, yet each row is bit for bit the
+    # single solve at its tension and the per-tension reference solve.  The
+    # 0 N row is the exact zero point; a solve there gives some -0.0 entries.
+    model = fb.assemble_matrices(params.scaled(*scales), fb.BasisSet.with_mode_count(modes))
+    t_max = min(2.0, 0.999 * model.critical_tension)
+    for row in fb.deflection_curve(model, t_max=t_max, samples=101)[1:]:
+        point = fb.solve_equilibrium(model, row.tension)
+        reference = _point_solve(model, row.tension)
+        assert _hex(row.tension, row.tip_deflection, *row.modal_coords) == \
+            _hex(point.tension, point.tip_deflection, *point.modal_coords)
+        assert _hex(*row.modal_coords) == _hex(*reference)
+        assert float(row.tip_deflection).hex() == \
+            float(model.tip_row @ reference).hex()
+
+
 @pytest.mark.parametrize("samples", [1, 0])
 def test_curve_needs_two_samples(model3, samples):
     with pytest.raises(ValueError, match="at least two samples"):

@@ -81,6 +81,10 @@ CONFIGS = {
     "modes1": {"modes": 1},
     "t_max10": {"equilibrium": {"t_max": 10}},
     "modes10": {"modes": 10},
+    # The benchmark's curve: 2000 samples over [0, 1.8] N.  One mode over
+    # [0, 0.9] N ends just below its 0.924 N critical tension and is answered.
+    "curve_2000": {"equilibrium": {"t_max": 1.8, "samples": 2000}},
+    "modes1_t_max09": {"modes": 1, "equilibrium": {"t_max": 0.9}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -196,6 +200,9 @@ COMMANDS = [
     *[(f"bode_modes_malformed_{label}", ["bode", "--teq", "1", "--sweep", "modes",
                                          "--modes", modes, "--out", f"bode_modes_{label}"])
       for label, modes in (("letter", "3,x"), ("empty", ","))],
+    *[(f"equilibrium_{name}", ["equilibrium", "--config", f"{name}.json",
+                               "--out", f"eq_{name}"])
+      for name in ("curve_2000", "modes1_t_max09")],
 ]
 
 

@@ -6,7 +6,9 @@ Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
 modes, on the default 2000-point grid.  One more row times a fresh model's
 ``assemble_matrices`` plus its first ``state_rate``, which builds the
-stacked operator that every later ``state_rate`` of that model reuses.
+stacked operator that every later ``state_rate`` of that model reuses.  Two
+rows time the equilibrium map: a 2000-sample ``deflection_curve`` over
+[0, 1.8] N, and ``tension_for_deflection`` of the tip deflection at 0.77 N.
 Each figure is the best of 5 batches of 40 calls, in microseconds per call.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
 1 ms) at 3 modes, for the fig7a scenario and for the same scenario
@@ -40,6 +42,8 @@ import flexboom as fb  # noqa: E402
 
 MODES = (3, 4, 6)
 TENSION = 0.77   # N
+CURVE_T_MAX = 1.8  # N
+CURVE_SAMPLES = 2000
 REPEATS = 5
 CALLS = 40
 SIM_MODES = 3
@@ -60,6 +64,9 @@ def layer_times(modes: int) -> dict[str, float]:
         "assemble+state_rate": lambda: fb.state_rate(fb.assemble_matrices(params, basis), x,
                                                      lambda w_tip, w_rate: TENSION),
         "solve_equilibrium": lambda: fb.solve_equilibrium(model, TENSION),
+        "deflection_curve": lambda: fb.deflection_curve(model, t_max=CURVE_T_MAX,
+                                                        samples=CURVE_SAMPLES),
+        "tension_for_deflection": lambda: fb.tension_for_deflection(model, eq.tip_deflection),
         "linearize": lambda: fb.linearize(model, eq),
         "frequency_response": lambda: fb.frequency_response(ss, grid),
         "passivity_check": lambda: fb.passivity_check(ss, grid),
@@ -84,12 +91,12 @@ def main() -> int:
     table = {n: layer_times(n) for n in MODES}
     print(f"us per call, best of {REPEATS} x {CALLS}, "
           f"{fb.default_grid().size}-point grid, {TENSION:g} N")
-    print(f"{'layer':<20}" + "".join(f"{f'n={n}':>10}" for n in MODES))
+    print(f"{'layer':<24}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
-        print(f"{name:<20}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
+        print(f"{name:<24}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
     print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
     for name, value in rk4_step_times().items():
-        print(f"{'rk4 ' + name:<20}{value:>10.2f}")
+        print(f"{'rk4 ' + name:<24}{value:>10.2f}")
     return 0
 
 
