@@ -48,17 +48,17 @@ class StateSpaceModel:
         if a.shape != (two_n, two_n) or two_n % 2 != 0:
             raise ValueError(f"A must be square with even size, got {a.shape}")
         n = two_n // 2
-        if np.any(a[:n, :n] != 0.0) or np.any(a[n:, n:] != 0.0):
+        if (a[:n, :n] != 0.0).any() or (a[n:, n:] != 0.0).any():
             raise ValueError("A must have zero diagonal blocks")
-        if np.any(a[:n, n:] != np.eye(n)):
+        if (a[:n, n:] != np.eye(n)).any():
             raise ValueError("top-right block of A must be the identity")
         b = np.asarray(self.b, dtype=float).reshape(two_n)
-        if np.any(b[:n] != 0.0):
+        if (b[:n] != 0.0).any():
             raise ValueError("B must drive only the rate block")
         c = np.asarray(self.c, dtype=float).reshape(two_n)
         x_bar = np.asarray(self.x_bar, dtype=float).reshape(two_n)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-                and np.all(np.isfinite(c)) and np.isfinite(self.d)):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()
+                and np.isfinite(c).all() and np.isfinite(self.d)):
             raise ValueError("state-space matrices must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -26,10 +26,21 @@ residual leaves G off by about eps * cond times the ratio of the terms
 summed into G to |G|: that is large next to a pole (cond large) and at an
 antiresonance (|G| small), so where cond times that ratio exceeds 1e6 the
 residual is formed in extended precision (np.longdouble) instead.
+
+The (E, rho, I) uncertainty box is a one-parameter family: M scales with rho
+and K with E*I, and the cable terms with neither, so a sample at tension T is
+the nominal boom at T / (e*i) with its rate block times e*i / rho and its
+input vector over rho.  The sweep therefore solves and linearizes once per
+distinct product e*i and rescales that plant for each sample; each plant is
+still checked on the caller's grid with its own nudging and refinement.
+Where the nominal boom at T / (e*i) is refused (past its critical tension,
+flutter), the sample's own model is solved at T instead, so the refusal
+names the sample's own tension and critical tension.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -214,17 +225,36 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
     )
 
 
-def _sweep_sample(label: str, sample: dict, build: Callable[[], StructuralModel],
+def _sweep_sample(label: str, sample: dict, plant: Callable[[], StateSpaceModel],
                   t_eq: float, omega: Sequence[float] | None,
                   eps_tol: float) -> PassivityReport:
-    """Certify one built sample at t_eq; any failure becomes SweepSampleError."""
+    """Certify one sample's plant at t_eq; any failure becomes SweepSampleError."""
     try:
-        model = build()
-        ss = linearize(model, solve_equilibrium(model, t_eq))
-        return passivity_check(ss, omega, eps_tol, metadata=sample)
+        return passivity_check(plant(), omega, eps_tol, metadata=sample)
     except Exception as exc:
         raise SweepSampleError(
             f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
+
+
+def _chain(model: StructuralModel, t_eq: float) -> StateSpaceModel:
+    """The plant of ``model`` linearized about its equilibrium at t_eq."""
+    return linearize(model, solve_equilibrium(model, t_eq))
+
+
+def _rescaled_plant(nominal: StateSpaceModel, k: float, rho: float,
+                    t_eq: float) -> StateSpaceModel:
+    """Plant at t_eq of a boom whose E*I is k and whose rho is rho times
+    ``nominal``'s, from ``nominal`` linearized at t_eq / k.
+
+    K_eff(t_eq) is k K_eff,nom(t_eq / k) and M is rho M_nom, so the
+    equilibrium and output are the nominal's, the rate block is k / rho
+    times the nominal's and the input vector is 1 / rho times it.
+    """
+    n = nominal.mode_count
+    a = nominal.a.copy()
+    a[n:, :n] *= k / rho
+    return StateSpaceModel(a=a, b=nominal.b / rho, c=nominal.c, d=nominal.d,
+                           t_eq=t_eq, x_bar=nominal.x_bar)
 
 
 def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
@@ -238,6 +268,15 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     ``samples`` is rounded to the nearest full cube (k levels per axis give
     k^3 samples); the default 125 uses five levels spanning +-perturbation.
     Sample order is deterministic (E outermost, I innermost).
+
+    The box takes one equilibrium and linearization per distinct product
+    k = e * i (the module docstring's law): ``params`` is assembled once and
+    linearized at t_eq / k for the first sample that needs k, and that plant
+    is rescaled for every sample with that k (``_rescaled_plant``).  Each
+    plant is checked on the caller's grid with its own nudging and
+    refinement.  Where the chain at t_eq / k is refused (the critical
+    tension, a residual, flutter), the sample's own model is solved at t_eq
+    instead, so a refusal names the sample's tension and critical tension.
     """
     if not 0.0 <= perturbation < 1.0:
         raise ValueError("perturbation must lie in [0, 1)")
@@ -249,9 +288,23 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     else:
         axis = np.linspace(1.0 - perturbation, 1.0 + perturbation, levels)
 
+    nominal = functools.cache(lambda: assemble_matrices(params, basis))
+    chains: dict[float, StateSpaceModel | None] = {}
+
+    def plant(e: float, rho: float, i: float) -> StateSpaceModel:
+        k = e * i
+        if k not in chains:
+            try:
+                chains[k] = _chain(nominal(), t_eq / k)
+            except (RuntimeError, ValueError):  # refused: the sample's own chain says why
+                chains[k] = None
+        if chains[k] is None:
+            return _chain(assemble_matrices(params.scaled(e, rho, i), basis), t_eq)
+        return _rescaled_plant(chains[k], k, rho, t_eq)
+
     return [_sweep_sample(
         "sweep sample", {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)},
-        lambda: assemble_matrices(params.scaled(e, rho, i), basis), t_eq, omega, eps_tol)
+        functools.partial(plant, e, rho, i), t_eq, omega, eps_tol)
         for e, rho, i in itertools.product(axis, repeat=3)]
 
 
@@ -261,5 +314,5 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
     """Passivity reports for models of increasing assumed-mode count."""
     return [_sweep_sample(
         "mode-count sample", {"mode_count": int(n)},
-        lambda: assemble_matrices(params, BasisSet.with_mode_count(n)),
+        lambda: _chain(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq),
         t_eq, omega, eps_tol) for n in mode_counts]

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import matrix_balance
 
 import flexboom as fb
+from flexboom import passivity
 import oracles
 
 
@@ -219,6 +220,75 @@ def test_uncertainty_sample_is_the_rescaled_nominal(params, basis3, model3, t_eq
                                        grid / np.sqrt(e * i / rho))
         expected = fr_nom.response / np.sqrt(e * i * rho)
         assert np.max(np.abs(fr.response - expected) / np.abs(expected)) <= 1e-8
+
+
+def _swept_plants(monkeypatch, params, basis, t_eq, samples, grid):
+    """``uncertainty_sweep``'s reports, and the plant each sample was checked on."""
+    plants = []
+    check = passivity.passivity_check
+
+    def recording(ss, *args, **kwargs):
+        plants.append(ss)
+        return check(ss, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(passivity, "passivity_check", recording)
+        reports = fb.uncertainty_sweep(params, basis, t_eq, 0.2, samples, grid)
+    return reports, plants
+
+
+@pytest.mark.parametrize("modes, t_eq, spreader_count, samples", [
+    (3, 0.3, 10, 125), (3, 1.0, 10, 125), (3, 1.4, 10, 125),
+    # The CLI fingerprint's six-mode boxes: a nudged point at 1 N, one next to a pole at 0.75 N.
+    (6, 0.75, 10, 27), (6, 1.0, 10, 27),
+    (3, 1.0, 0, 125),  # the cantilever
+    (3, 1.0, 10, 1),   # the degenerate box, the nominal boom alone
+])
+def test_uncertainty_sweep_matches_the_per_sample_chain(monkeypatch, params, modes, t_eq,
+                                                        spreader_count, samples):
+    boom = dataclasses.replace(params, spreader_count=spreader_count)
+    basis = fb.BasisSet.with_mode_count(modes)
+    grid = fb.default_grid()
+    reports, plants = _swept_plants(monkeypatch, boom, basis, t_eq, samples, grid)
+    levels = round(samples ** (1.0 / 3.0))
+    axis = np.linspace(0.8, 1.2, levels) if levels > 1 else [1.0]
+    scales = list(itertools.product(axis, repeat=3))
+    assert len(reports) == len(plants) == len(scales)
+    nudged = 0
+    for (e, rho, i), report, plant in zip(scales, reports, plants):
+        # The reference: the sample's own model, equilibrium and linearization.
+        model = fb.assemble_matrices(boom.scaled(e, rho, i), basis)
+        ss = fb.linearize(model, fb.solve_equilibrium(model, t_eq))
+        expected = fb.passivity_check(ss, grid)
+        for name in ("verdict", "min_real", "worst_phase_deg", "worst_phase_omega",
+                     "min_real_omega"):
+            assert getattr(report, name) == getattr(expected, name), ((e, rho, i), name)
+        assert report.metadata["nudged_points"] == expected.metadata["nudged_points"]
+        assert report.metadata["t_eq"] == t_eq
+        nudged += report.metadata["nudged_points"]
+        # The rate output's report is blind to a positive gain, so check the plant
+        # too: the two chains agree to 1.3e-12 at three modes and 9.7e-8 at six.
+        assert plant.t_eq == t_eq and np.array_equal(plant.c, ss.c)
+        for got, want in ((plant.rate_block, ss.rate_block), (plant.b, ss.b),
+                          (plant.x_bar, ss.x_bar)):
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), (e, rho, i)
+    assert nudged == (1 if (modes, t_eq) == (6, 1.0) else 0)
+
+
+@pytest.mark.parametrize("modes, t_eq, words", [
+    (3, 50.0, "first critical tension 5.11851 N"),  # past the sample's T_c
+    (2, 25.0, "drift off the imaginary axis by 4.615e-01 at tension 25.0 N"),  # flutter
+])
+def test_refused_sample_names_its_own_tension(params, modes, t_eq, words):
+    basis = fb.BasisSet.with_mode_count(modes)
+    model = fb.assemble_matrices(params.scaled(0.8, 0.8, 0.8), basis)
+    with pytest.raises(RuntimeError) as direct:
+        fb.linearize(model, fb.solve_equilibrium(model, t_eq))
+    with pytest.raises(fb.SweepSampleError) as swept:
+        fb.uncertainty_sweep(params, basis, t_eq, 0.2, 125, fb.default_grid(50))
+    sample = {"e_scale": 0.8, "rho_scale": 0.8, "i_scale": 0.8}
+    assert str(swept.value) == f"sweep sample {sample} at tension {t_eq} N failed: {direct.value}"
+    assert words in str(swept.value)
 
 
 def test_degenerate_sweep_matches_nominal(params, basis3, ss_tensioned):

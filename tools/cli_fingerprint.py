@@ -85,6 +85,9 @@ CONFIGS = {
     # [0, 0.9] N ends just below its 0.924 N critical tension and is answered.
     "curve_2000": {"equilibrium": {"t_max": 1.8, "samples": 2000}},
     "modes1_t_max09": {"modes": 1, "equilibrium": {"t_max": 0.9}},
+    # A 5.6 N plant under a 6 N limit: the nominal boom holds it (T_c 8.0 N),
+    # but the box corner (0.8, 0.8, 0.8) buckles at 0.64 * 8.0 = 5.12 N.
+    "t_max6": {"equilibrium": {"t_max": 6}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -203,6 +206,11 @@ COMMANDS = [
     *[(f"equilibrium_{name}", ["equilibrium", "--config", f"{name}.json",
                                "--out", f"eq_{name}"])
       for name in ("curve_2000", "modes1_t_max09")],
+    # The benchmark's 125-sample box, and a box whose first sample is refused.
+    ("bode_uncertainty_125", ["bode", "--teq", "1.4", "--sweep", "uncertainty",
+                              "--samples", "125", "--out", "sweep_uncertainty_125"]),
+    ("bode_uncertainty_refused", ["bode", "--config", "t_max6.json", "--teq", "5.6",
+                                  "--sweep", "uncertainty", "--out", "sweep_refused"]),
 ]
 
 

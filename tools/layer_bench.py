@@ -10,6 +10,8 @@ stacked operator that every later ``state_rate`` of that model reuses.  Two
 rows time the equilibrium map: a 2000-sample ``deflection_curve`` over
 [0, 1.8] N, and ``tension_for_deflection`` of the tip deflection at 0.77 N.
 Each figure is the best of 5 batches of 40 calls, in microseconds per call.
+The last row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
+0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
 1 ms) at 3 modes, for the fig7a scenario and for the same scenario
 unforced, best of 5 runs, in microseconds per step.  The per-run setup (the
@@ -46,6 +48,8 @@ CURVE_T_MAX = 1.8  # N
 CURVE_SAMPLES = 2000
 REPEATS = 5
 CALLS = 40
+SWEEP_SAMPLES = 125
+SWEEP_PERTURBATION = 0.2
 SIM_MODES = 3
 SIM_DURATION = 5.0  # s, of the scenarios' 1 ms steps
 
@@ -71,8 +75,13 @@ def layer_times(modes: int) -> dict[str, float]:
         "frequency_response": lambda: fb.frequency_response(ss, grid),
         "passivity_check": lambda: fb.passivity_check(ss, grid),
     }
-    return {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
-            for name, call in layers.items()}
+    times = {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
+             for name, call in layers.items()}
+    sweep = functools.partial(fb.uncertainty_sweep, params, basis, TENSION,
+                              SWEEP_PERTURBATION, SWEEP_SAMPLES, grid)
+    times["uncertainty_sweep/sample"] = (
+        1e6 * min(timeit.repeat(sweep, number=1, repeat=REPEATS)) / SWEEP_SAMPLES)
+    return times
 
 
 def rk4_step_times() -> dict[str, float]:
@@ -89,7 +98,7 @@ def rk4_step_times() -> dict[str, float]:
 
 def main() -> int:
     table = {n: layer_times(n) for n in MODES}
-    print(f"us per call, best of {REPEATS} x {CALLS}, "
+    print(f"us per call, best of {REPEATS} x {CALLS} (sweep: of {REPEATS} sweeps, per sample), "
           f"{fb.default_grid().size}-point grid, {TENSION:g} N")
     print(f"{'layer':<24}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
