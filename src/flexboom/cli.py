@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -189,13 +190,14 @@ def _build_model(config: dict):
 
 
 def _csv(header: Sequence[str], rows) -> str:
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+    """CSV text: a float (np.float64 too) as %.12g, any other value as str."""
+    lines = (tuple(row) for row in (header, *rows))
+    return "".join(_row_template(tuple(map(type, row))) % row for row in lines)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+@functools.cache  # one entry per row type signature the commands write: a handful
+def _row_template(kinds: tuple[type, ...]) -> str:
+    return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,20 @@ the nominal boom at T / (e*i) with its rate block times e*i / rho and its
 input vector over rho.  The sweep therefore solves and linearizes once per
 distinct product e*i and rescales that plant for each sample; each plant is
 still checked on the caller's grid with its own nudging and refinement.
-Where the nominal boom at T / (e*i) is refused (past its critical tension,
-flutter), the sample's own model is solved at T instead, so the refusal
-names the sample's own tension and critical tension.
+The box puts the same levels on the E and I axes, so samples (e, rho, i) and
+(i, rho, e) are one plant: each distinct (e*i, rho) plant is certified once,
+and its twin gets that report under its own scales.  Where the nominal boom
+at T / (e*i) is refused (past its critical tension, flutter), the sample's
+own model is solved at T instead, so the refusal names the sample's own
+tension and critical tension; such a class is not reused.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,7 +139,9 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
     grid = default_grid() if omega is None else np.array(omega, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-d array")
-    if not _squares_finite(grid) or np.any(np.diff(grid) <= 0.0):
+    # Strictly increasing (NaN fails the comparison), so |w| peaks at an endpoint.
+    ends = (float(grid[0]), float(grid[-1]))
+    if not ((grid[1:] > grid[:-1]).all() and all(math.isfinite(w * w) for w in ends)):
         raise ValueError("frequency grid must be strictly increasing with finite squares")
 
     n = ss.mode_count
@@ -274,9 +280,13 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     linearized at t_eq / k for the first sample that needs k, and that plant
     is rescaled for every sample with that k (``_rescaled_plant``).  Each
     plant is checked on the caller's grid with its own nudging and
-    refinement.  Where the chain at t_eq / k is refused (the critical
-    tension, a residual, flutter), the sample's own model is solved at t_eq
-    instead, so a refusal names the sample's tension and critical tension.
+    refinement.  Samples (e, rho, i) and (i, rho, e) are one plant, so each
+    distinct (e * i, rho) is certified once: a later sample of that class
+    gets the first one's report with its own ``e_scale``, ``rho_scale`` and
+    ``i_scale`` in a fresh metadata dict.  Where the chain at t_eq / k is
+    refused (the critical tension, a residual, flutter), the sample's own
+    model is solved at t_eq instead, so a refusal names the sample's tension
+    and critical tension; such a class is not reused.
     """
     if not 0.0 <= perturbation < 1.0:
         raise ValueError("perturbation must lie in [0, 1)")
@@ -290,6 +300,7 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
 
     nominal = functools.cache(lambda: assemble_matrices(params, basis))
     chains: dict[float, StateSpaceModel | None] = {}
+    certified: dict[tuple[float, float], PassivityReport] = {}
 
     def plant(e: float, rho: float, i: float) -> StateSpaceModel:
         k = e * i
@@ -302,10 +313,18 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
             return _chain(assemble_matrices(params.scaled(e, rho, i), basis), t_eq)
         return _rescaled_plant(chains[k], k, rho, t_eq)
 
-    return [_sweep_sample(
-        "sweep sample", {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)},
-        functools.partial(plant, e, rho, i), t_eq, omega, eps_tol)
-        for e, rho, i in itertools.product(axis, repeat=3)]
+    def report(e: float, rho: float, i: float) -> PassivityReport:
+        sample = {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)}
+        twin = certified.get((e * i, rho))
+        if twin is not None:
+            return replace(twin, metadata={**twin.metadata, **sample})
+        result = _sweep_sample("sweep sample", sample, functools.partial(plant, e, rho, i),
+                               t_eq, omega, eps_tol)
+        if chains[e * i] is not None:  # a refused class is certified sample by sample
+            certified[e * i, rho] = result
+        return result
+
+    return [report(e, rho, i) for e, rho, i in itertools.product(axis, repeat=3)]
 
 
 def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float,

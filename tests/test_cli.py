@@ -768,3 +768,32 @@ def test_overflowing_mode_count_is_one_error_line(tmp_path, capsys, modes):
     assert captured.err == (f"error: {modes} modes overflow the closed-form matrices "
                             "of a 29.4 m boom\n")
     assert _tree(tmp_path) == before
+
+
+def _reference_csv(header, rows) -> str:
+    """The per-value formatter the CSV writer replaced: %.12g floats, str the rest."""
+    def fmt(value) -> str:
+        return format(value, ".12g") if isinstance(value, float) else str(value)
+    return "".join(",".join(map(fmt, row)) + "\n" for row in (header, *rows))
+
+
+def test_csv_matches_the_per_value_formatter():
+    floats = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
+              1.7976931348623157e308, 0.1, 1 / 3, -2.5e-17, 123456789012345.0, 1e16]
+    rows = [
+        floats,
+        [np.float64(v) for v in floats],
+        [np.float32(0.1), np.float32("nan"), np.float32(-0.0), np.float32(3e38)],
+        [np.int64(-7), np.int64(2**62), 3, True, False, None, "a,b", "x%sy%%", ""],
+        # The column types change mid-way, and rows may be tuples or arrays.
+        (1.5, 2, "three"),
+        ("three", 1.5, 2),
+        (np.float64(1.5), np.int64(2), None),
+        np.array([0.25, -1e-300, 7.0]),
+        np.array([1, 2, 3]),
+        [],
+    ]
+    header = ["h", "w_m", "%d"]
+    assert cli._csv(header, rows) == _reference_csv(header, rows)
+    assert cli._csv(header, iter(rows)) == _reference_csv(header, rows)
+    assert cli._csv(header, []) == "h,w_m,%d\n"

@@ -223,12 +223,12 @@ def test_uncertainty_sample_is_the_rescaled_nominal(params, basis3, model3, t_eq
 
 
 def _swept_plants(monkeypatch, params, basis, t_eq, samples, grid):
-    """``uncertainty_sweep``'s reports, and the plant each sample was checked on."""
+    """``uncertainty_sweep``'s reports, and each check's plant with its sample."""
     plants = []
     check = passivity.passivity_check
 
     def recording(ss, *args, **kwargs):
-        plants.append(ss)
+        plants.append((ss, kwargs["metadata"]))
         return check(ss, *args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -253,9 +253,14 @@ def test_uncertainty_sweep_matches_the_per_sample_chain(monkeypatch, params, mod
     levels = round(samples ** (1.0 / 3.0))
     axis = np.linspace(0.8, 1.2, levels) if levels > 1 else [1.0]
     scales = list(itertools.product(axis, repeat=3))
-    assert len(reports) == len(plants) == len(scales)
+    assert len(reports) == len(scales)
+    # One check per distinct plant: samples (e, rho, i) and (i, rho, e) are one class.
+    checked = {(sample["e_scale"] * sample["i_scale"], sample["rho_scale"]): ss
+               for ss, sample in plants}
+    assert len(checked) == len(plants) == len({(e * i, rho) for e, rho, i in scales})
     nudged = 0
-    for (e, rho, i), report, plant in zip(scales, reports, plants):
+    for (e, rho, i), report in zip(scales, reports):
+        plant = checked[e * i, rho]
         # The reference: the sample's own model, equilibrium and linearization.
         model = fb.assemble_matrices(boom.scaled(e, rho, i), basis)
         ss = fb.linearize(model, fb.solve_equilibrium(model, t_eq))
@@ -265,6 +270,8 @@ def test_uncertainty_sweep_matches_the_per_sample_chain(monkeypatch, params, mod
             assert getattr(report, name) == getattr(expected, name), ((e, rho, i), name)
         assert report.metadata["nudged_points"] == expected.metadata["nudged_points"]
         assert report.metadata["t_eq"] == t_eq
+        assert list(report.metadata.items()) == [
+            ("e_scale", e), ("rho_scale", rho), ("i_scale", i), *expected.metadata.items()]
         nudged += report.metadata["nudged_points"]
         # The rate output's report is blind to a positive gain, so check the plant
         # too: the two chains agree to 1.3e-12 at three modes and 9.7e-8 at six.
@@ -273,6 +280,23 @@ def test_uncertainty_sweep_matches_the_per_sample_chain(monkeypatch, params, mod
                           (plant.x_bar, ss.x_bar)):
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), (e, rho, i)
     assert nudged == (1 if (modes, t_eq) == (6, 1.0) else 0)
+
+
+def test_uncertainty_sweep_twins_share_one_report_under_their_own_scales(params, basis3):
+    # (e, rho, i) and (i, rho, e) are one plant, certified once.
+    reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.2, 27, fb.default_grid(300))
+    scales = itertools.product(np.linspace(0.8, 1.2, 3), repeat=3)
+    by_scales = dict(zip(scales, reports))
+    fields = ("passive", "worst_phase_deg", "worst_phase_omega", "min_real", "min_real_omega")
+    for rho in np.linspace(0.8, 1.2, 3):
+        first, twin = by_scales[0.8, rho, 1.2], by_scales[1.2, rho, 0.8]
+        assert [getattr(first, f) for f in fields] == [getattr(twin, f) for f in fields]
+        assert first.metadata is not twin.metadata
+        assert list(first.metadata.items()) == [
+            ("e_scale", 0.8), ("rho_scale", rho), ("i_scale", 1.2), ("t_eq", 1.0),
+            ("mode_count", 3), ("nudged_points", 0)]
+        assert twin.metadata == {**first.metadata, "e_scale": 1.2, "i_scale": 0.8}
+        assert list(twin.metadata) == list(first.metadata)
 
 
 @pytest.mark.parametrize("modes, t_eq, words", [
@@ -578,3 +602,15 @@ def test_grid_whose_squares_overflow_is_refused_without_warnings(ss_nominal):
             fb.default_grid(50, 1e-3, 1e200)
         with pytest.raises(ValueError, match="finite squares"):
             fb.frequency_response(ss_nominal, np.array([1.0, 1e200]))
+
+
+@pytest.mark.parametrize("grid", [
+    [1.0, float("nan"), 2.0],     # NaN mid-grid fails the order test
+    [-1e200, 1.0, 2.0],           # increasing, but the first point's square overflows
+    [1.0, 2.0, float("inf")],     # an infinite last point
+])
+def test_bad_grid_is_refused_without_warnings(ss_nominal, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strictly increasing with finite squares"):
+            fb.frequency_response(ss_nominal, np.array(grid))
