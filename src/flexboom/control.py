@@ -56,10 +56,10 @@ class PDGains:
     k_d: float = 25.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.k_p) and self.k_p > 0.0):
-            raise ValueError(f"k_p must be > 0, got {self.k_p!r}")
-        if not (np.isfinite(self.k_d) and self.k_d > 0.0):
-            raise ValueError(f"k_d must be > 0, got {self.k_d!r}")
+        for name in ("k_p", "k_d"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,10 @@ because the spreader reactions soften the effective stiffness.  That
 softening makes the effective stiffness singular at the model's first
 critical tension T_c (``StructuralModel.critical_tension``), where the
 deflection grows without bound; past T_c the linear solve still returns
-numbers, but they are not equilibria the boom can hold.  The one rule:
-equilibria exist exactly on [0, T_c).  A tension at or beyond T_c raises
-NearSingularStiffness, a negative (a cable cannot push) or non-finite one
-ValueError; no conditioning test refuses a tension below T_c.  The sampled
-curve is one batched solve of all its tensions, row-identical to
-``solve_equilibrium`` at each; a curve that reaches T_c is refused at its
-end point t_max.  The inverse (tension for a target tip deflection) is a
-bracketing root find: at 2001 even steps the nominal map rises strictly on
-[0, min(2 N, T_c)) for 1 to 12 modes, but need not beyond (with two modes
-it falls from 3.51 N).
+numbers, but they are not equilibria the boom can hold.  The inverse
+(tension for a target tip deflection) is a bracketing root find: at 2001
+even steps the nominal map rises strictly on [0, min(2 N, T_c)) for 1 to
+12 modes, but need not beyond (with two modes it falls from 3.51 N).
 """
 
 from __future__ import annotations
@@ -26,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (StructuralModel, actuation_force, equilibrate,
-                    tip_deflection)
+from .model import StructuralModel, actuation_force, tip_deflection
 
 __all__ = [
     "NearSingularStiffness",
@@ -79,18 +72,11 @@ def check_t_max(t_max: float) -> None:
 def _equilibria(model: StructuralModel, tensions: np.ndarray) -> np.ndarray:
     """Equilibrium modal coordinates, one row per tension in (0, T_c), in one batched solve.
 
-    Each row solves the diagonally equilibrated system with one refinement
-    pass; the first row whose residual is above 1e-9 (relative) raises RuntimeError.
+    The first row whose residual is above 1e-9 (relative) raises RuntimeError.
     A row does not depend on the other tensions of the stack.
     """
-    n = model.mode_count
-    scale = model.tip_row
     t = tensions[:, None]
-    scaled = equilibrate(model.effective_stiffness(t[..., None]), scale)
-    rhs_scaled = (actuation_force(model, np.zeros(n), t) / scale)[..., None]
-    q_scaled = np.linalg.solve(scaled, rhs_scaled)
-    q_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ q_scaled)
-    q = q_scaled[..., 0] / scale
+    q = model.stiffness_solve(tensions, actuation_force(model, np.zeros(model.mode_count), t))
 
     stiffness_load = (model.stiffness_matrix @ q[..., None])[..., 0]
     imbalance = actuation_force(model, q, t) - stiffness_load
@@ -111,9 +97,9 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
     """Equilibrium modal coordinates for a constant cable tension (N).
 
     Equilibria exist exactly on [0, T_c): a tension at or beyond the first
-    critical tension raises NearSingularStiffness, a negative or non-finite
-    one ValueError.  The solve runs on the diagonally equilibrated system
-    with one refinement pass; a residual above 1e-9 (relative) is a RuntimeError.
+    critical tension raises NearSingularStiffness, a negative (a cable cannot
+    push) or non-finite one ValueError; no conditioning test refuses a tension
+    below T_c.  A residual above 1e-9 (relative) is a RuntimeError.
     """
     if not (np.isfinite(tension) and tension >= 0.0):
         raise ValueError(f"tension must be finite and >= 0, got {tension!r}")

@@ -16,10 +16,7 @@ the neutral axis.  Cable tension u enters the dynamics in two ways:
 
 Mass and stiffness matrices are assembled in closed form (the basis is
 polynomial, so the energy integrals are exact); no numeric quadrature is
-involved.  All solves against the mass or stiffness matrices are done on
-diagonally equilibrated copies: the raw monomial basis spans many orders
-of magnitude at full boom length, and equilibration keeps the
-factorizations accurate for mode counts up to at least six.
+involved.
 """
 
 from __future__ import annotations
@@ -217,16 +214,19 @@ class StructuralModel:
     ``mass_matrix`` and ``stiffness_matrix`` are the raw closed-form energy
     matrices in the monomial coordinates; ``spreader_matrix`` is the cable
     reaction matrix (enters the force as spreader_matrix / node_spacing);
-    ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).  ``tip_row`` is
-    also the diagonal equilibration scale (see ``equilibrate``).
+    ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).
     ``critical_tension`` is the first positive tension (N) at which
     ``effective_stiffness`` turns singular (inf when no positive tension
     does); static equilibria exist only below it.
 
-    ``mass_solve`` reads the cached equilibrated mass factorization.  The
-    operator of ``state_rate``, the one definition of the dynamics, is built
-    through it on a model's first ``state_rate`` and then kept: a pure
-    function of the read-only fields, so the model stays safe to share.
+    Every solve of the model runs on the system equilibrated by ``tip_row``
+    (``equilibrate``): the raw monomial basis spans many orders of magnitude
+    at full boom length, and the scaling keeps the factorizations accurate
+    for mode counts up to at least six.  ``mass_solve`` reads the cached mass
+    factorization; the operator of ``state_rate``, the one definition of the
+    dynamics, is built through it on a model's first ``state_rate`` and then
+    kept: a pure function of the read-only fields, so the model stays safe
+    to share.
     """
 
     params: BoomParams
@@ -244,10 +244,19 @@ class StructuralModel:
         return self.basis.mode_count
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs through the cached equilibrated Cholesky factor."""
+        """Solve M x = rhs through the cached Cholesky factor."""
         rhs = np.asarray(rhs, dtype=float)
         scale = self.tip_row if rhs.ndim == 1 else self.tip_row[:, None]
         return cho_solve(self._mass_chol, rhs / scale) / scale
+
+    def stiffness_solve(self, tensions: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve K_eff(T) x = rhs, one row per tension of a 1-d stack, with one refinement pass."""
+        scale = self.tip_row
+        scaled = equilibrate(self.effective_stiffness(tensions[:, None, None]), scale)
+        rhs_scaled = (rhs / scale)[..., None]
+        x_scaled = np.linalg.solve(scaled, rhs_scaled)
+        x_scaled += np.linalg.solve(scaled, rhs_scaled - scaled @ x_scaled)
+        return x_scaled[..., 0] / scale
 
     def effective_stiffness(self, tension: float) -> np.ndarray:
         """Stiffness under constant cable tension: K - spreader_matrix * tension / dx."""

@@ -30,15 +30,17 @@ residual is formed in extended precision (np.longdouble) instead.
 The (E, rho, I) uncertainty box is a one-parameter family: M scales with rho
 and K with E*I, and the cable terms with neither, so a sample at tension T is
 the nominal boom at T / (e*i) with its rate block times e*i / rho and its
-input vector over rho.  The sweep therefore solves and linearizes once per
-distinct product e*i and rescales that plant for each sample; each plant is
-still checked on the caller's grid with its own nudging and refinement.
+input vector over rho.  The sweep therefore assembles the nominal model when
+the first sample needs it, solves and linearizes it once per distinct product
+e*i, and rescales that plant for each sample; each plant is still checked on
+the caller's grid with its own nudging and refinement.
 The box puts the same levels on the E and I axes, so samples (e, rho, i) and
 (i, rho, e) are one plant: each distinct (e*i, rho) plant is certified once,
 and its twin gets that report under its own scales.  Where the nominal boom
-at T / (e*i) is refused (past its critical tension, flutter), the sample's
-own model is solved at T instead, so the refusal names the sample's own
-tension and critical tension; such a class is not reused.
+is refused (its assembly, or its chain at T / (e*i): the critical tension, a
+residual, flutter), the sample's own model is built and solved at T instead,
+so the refusal names the sample's own tension and critical tension; such a
+class is not reused.
 """
 
 from __future__ import annotations
@@ -88,16 +90,16 @@ class SweepSampleError(RuntimeError):
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
-    if not (0.0 < omega_min < omega_max and _squares_finite(omega_max) and n_points >= 1):
+    if not (0.0 < omega_min < omega_max and _finite_square(omega_max) and n_points >= 1):
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
                          f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
                          f"omega_max={omega_max!r}, n_points={n_points!r}")
     return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
 
 
-def _squares_finite(omega) -> bool:  # w**2 overflows above about 1.3e154 rad/s
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.all(np.isfinite(np.square(omega, dtype=float))))
+def _finite_square(w) -> bool:  # w * w overflows above about 1.3e154 rad/s
+    w = float(w)
+    return math.isfinite(w * w)
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,7 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-d array")
     # Strictly increasing (NaN fails the comparison), so |w| peaks at an endpoint.
-    ends = (float(grid[0]), float(grid[-1]))
-    if not ((grid[1:] > grid[:-1]).all() and all(math.isfinite(w * w) for w in ends)):
+    if not ((grid[1:] > grid[:-1]).all() and all(map(_finite_square, (grid[0], grid[-1])))):
         raise ValueError("frequency grid must be strictly increasing with finite squares")
 
     n = ss.mode_count
@@ -250,17 +251,11 @@ def _chain(model: StructuralModel, t_eq: float) -> StateSpaceModel:
 def _rescaled_plant(nominal: StateSpaceModel, k: float, rho: float,
                     t_eq: float) -> StateSpaceModel:
     """Plant at t_eq of a boom whose E*I is k and whose rho is rho times
-    ``nominal``'s, from ``nominal`` linearized at t_eq / k.
-
-    K_eff(t_eq) is k K_eff,nom(t_eq / k) and M is rho M_nom, so the
-    equilibrium and output are the nominal's, the rate block is k / rho
-    times the nominal's and the input vector is 1 / rho times it.
-    """
+    ``nominal``'s, from ``nominal`` linearized at t_eq / k (module docstring)."""
     n = nominal.mode_count
     a = nominal.a.copy()
     a[n:, :n] *= k / rho
-    return StateSpaceModel(a=a, b=nominal.b / rho, c=nominal.c, d=nominal.d,
-                           t_eq=t_eq, x_bar=nominal.x_bar)
+    return replace(nominal, a=a, b=nominal.b / rho, t_eq=t_eq)
 
 
 def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
@@ -273,20 +268,10 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     the cantilever is swept by ``replace(params, spreader_count=0)``.
     ``samples`` is rounded to the nearest full cube (k levels per axis give
     k^3 samples); the default 125 uses five levels spanning +-perturbation.
-    Sample order is deterministic (E outermost, I innermost).
-
-    The box takes one equilibrium and linearization per distinct product
-    k = e * i (the module docstring's law): ``params`` is assembled once and
-    linearized at t_eq / k for the first sample that needs k, and that plant
-    is rescaled for every sample with that k (``_rescaled_plant``).  Each
-    plant is checked on the caller's grid with its own nudging and
-    refinement.  Samples (e, rho, i) and (i, rho, e) are one plant, so each
-    distinct (e * i, rho) is certified once: a later sample of that class
-    gets the first one's report with its own ``e_scale``, ``rho_scale`` and
-    ``i_scale`` in a fresh metadata dict.  Where the chain at t_eq / k is
-    refused (the critical tension, a residual, flutter), the sample's own
-    model is solved at t_eq instead, so a refusal names the sample's tension
-    and critical tension; such a class is not reused.
+    Sample order is deterministic (E outermost, I innermost).  Samples share
+    solves, plants and reports by the module docstring's box rules; each
+    report's metadata carries its own ``e_scale``, ``rho_scale`` and
+    ``i_scale``, and the first sample that fails raises SweepSampleError.
     """
     if not 0.0 <= perturbation < 1.0:
         raise ValueError("perturbation must lie in [0, 1)")

@@ -40,6 +40,7 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
+_MAX_STEPS = 10**9  # 9-14 h of RK4 at 32-51 us per three-mode step
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
 TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
@@ -53,7 +54,8 @@ class SimScenario:
 
     ``controller`` may be None for an unforced (zero-tension) run.
     ``decimation`` thins the log: one row every that many steps, plus the
-    final step whenever the step count is not a multiple of it.
+    final step whenever the step count is not a multiple of it.  A run of
+    more than 10**9 steps (hours of integration) is refused.
     """
 
     model: StructuralModel
@@ -74,6 +76,8 @@ class SimScenario:
         d = self.decimation
         if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
             raise ValueError(f"decimation must be an integer >= 1, got {d!r}")
+        if steps > _MAX_STEPS:
+            raise ValueError(f"a run of {steps} steps exceeds the ceiling of {_MAX_STEPS} steps")
 
     @property
     def step_count(self) -> int:

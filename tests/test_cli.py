@@ -338,6 +338,17 @@ def test_simulate_duration_whose_step_count_overflows_is_an_error_line(tmp_path,
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_simulate_run_past_the_step_ceiling_is_an_error_line(tmp_path, capsys):
+    # 1e12 s in 1 ms steps is 1e15 steps, about 950 years of run.
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", "fig7a", "--duration", "1e12",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: a run of 1000000000000000 steps exceeds "
+                                       "the ceiling of 1000000000 steps\n")
+    assert not out.exists()
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 

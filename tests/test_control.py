@@ -23,6 +23,17 @@ def test_gain_validation():
         fb.PDGains(k_p=1.0, k_d=-2.0)
 
 
+@pytest.mark.parametrize("gains, message", [
+    ({"k_p": 0.0}, "k_p must be > 0, got 0.0"),
+    ({"k_d": float("nan")}, "k_d must be > 0, got nan"),
+    ({"k_p": -1.0, "k_d": -2.0}, "k_p must be > 0, got -1.0"),  # k_p is checked first
+])
+def test_gain_refusal_names_the_gain(gains, message):
+    with pytest.raises(ValueError) as refused:
+        fb.PDGains(**gains)
+    assert str(refused.value) == message
+
+
 def test_quintic_endpoints():
     profile = quintic_profile()
     assert fb.feedforward_tension(profile, 0.0) == 0.15

@@ -347,6 +347,21 @@ def test_sweep_wraps_sample_failures(params, basis3):
                              omega=fb.default_grid(50))
 
 
+def test_sweeps_over_a_basis_the_model_refuses_name_the_sample(params):
+    # From 13 modes the mass matrix is not positive definite.  The box assembles
+    # its nominal model inside the first sample's check, and the refusal sends
+    # that sample to its own model, which names the same cause.
+    basis = fb.BasisSet.with_mode_count(13)
+    cause = "at tension 1.0 N failed: mass matrix is not positive definite"
+    with pytest.raises(fb.SweepSampleError) as swept:
+        fb.uncertainty_sweep(params, basis, 1.0, 0.2, 8, fb.default_grid(50))
+    assert str(swept.value) == ("sweep sample {'e_scale': 0.8, 'rho_scale': 0.8, "
+                                f"'i_scale': 0.8}} {cause}")
+    with pytest.raises(fb.SweepSampleError) as counted:
+        fb.mode_count_sweep(params, [13], 1.0, fb.default_grid(50))
+    assert str(counted.value) == f"mode-count sample {{'mode_count': 13}} {cause}"
+
+
 def test_bad_perturbation_rejected(params, basis3):
     with pytest.raises(ValueError):
         fb.uncertainty_sweep(params, basis3, 1.0, 1.5, samples=8)
@@ -602,6 +617,14 @@ def test_grid_whose_squares_overflow_is_refused_without_warnings(ss_nominal):
             fb.default_grid(50, 1e-3, 1e200)
         with pytest.raises(ValueError, match="finite squares"):
             fb.frequency_response(ss_nominal, np.array([1.0, 1e200]))
+
+
+def test_default_grid_refuses_an_int_whose_square_overflows_without_warnings():
+    # The int 10**200 is the float 1e200 once converted, and its square overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequency grid needs 0 < omega_min"):
+            fb.default_grid(5, 1e-3, 10**200)
 
 
 @pytest.mark.parametrize("grid", [

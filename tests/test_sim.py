@@ -199,6 +199,17 @@ def test_scenario_refuses_a_step_count_that_overflows(model3, duration):
         _unforced(model3, 0.0, duration, dt=1e-3)
 
 
+def test_scenario_refuses_a_run_past_the_step_ceiling(model3):
+    # 1e6 s of 1 ms steps is the longest accepted run; one step more is refused.
+    assert _unforced(model3, 0.0, 1e6, dt=1e-3).step_count == 10**9
+    with pytest.raises(ValueError, match=r"^a run of 1000000001 steps exceeds the "
+                                         r"ceiling of 1000000000 steps$"):
+        _unforced(model3, 0.0, 1000000.001, dt=1e-3)
+    # 1e12 s is 1e15 steps, about 950 years of run.
+    with pytest.raises(ValueError, match="a run of 1000000000000000 steps"):
+        fb.scenario_suite(duration=1e12)
+
+
 def test_scenario_refuses_boolean_decimation(model3):
     with pytest.raises(ValueError, match="decimation"):
         _unforced(model3, 0.0, 1.0, decimation=True)

@@ -185,6 +185,9 @@ COMMANDS = [
     # 1e308 s of 1 ms steps: a step count that overflows.
     ("simulate_duration_overflow", ["simulate", "--scenario", "fig7a", "--duration",
                                     "1e308", "--out", "sim_duration_overflow"]),
+    # 1e12 s of 1 ms steps: 1e15 steps, past the ceiling on a run's length.
+    ("simulate_duration_ceiling", ["simulate", "--scenario", "fig7a", "--duration",
+                                   "1e12", "--out", "sim_duration_ceiling"]),
     # 1e60 s steps overflow the state at once: a diverged run, no NaN in the JSON.
     ("simulate_state_overflow", ["simulate", "--scenario", "fig7a", "--dt", "1e60",
                                  "--duration", "1e61", "--out", "sim_state_overflow"]),
