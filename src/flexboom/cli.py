@@ -146,7 +146,10 @@ def _checked(user: Any, default: Any, path: str = "") -> Any:
     if isinstance(user, bool) and bool not in allowed:
         raise ConfigError(f"{path}: boolean not allowed here")
     if float in allowed and isinstance(user, (int, float)):
-        return float(user)
+        try:
+            return float(user)
+        except OverflowError:
+            raise ConfigError(f"{path}: int too large to convert to float") from None
     if isinstance(user, list) and list in allowed:
         return [_checked(item, _ITEMS[path], f"{path}[{i}]") for i, item in enumerate(user)]
     if isinstance(user, allowed):

@@ -8,10 +8,18 @@ because the spreader reactions soften the effective stiffness.  That
 softening makes the effective stiffness singular at the model's first
 critical tension T_c (``StructuralModel.critical_tension``), where the
 deflection grows without bound; past T_c the linear solve still returns
-numbers, but they are not equilibria the boom can hold.  The inverse
-(tension for a target tip deflection) is a bracketing root find: at 2001
-even steps the nominal map rises strictly on [0, min(2 N, T_c)) for 1 to
-12 modes, but need not beyond (with two modes it falls from 3.51 N).
+numbers, but they are not equilibria the boom can hold.  At 2001 even steps
+the nominal map rises strictly on [0, min(2 N, T_c)) for 1 to 12 modes, but
+need not beyond (with two modes it falls from 3.50 N).
+
+The map is rational in T (``StructuralModel.deflection_map``), and the
+inverse (the least tension for a target tip deflection) uses that closed
+form to bracket and find the root, then polishes it with Newton steps on
+the direct solve, which stays the definition of w: the tension returned
+meets the target on the direct map.  Below 2 N the closed form agrees with
+the direct solve to 6e-14 (relative) at three modes and 3e-12 at six, but
+only to 9e-8 at ten modes and 6e-5 at twelve, where its eigenvectors are
+ill-conditioned (condition 5e7 to 7e9); there the polish takes more steps.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ DEFAULT_TENSION_MAX = 2.0
 
 _RESIDUAL_REL = 1e-9
 _RESIDUAL_FLOOR = 1e-12  # N
+# Direct solves the inversion may spend polishing the closed form's root.
+_POLISH_STEPS = 8
 
 
 class NearSingularStiffness(RuntimeError):
@@ -133,17 +143,27 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
 
 def tension_for_deflection(model: StructuralModel, w_target: float,
                            t_max: float = DEFAULT_TENSION_MAX) -> float:
-    """Tension (N) whose equilibrium tip deflection equals w_target (m).
+    """Least tension (N) in [0, t_max] whose equilibrium tip deflection is w_target (m).
 
-    Bracketing root find on [0, t_max]; the returned tension reproduces
-    w_target to within 1e-6 m.  Raises OutOfRange if the target is negative
-    or above w(t_max); a t_max at or beyond the first critical tension
-    raises NearSingularStiffness; a t_max that is not finite and positive
-    raises ValueError.  w(t_max) is taken as the largest reachable
-    deflection, which holds only where the map rises up to t_max: a
-    reachable target above w(t_max) is refused as well (with two modes the
-    map peaks at 5.89 m near 3.5 N and falls to 4.12 m at 10 N, so with
-    t_max = 10 N the target 5 m, held at 2.38 N, is refused).
+    The closed form ``model.deflection_map`` locates the root, and direct
+    solves decide it.  The closed form's stationary tensions split [0, t_max]
+    into stretches where w is monotone; the first stretch whose end reaches
+    w_target holds the least root, which brentq finds on the closed form.
+    Newton steps on ``solve_equilibrium``, with the closed form's slope, then
+    polish it (at least one step, at most eight) until the direct map meets
+    w_target to within 1e-6 m: the tension returned is that polished root of
+    the direct map, not the closed form's root.  From ten modes the closed
+    form drifts from the direct map (see the module docstring), and from
+    eleven the direct map itself jitters by a few 1e-6 m between tensions
+    1e-9 N apart, so there the 1e-6 m check can fail.
+
+    Raises OutOfRange if the target is negative or above the largest
+    deflection on [0, t_max]: the larger of w(t_max) and the closed form at
+    its stationary tensions below t_max (with two modes w peaks at 5.89 m
+    near 3.50 N and falls to 4.12 m at 10 N, so with t_max = 10 N the target
+    5 m is held at 2.38 N).  A t_max at or beyond the first critical tension
+    raises NearSingularStiffness, a t_max that is not finite and positive
+    ValueError, and a polish that does not meet the target RuntimeError.
     """
     # Imported here: scipy.optimize adds about 0.3 s to importing the package.
     from scipy.optimize import brentq
@@ -151,17 +171,36 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     check_t_max(t_max)
     if w_target == 0.0:
         return 0.0
-    w_max = solve_equilibrium(model, t_max).tip_deflection
+    w_end = solve_equilibrium(model, t_max).tip_deflection
+    closed_form = model.deflection_map
+    knots = [t for t in closed_form.stationary if t < t_max] + [t_max]
+    w_max = max([w_end, *map(closed_form.deflection, knots[:-1])])
     if not 0.0 <= w_target <= w_max:
         raise OutOfRange(
             f"target deflection {w_target} m outside achievable range "
             f"[0, {w_max:.6g}] m at tension limit {t_max} N"
         )
-    tension = brentq(
-        lambda t: solve_equilibrium(model, t).tip_deflection - w_target,
-        0.0, t_max, xtol=1e-12, rtol=8.9e-16,
-    )
+
+    def miss(t: float) -> float:
+        return closed_form.deflection(t) - w_target
+
+    low = 0.0
+    for high in knots:
+        if miss(high) >= 0.0:
+            tension = brentq(miss, low, high, xtol=1e-12, rtol=8.9e-16)
+            break
+        low = high
+    else:  # only the direct w(t_max) reaches the target: the root is at t_max
+        tension = t_max
     achieved = solve_equilibrium(model, tension).tip_deflection
+    for _ in range(_POLISH_STEPS):
+        slope = closed_form.slope(tension)
+        if not slope > 0.0:  # at a peak of w: no step does better
+            break
+        tension = min(max(tension - (achieved - w_target) / slope, low), high)
+        achieved = solve_equilibrium(model, tension).tip_deflection
+        if abs(achieved - w_target) <= 1e-6:
+            break
     if abs(achieved - w_target) > 1e-6:
         raise RuntimeError(
             f"inverse map did not converge: |{achieved} - {w_target}| > 1e-6 m"

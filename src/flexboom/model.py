@@ -208,6 +208,54 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DeflectionMap:
+    """Equilibrium tip deflection at constant tension T, in closed form.
+
+    On the equilibrated system, with K^-1 S = V diag(lam) V^-1 for the
+    stiffness K and the spreader matrix over dx S, the equilibrium
+    (K - T S) q = T f of the unit-tension load f = f(0, 1) is
+    q = V diag(T / (1 - lam T)) V^-1 K^-1 f, and the tip deflection is the
+    sum of the equilibrated coordinates:
+    w(T) = Re sum_i beta_i T / (1 - lam_i T), beta = (1^T V) * (V^-1 K^-1 f).
+    ``eigenvalues`` and ``weights`` hold lam and beta (complex where lam
+    is), and ``stationary`` every T > 0 where dw/dT vanishes, ascending:
+    between two of them w is monotone.  The form is exact in exact
+    arithmetic; in floats it loses accuracy as V grows ill-conditioned
+    (see the ``equilibrium`` module).
+    """
+
+    eigenvalues: tuple[complex, ...]
+    weights: tuple[complex, ...]
+    stationary: tuple[float, ...]
+
+    def deflection(self, tension: float) -> float:
+        """w(T) (m)."""
+        return sum(b * tension / (1.0 - lam * tension)
+                   for lam, b in zip(self.eigenvalues, self.weights)).real
+
+    def slope(self, tension: float) -> float:
+        """dw/dT = Re sum_i beta_i / (1 - lam_i T)^2 (m/N)."""
+        return sum(b / (1.0 - lam * tension) ** 2
+                   for lam, b in zip(self.eigenvalues, self.weights)).real
+
+
+def _stationary_tensions(lam: np.ndarray, weights: np.ndarray) -> tuple[float, ...]:
+    """Ascending real T > 0 where sum_i beta_i / (1 - lam_i T)^2 vanishes.
+
+    They are the real positive roots of the numerator
+    sum_i beta_i prod_{j != i} (1 - lam_j T)^2, a polynomial of degree
+    2n - 2 with real coefficients (lam and beta come in conjugate pairs).
+    A root counts as real when |imag| <= 1e-9 |root|.
+    """
+    squares = [np.convolve([-x, 1.0], [-x, 1.0]) for x in lam]  # descending powers of T
+    numerator = sum(b * functools.reduce(np.convolve, squares[:i] + squares[i + 1:], np.ones(1))
+                    for i, b in enumerate(weights))
+    roots = np.roots(np.real(numerator))
+    real = roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)]
+    return tuple(np.sort(real).tolist())
+
+
+@dataclass(frozen=True)
 class StructuralModel:
     """Assembled discretization: immutable after construction, safe to share.
 
@@ -226,7 +274,11 @@ class StructuralModel:
     factorization; the operator of ``state_rate``, the one definition of the
     dynamics, is built through it on a model's first ``state_rate`` and then
     kept: a pure function of the read-only fields, so the model stays safe
-    to share.
+    to share.  Assembly also keeps one eigendecomposition of the equilibrated
+    K^-1 (spreader_matrix / dx): ``critical_tension`` comes from its
+    eigenvalues, and ``deflection_map``, the closed-form tip deflection that
+    ``tension_for_deflection`` brackets and starts its polish from, is built
+    from it on the model's first read and then kept the same way.
     """
 
     params: BoomParams
@@ -238,6 +290,7 @@ class StructuralModel:
     tip_slope: np.ndarray = field(repr=False)
     critical_tension: float
     _mass_chol: tuple = field(repr=False)
+    _softening: tuple = field(repr=False)
 
     @property
     def mode_count(self) -> int:
@@ -278,25 +331,32 @@ class StructuralModel:
             self.params.cable_offset * self.tip_slope)))
         return _readonly(rate_op), _readonly(input_rate)
 
+    @functools.cached_property
+    def deflection_map(self) -> DeflectionMap:
+        """The closed-form equilibrium tip deflection (``DeflectionMap``)."""
+        lam, vectors = self._softening
+        unit_load = actuation_force(self, np.zeros(self.mode_count), 1.0)
+        response = self.stiffness_solve(np.zeros(1), unit_load[None])[0] * self.tip_row
+        weights = vectors.sum(axis=0) * np.linalg.solve(vectors, response)
+        return DeflectionMap(tuple(lam.tolist()), tuple(weights.tolist()),
+                             _stationary_tensions(lam, weights))
+
 
 def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """D^-1 matrix D^-1 with D = diag(scale); A x = b becomes (D^-1 A D^-1)(D x) = b / scale."""
     return matrix / scale[:, None] / scale[None, :]
 
 
-def _first_critical_tension(stiffness: np.ndarray, spreader: np.ndarray,
-                            scale: np.ndarray) -> float:
+def _first_critical_tension(lam: np.ndarray) -> float:
     """Smallest T > 0 with det(stiffness - T * spreader) = 0, else inf.
 
-    The roots are T = 1/mu for the real eigenvalues mu > 0 of
-    stiffness^-1 spreader, computed on the equilibrated matrices; the
-    stiffness is positive definite, so mu = 0 (no spreader coupling) maps
-    to no root at all.  Eigenvalues with |imag| <= 1e-9 |mu| count as real,
-    so a double root that rounding splits into a complex pair is not missed.
+    The roots are T = 1/lam for the real eigenvalues lam > 0 of
+    stiffness^-1 spreader (computed on the equilibrated matrices); the stiffness is positive definite, so lam = 0
+    (no spreader coupling) maps to no root at all.  Eigenvalues with
+    |imag| <= 1e-9 |lam| count as real, so a double root that rounding
+    splits into a complex pair is not missed.
     """
-    mu = np.linalg.eigvals(np.linalg.solve(equilibrate(stiffness, scale),
-                                           equilibrate(spreader, scale)))
-    real = mu.real[(np.abs(mu.imag) <= 1e-9 * np.abs(mu)) & (mu.real > 0.0)]
+    real = lam.real[(np.abs(lam.imag) <= 1e-9 * np.abs(lam)) & (lam.real > 0.0)]
     return float(1.0 / real.max()) if real.size else float("inf")
 
 
@@ -309,7 +369,8 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
     are the exact monomial integrals of the kinetic and strain energies.
     The first critical tension (see ``StructuralModel``) is computed here
-    once, so per-tension solves only compare against it.
+    once, so per-tension solves only compare against it; the
+    eigendecomposition it comes from is kept for ``deflection_map``.
     Raises ValueError if a matrix overflows (from about 103 modes on the
     nominal boom) or the mass matrix is not positive definite (from about
     13 modes, where the monomial basis is numerically dependent).
@@ -336,6 +397,9 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
         mass_chol = cho_factor(equilibrate(mass, tip_row), lower=True)
     except np.linalg.LinAlgError as exc:
         raise ValueError("mass matrix is not positive definite") from exc
+    # (lam, V) of K^-1 (spreader / dx) on the equilibrated matrices.
+    softening = np.linalg.eig(np.linalg.solve(equilibrate(stiffness, tip_row),
+                                              equilibrate(spreader_per_dx, tip_row)))
 
     return StructuralModel(
         params=params,
@@ -345,8 +409,9 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
         spreader_matrix=_readonly(spreader),
         tip_row=_readonly(tip_row),
         tip_slope=_readonly(tip_slope),
-        critical_tension=_first_critical_tension(stiffness, spreader_per_dx, tip_row),
+        critical_tension=_first_critical_tension(softening[0]),
         _mass_chol=mass_chol,
+        _softening=softening,
     )
 
 

@@ -384,6 +384,21 @@ def test_non_object_section_names_the_section(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: boom: expected an object, got int\n"
 
 
+@pytest.mark.parametrize("text", [
+    '{"bode": {"omega_max": 1%s}}' % ("0" * 400),
+    '{"controller": {"reference": {"map_coefficients": [0.6, -1%s]}}}' % ("0" * 400),
+], ids=["leaf", "list_item"])
+def test_int_too_large_for_a_float_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["bode", "--config", str(cfg), "--teq", "0.5", "--out", str(out)]) == 2
+    where = "bode.omega_max" if "bode" in text else "controller.reference.map_coefficients[1]"
+    assert capsys.readouterr().err == \
+        f"config error: {where}: int too large to convert to float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_fit_rejects_non_finite_deflection(tmp_path, capsys, bad):
     data = tmp_path / "data.csv"

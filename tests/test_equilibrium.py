@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -231,3 +233,103 @@ def test_inverse_refuses_a_root_that_misses_the_target(model3):
     assert w_target > 1e7
     with pytest.raises(RuntimeError, match="inverse map did not converge"):
         fb.tension_for_deflection(model3, w_target, t_max=t_max)
+
+
+# critical_tension for 1 to 12 modes on the nominal boom, as the eigenvalue-only
+# solve gave it before the model kept the eigenvectors too.
+CRITICAL_TENSION_HEX = [
+    "0x1.d8edca92066d7p-1", "inf", "0x1.ffd9d9565a857p+2", "0x1.22b35476c0af3p+2",
+    "0x1.ae484c5df3ef0p+7", "0x1.0c4c7a721327dp+3", "0x1.e75e24a4a7ba1p+12",
+    "0x1.5ed5081679e32p+6", "0x1.1e1c5d7b09b79p+6", "0x1.640e771561dbap+3",
+    "0x1.02effda8ba254p+13", "0x1.b558c200493dap+3",
+]
+
+
+@pytest.mark.parametrize("modes", range(1, 13))
+def test_critical_tension_is_unchanged_by_the_kept_decomposition(params, modes):
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    assert model.critical_tension.hex() == CRITICAL_TENSION_HEX[modes - 1]
+
+
+# Measured against the exact solve: at most 8.5e-13 relative for 1-6 modes up
+# to 2 N; at 0.999 T_c 1.8e-13 (1 mode), 3.9e-10 (3), 2.0e-11 (4), 2.0e-7 (5,
+# where T_c = 215 N) and 3.7e-7 (6), which is the direct solve's order there.
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_closed_form_deflection_matches_exact_solve(params, modes):
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    closed_form = model.deflection_map
+    for tension in (0.1, 0.5, 1.0, 2.0):
+        if tension < model.critical_tension:
+            assert closed_form.deflection(tension) == pytest.approx(
+                oracles.exact_equilibrium_tip(model, tension), rel=1e-11)
+    if np.isfinite(model.critical_tension):
+        near = 0.999 * model.critical_tension
+        assert closed_form.deflection(near) == pytest.approx(
+            oracles.exact_equilibrium_tip(model, near), rel=1e-6)
+
+
+@pytest.mark.parametrize("modes", [1, 3, 6])
+def test_closed_form_on_the_cantilever_is_linear(params, modes):
+    # No spreader reactions: every eigenvalue is zero, so w(T) = T sum(beta).
+    model = fb.assemble_matrices(dataclasses.replace(params, spreader_count=0),
+                                 fb.BasisSet.with_mode_count(modes))
+    closed_form = model.deflection_map
+    assert model.critical_tension == float("inf")
+    assert not any(closed_form.eigenvalues) and closed_form.stationary == ()
+    unit = closed_form.deflection(1.0)
+    for tension in (0.5, 2.0, 50.0):
+        assert closed_form.deflection(tension) == pytest.approx(
+            oracles.exact_equilibrium_tip(model, tension), rel=1e-12)
+        assert closed_form.deflection(tension) == pytest.approx(unit * tension, rel=1e-14)
+        assert closed_form.slope(tension) == pytest.approx(unit, rel=1e-14)
+
+
+@pytest.mark.parametrize("modes", range(1, 11))
+def test_inverse_round_trip_scan(params, modes):
+    # 40 tensions up to and including the bracket end t_max itself.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    t_max = min(2.0, 0.99 * model.critical_tension)
+    for tension in np.linspace(0.01, t_max, 40):
+        w = fb.solve_equilibrium(model, tension).tip_deflection
+        found = fb.tension_for_deflection(model, w, t_max=t_max)
+        assert abs(fb.solve_equilibrium(model, found).tip_deflection - w) <= 1e-6
+
+
+@pytest.mark.parametrize("modes", [4, 10])
+def test_inverse_answers_the_end_point_the_closed_form_misses(params, modes):
+    # At 4 and 10 modes the closed form at 2 N lies just below the direct w(2 N),
+    # so it has no sign change on [0, 2 N] for that target.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    w_end = fb.solve_equilibrium(model, 2.0).tip_deflection
+    assert model.deflection_map.deflection(2.0) < w_end
+    found = fb.tension_for_deflection(model, w_end, t_max=2.0)
+    assert abs(fb.solve_equilibrium(model, found).tip_deflection - w_end) <= 1e-6
+
+
+def test_inverse_finds_the_least_root_of_a_map_that_falls(params):
+    # Two modes: w peaks at 5.888 m near 3.50 N and falls to 4.12 m at 10 N,
+    # so 5 m is held at 2.38 N (and again past the peak).
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(2))
+    assert fb.solve_equilibrium(model, 10.0).tip_deflection < 5.0
+    found = fb.tension_for_deflection(model, 5.0, t_max=10.0)
+    assert found == pytest.approx(2.3843, abs=1e-4)
+    assert abs(fb.solve_equilibrium(model, found).tip_deflection - 5.0) <= 1e-6
+    (peak,) = model.deflection_map.stationary
+    assert peak == pytest.approx(3.50, abs=0.01)
+    with pytest.raises(fb.OutOfRange, match=r"\[0, 5\.88822\] m at tension limit 10"):
+        fb.tension_for_deflection(model, 5.9, t_max=10.0)
+    # Below the peak's tension the limit decides, as before: 5.8 m needs 3.09 N.
+    w_3 = fb.solve_equilibrium(model, 3.0).tip_deflection
+    with pytest.raises(fb.OutOfRange, match=rf"\[0, {w_3:.6g}\] m at tension limit 3"):
+        fb.tension_for_deflection(model, 5.8, t_max=3.0)
+
+
+def test_inversion_takes_three_direct_solves(monkeypatch, model3):
+    # w(t_max) with its T_c refusal, one polish step and the achieved check.
+    calls = []
+    solve = fb.equilibrium.solve_equilibrium
+    monkeypatch.setattr(fb.equilibrium, "solve_equilibrium",
+                        lambda model, tension: calls.append(tension) or solve(model, tension))
+    w = solve(model3, 0.77).tip_deflection
+    assert fb.tension_for_deflection(model3, w) == pytest.approx(0.77, abs=1e-12)
+    assert len(calls) == 3 and calls[0] == 2.0

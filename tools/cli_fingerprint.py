@@ -88,6 +88,8 @@ CONFIGS = {
     # A 5.6 N plant under a 6 N limit: the nominal boom holds it (T_c 8.0 N),
     # but the box corner (0.8, 0.8, 0.8) buckles at 0.64 * 8.0 = 5.12 N.
     "t_max6": {"equilibrium": {"t_max": 6}},
+    # A JSON int for a float leaf that no float can hold.
+    "int_overflow": {"bode": {"omega_max": 10 ** 400}},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -214,6 +216,8 @@ COMMANDS = [
                               "--samples", "125", "--out", "sweep_uncertainty_125"]),
     ("bode_uncertainty_refused", ["bode", "--config", "t_max6.json", "--teq", "5.6",
                                   "--sweep", "uncertainty", "--out", "sweep_refused"]),
+    ("bode_int_overflow", ["bode", "--config", "int_overflow.json", "--teq", "0.5",
+                           "--out", "bode_int_overflow"]),
 ]
 
 

@@ -6,9 +6,12 @@ Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
 modes, on the default 2000-point grid.  One more row times a fresh model's
 ``assemble_matrices`` plus its first ``state_rate``, which builds the
-stacked operator that every later ``state_rate`` of that model reuses.  Two
+stacked operator that every later ``state_rate`` of that model reuses.  Three
 rows time the equilibrium map: a 2000-sample ``deflection_curve`` over
-[0, 1.8] N, and ``tension_for_deflection`` of the tip deflection at 0.77 N.
+[0, 1.8] N, and ``tension_for_deflection`` of the tip deflection at 0.77 N,
+once on the warm model and once as a fresh model's ``assemble_matrices``
+plus its first inversion, which builds the closed-form map
+(``StructuralModel.deflection_map``) that every later inversion reuses.
 Each figure is the best of 5 batches of 40 calls, in microseconds per call.
 The last row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
@@ -71,6 +74,8 @@ def layer_times(modes: int) -> dict[str, float]:
         "deflection_curve": lambda: fb.deflection_curve(model, t_max=CURVE_T_MAX,
                                                         samples=CURVE_SAMPLES),
         "tension_for_deflection": lambda: fb.tension_for_deflection(model, eq.tip_deflection),
+        "assemble+tension_for_deflection": lambda: fb.tension_for_deflection(
+            fb.assemble_matrices(params, basis), eq.tip_deflection),
         "linearize": lambda: fb.linearize(model, eq),
         "frequency_response": lambda: fb.frequency_response(ss, grid),
         "passivity_check": lambda: fb.passivity_check(ss, grid),
@@ -100,12 +105,12 @@ def main() -> int:
     table = {n: layer_times(n) for n in MODES}
     print(f"us per call, best of {REPEATS} x {CALLS} (sweep: of {REPEATS} sweeps, per sample), "
           f"{fb.default_grid().size}-point grid, {TENSION:g} N")
-    print(f"{'layer':<24}" + "".join(f"{f'n={n}':>10}" for n in MODES))
+    print(f"{'layer':<32}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
-        print(f"{name:<24}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
+        print(f"{name:<32}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
     print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
     for name, value in rk4_step_times().items():
-        print(f"{'rk4 ' + name:<24}{value:>10.2f}")
+        print(f"{'rk4 ' + name:<32}{value:>10.2f}")
     return 0
 
 
