@@ -17,8 +17,9 @@ atomically (write-temp-then-rename) and in order, then a machine-readable
 leaves no file or directory behind; a result that is not ok (a failed
 passivity check) is still written.  Exit code 0 means every requested check
 or run succeeded; a config problem exits with 2, and any library failure (a
-RuntimeError or ValueError) is one ``error:`` line and exit 1.  A simulation
-that ends in divergence is a recorded outcome, not a failure.
+RuntimeError or ValueError, or a MemoryError from a size too large to allocate)
+is one ``error:`` line and exit 1.  A simulation that ends in divergence is a
+recorded outcome, not a failure.
 """
 
 from __future__ import annotations
@@ -545,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -79,15 +79,19 @@ def check_t_max(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
 
 
-def _equilibria(model: StructuralModel, tensions: np.ndarray) -> np.ndarray:
-    """Equilibrium modal coordinates, one row per tension in (0, T_c), in one batched solve.
+def _equilibria(model: StructuralModel, tensions: np.ndarray) -> list[EquilibriumPoint]:
+    """Equilibria at a 1-d stack of tensions in (0, T_c), in one batched solve.
 
-    The first row whose residual is above 1e-9 (relative) raises RuntimeError.
-    A row does not depend on the other tensions of the stack.
+    The one T_c refusal: a stack whose largest tension is at or beyond T_c
+    raises that tension's NearSingularStiffness before any solve.  The first
+    row whose residual is above 1e-9 (relative) raises RuntimeError.  Rows do
+    not depend on each other.
     """
+    rows = tensions.tolist()
+    if max(rows) >= model.critical_tension:
+        raise NearSingularStiffness(max(rows), model.critical_tension)
     t = tensions[:, None]
     q = model.stiffness_solve(tensions, actuation_force(model, np.zeros(model.mode_count), t))
-
     stiffness_load = (model.stiffness_matrix @ q[..., None])[..., 0]
     imbalance = actuation_force(model, q, t) - stiffness_load
     residual = np.sqrt(np.vecdot(imbalance, imbalance))  # each row's np.linalg.norm
@@ -100,7 +104,7 @@ def _equilibria(model: StructuralModel, tensions: np.ndarray) -> np.ndarray:
             f"equilibrium solve at {tensions[i]} N left residual "
             f"{residual[i]:.3e} N above tolerance {tol[i]:.3e} N"
         )
-    return q
+    return [EquilibriumPoint(u, row, tip_deflection(model, row)) for u, row in zip(rows, q)]
 
 
 def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:
@@ -109,36 +113,30 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
     Equilibria exist exactly on [0, T_c): a tension at or beyond the first
     critical tension raises NearSingularStiffness, a negative (a cable cannot
     push) or non-finite one ValueError; no conditioning test refuses a tension
-    below T_c.  A residual above 1e-9 (relative) is a RuntimeError.
+    below T_c.  A residual above 1e-9 (relative) is a RuntimeError.  Any
+    other tension is a batch of one, so the point's tension is a float.
     """
     if not (np.isfinite(tension) and tension >= 0.0):
         raise ValueError(f"tension must be finite and >= 0, got {tension!r}")
     if tension == 0.0:
         return EquilibriumPoint(0.0, np.zeros(model.mode_count), 0.0)
-    if tension >= model.critical_tension:
-        raise NearSingularStiffness(tension, model.critical_tension)
-    q = _equilibria(model, np.array([tension], dtype=float))[0]
-    return EquilibriumPoint(tension, q, tip_deflection(model, q))
+    return _equilibria(model, np.array([tension], dtype=float))[0]
 
 
 def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
                      samples: int = 200) -> list[EquilibriumPoint]:
     """Equilibria sampled at evenly spaced tensions over [0, t_max], t_max > 0.
 
-    One batched solve, row-identical to ``solve_equilibrium`` at each
-    sample's tension.  The end point is solved first: a curve that reaches
-    the first critical tension raises the NearSingularStiffness of t_max,
-    and no partial curve is returned.
+    The 0 N point plus one batched solve, row-identical to
+    ``solve_equilibrium`` at each sample's tension.  A curve that reaches the
+    first critical tension raises the NearSingularStiffness of t_max, and no
+    partial curve is returned.
     """
     check_t_max(t_max)
     if samples < 2:
         raise ValueError("need at least two samples")
     tensions = np.linspace(0.0, t_max, samples)
-    end = solve_equilibrium(model, tensions[-1])
-    inner = tensions[1:-1]
-    points = [EquilibriumPoint(t, q, tip_deflection(model, q))
-              for t, q in zip(inner, _equilibria(model, inner))]
-    return [solve_equilibrium(model, 0.0), *points, end]
+    return [solve_equilibrium(model, 0.0), *_equilibria(model, tensions[1:])]
 
 
 def tension_for_deflection(model: StructuralModel, w_target: float,
@@ -148,14 +146,14 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     The closed form ``model.deflection_map`` locates the root, and direct
     solves decide it.  The closed form's stationary tensions split [0, t_max]
     into stretches where w is monotone; the first stretch whose end reaches
-    w_target holds the least root, which brentq finds on the closed form.
-    Newton steps on ``solve_equilibrium``, with the closed form's slope, then
-    polish it (at least one step, at most eight) until the direct map meets
-    w_target to within 1e-6 m: the tension returned is that polished root of
-    the direct map, not the closed form's root.  From ten modes the closed
-    form drifts from the direct map (see the module docstring), and from
-    eleven the direct map itself jitters by a few 1e-6 m between tensions
-    1e-9 N apart, so there the 1e-6 m check can fail.
+    w_target holds the least root, which brentq finds on the closed form (if
+    only the direct w(t_max) reaches it, the root starts at t_max).  Newton
+    steps on ``solve_equilibrium`` with the closed form's slope, clipped to the
+    root's stretch, polish it (at most eight steps) until the direct map meets
+    w_target within 1e-6 m: the tension returned is a root of the direct map,
+    not the closed form's.  From ten modes the closed form drifts from the
+    direct map, and from eleven the direct map jitters by a few 1e-6 m between
+    tensions 1e-9 N apart, so there the 1e-6 m check can fail.
 
     Raises OutOfRange if the target is negative or above the largest
     deflection on [0, t_max]: the larger of w(t_max) and the closed form at
@@ -184,13 +182,11 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     def miss(t: float) -> float:
         return closed_form.deflection(t) - w_target
 
-    low = 0.0
-    for high in knots:
+    for low, high in zip([0.0, *knots], knots):
         if miss(high) >= 0.0:
             tension = brentq(miss, low, high, xtol=1e-12, rtol=8.9e-16)
             break
-        low = high
-    else:  # only the direct w(t_max) reaches the target: the root is at t_max
+    else:  # only the direct w(t_max) reaches the target: polish from t_max
         tension = t_max
     achieved = solve_equilibrium(model, tension).tip_deflection
     for _ in range(_POLISH_STEPS):

@@ -48,6 +48,15 @@ __all__ = [
 # Relative tolerance for "a spreader node sits at the tip attachment".
 _TIP_TOL = 1e-9
 
+# Most modes a basis may have, refused before any n x n array (8 MB each here) is
+# built; the mass matrix of a 1, 29.4 or 100 m boom already refuses 11, 13 or 11.
+_MODE_CEILING = 1000
+
+
+def _check_mode_ceiling(count: int) -> None:
+    if count > _MODE_CEILING:
+        raise ValueError(f"mode count must be <= {_MODE_CEILING}, got {count}")
+
 
 @dataclass(frozen=True)
 class BoomParams:
@@ -106,6 +115,7 @@ class BasisSet:
     def __post_init__(self) -> None:
         if len(self.exponents) < 1:
             raise ValueError("basis needs at least one exponent")
+        _check_mode_ceiling(len(self.exponents))
         if min(self.exponents) < 2:
             raise ValueError(f"minimum exponent is 2, got {min(self.exponents)}")
         if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
@@ -113,9 +123,10 @@ class BasisSet:
 
     @classmethod
     def with_mode_count(cls, n: int) -> "BasisSet":
-        """Default basis for n modes: consecutive monomials x^2 .. x^(n+1)."""
+        """Default basis for n modes: consecutive monomials x^2 .. x^(n+1), n <= 1000."""
         if n < 1:
             raise ValueError(f"mode count must be >= 1, got {n}")
+        _check_mode_ceiling(n)
         return cls(exponents=tuple(range(2, n + 2)))
 
     @property

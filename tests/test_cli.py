@@ -796,6 +796,37 @@ def test_overflowing_mode_count_is_one_error_line(tmp_path, capsys, modes):
     assert _tree(tmp_path) == before
 
 
+
+@pytest.mark.parametrize("argv, config", [
+    (["equilibrium"], {"equilibrium": {"samples": 10 ** 15}}),
+    (["bode", "--teq", "0.5"], {"bode": {"grid_points": 10 ** 15}}),
+])
+def test_size_too_large_to_allocate_is_one_error_line(tmp_path, capsys, argv, config):
+    # 8e15 bytes per array: no machine allocates that, so numpy raises MemoryError.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    before = _tree(tmp_path)
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "allocate" in captured.err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [["equilibrium"], ["bode", "--teq", "0.5"], ["simulate"]])
+def test_mode_count_past_the_ceiling_is_one_error_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"modes": 10 ** 6}))
+    before = _tree(tmp_path)
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mode count must be <= 1000, got 1000000\n"
+    assert _tree(tmp_path) == before
+
 def _reference_csv(header, rows) -> str:
     """The per-value formatter the CSV writer replaced: %.12g floats, str the rest."""
     def fmt(value) -> str:

@@ -333,3 +333,41 @@ def test_inversion_takes_three_direct_solves(monkeypatch, model3):
     w = solve(model3, 0.77).tip_deflection
     assert fb.tension_for_deflection(model3, w) == pytest.approx(0.77, abs=1e-12)
     assert len(calls) == 3 and calls[0] == 2.0
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_inverse_polishes_an_end_point_root_over_its_stretch(monkeypatch, params, fraction):
+    # Six modes, t_max below T_c = 8.38 N: the closed form at t_max lies 2.2e-6 m
+    # below the direct w(t_max), so a target between the two is held only by
+    # the direct map, at a tension just below t_max.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(6))
+    t_max = 7.62862468006826
+    solve = fb.equilibrium.solve_equilibrium
+    w_closed = model.deflection_map.deflection(t_max)
+    w_direct = solve(model, t_max).tip_deflection
+    assert w_direct - w_closed == pytest.approx(2.2124e-6, rel=1e-3)
+    calls = []
+    monkeypatch.setattr(fb.equilibrium, "solve_equilibrium",
+                        lambda model, tension: calls.append(tension) or solve(model, tension))
+    w_target = w_closed + fraction * (w_direct - w_closed)
+    found = fb.tension_for_deflection(model, w_target, t_max=t_max)
+    assert found <= t_max
+    assert abs(solve(model, found).tip_deflection - w_target) <= 1e-6
+    assert len(calls) == 3
+
+
+def test_inverse_of_the_peak_deflection_is_the_stationary_tension(monkeypatch, params):
+    # Two modes: the target is the closed form at its peak, where the slope is
+    # zero to roundoff, so no polish step can do better than the peak itself:
+    # w(t_max), the root's solve and at most one step that stays at the peak.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(2))
+    (peak,) = model.deflection_map.stationary
+    w_peak = model.deflection_map.deflection(peak)
+    solve = fb.equilibrium.solve_equilibrium
+    calls = []
+    monkeypatch.setattr(fb.equilibrium, "solve_equilibrium",
+                        lambda model, tension: calls.append(tension) or solve(model, tension))
+    found = fb.tension_for_deflection(model, w_peak, t_max=10.0)
+    assert found == peak == 3.5029417541321686
+    assert abs(solve(model, found).tip_deflection - w_peak) <= 1e-12
+    assert len(calls) <= 3 and calls[1:] == [peak] * (len(calls) - 1)

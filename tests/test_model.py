@@ -64,6 +64,17 @@ def test_overflowing_spreader_matrix_is_refused_without_warnings(params, n):
             fb.build_spreader_matrix(params, fb.BasisSet.with_mode_count(n))
 
 
+
+def test_mode_count_ceiling_is_checked_before_the_basis_is_built():
+    assert fb.BasisSet.with_mode_count(1000).mode_count == 1000
+    with pytest.raises(ValueError, match="^mode count must be <= 1000, got 1001$"):
+        fb.BasisSet.with_mode_count(1001)
+    with pytest.raises(ValueError, match="^mode count must be <= 1000, got 1001$"):
+        fb.BasisSet(exponents=tuple(range(2, 1003)))
+    # A ceiling check before the tuple: 10**12 modes would take terabytes.
+    with pytest.raises(ValueError, match="^mode count must be <= 1000, got 10{12}$"):
+        fb.BasisSet.with_mode_count(10 ** 12)
+
 def test_evaluate_basis_clamped_root(basis3, params):
     psi, dpsi, ddpsi = fb.evaluate_basis(basis3, 0.0, params.length)
     assert np.array_equal(psi, [0.0, 0.0, 0.0])

@@ -90,6 +90,11 @@ CONFIGS = {
     "t_max6": {"equilibrium": {"t_max": 6}},
     # A JSON int for a float leaf that no float can hold.
     "int_overflow": {"bode": {"omega_max": 10 ** 400}},
+    # Sizes no machine can allocate (8e15 bytes per array), and a mode count
+    # past the basis's ceiling, refused before any array is built.
+    "samples_oversize": {"equilibrium": {"samples": 10 ** 15}},
+    "grid_oversize": {"bode": {"grid_points": 10 ** 15}},
+    "modes_oversize": {"modes": 10 ** 6},
 }
 
 # Configs for the controller-construction cases, each run through ``simulate``.
@@ -218,6 +223,14 @@ COMMANDS = [
                                   "--sweep", "uncertainty", "--out", "sweep_refused"]),
     ("bode_int_overflow", ["bode", "--config", "int_overflow.json", "--teq", "0.5",
                            "--out", "bode_int_overflow"]),
+    ("equilibrium_samples_oversize", ["equilibrium", "--config", "samples_oversize.json",
+                                      "--out", "eq_samples_oversize"]),
+    ("bode_grid_oversize", ["bode", "--config", "grid_oversize.json", "--teq", "0.5",
+                            "--out", "bode_grid_oversize"]),
+    *[(f"modes_oversize_{command}", [command, "--config", "modes_oversize.json", *extra,
+                                     "--out", f"modes_oversize_{command}"])
+      for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]),
+                             ("simulate", []))],
 ]
 
 
