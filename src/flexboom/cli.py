@@ -165,8 +165,8 @@ def load_config(path: str | Path | None) -> dict:
     if path is not None:
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")  # JSON's encoding
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             user = json.loads(text)
@@ -273,7 +273,8 @@ _SWEEP_HEADER = [
 def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
     names = [f"bode_teq_{args.teq:g}.csv"] + ([f"sweep_{args.sweep}.csv"] if args.sweep else [])
     dump = args.dump_ss
-    if dump and (dump != Path(dump).name or dump in ("..", "summary.json", *names)):
+    if dump is not None and (dump in ("", "..", "summary.json", *names)
+                             or dump != Path(dump).name):
         raise ConfigError(f"--dump-ss needs a plain file name other than summary.json "
                           f"and {', '.join(names)}, got {dump!r}")
     if dump and dump.endswith(".tmp"):  # ``main`` stages each output as <name>.tmp

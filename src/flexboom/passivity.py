@@ -15,7 +15,8 @@ structure of the state matrix: with A = [[0, I], [S, 0]] and B = [0; b],
 so the real and imaginary parts come out structurally separated (for the
 rate output C_q = 0 the real part is exactly D, not rounding noise).
 S is balanced once and reduced once to Schur form, S_bal = Z T Z^H with T
-upper triangular (Laub, IEEE TAC 1981); every grid point is then one
+upper triangular (Laub, IEEE TAC 1981): the plant's ``rate_schur``, computed
+on its first response and kept for the later ones.  Every grid point is one
 back-substitution on T + w^2 I, vectorised over the grid, and one step of
 residual refinement against S_bal in real arithmetic (Skeel, Math. Comp.
 1980).  The diagonal of T holds the eigenvalues of S_bal, so the condition
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import matrix_balance, rsf2csf, schur
 
 from .equilibrium import solve_equilibrium
 from .linearization import StateSpaceModel, linearize
@@ -146,16 +146,8 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
         raise ValueError("frequency grid must be strictly increasing with finite squares")
 
     n = ss.mode_count
-    # Balanced similarity scaling: the monomial coordinates are badly scaled.
-    s_bal, t_diag = matrix_balance(ss.rate_block, permute=False)
-    t_scale = np.diag(t_diag)
-    # With real eigenvalues the real Schur form is triangular, a complex Schur
-    # form in real arithmetic; complex pairs leave 2x2 blocks to convert.
-    tri, unitary = schur(s_bal)
-    if np.any(np.diag(tri, -1)):
-        tri, unitary = rsf2csf(tri, unitary)
+    s_bal, t_scale, tri, unitary, s_norm = ss.rate_schur
     eigs = tri.diagonal()[:, None]
-    s_norm = np.linalg.norm(s_bal, 2)
 
     def near_pole(w2: np.ndarray, limit: float) -> np.ndarray:
         return np.abs(eigs + w2).min(axis=0) * limit <= s_norm + w2

@@ -536,8 +536,8 @@ def test_not_ok_result_is_still_written(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("sweep, dump", [
     ([], "summary.json"), ([], "bode_teq_0.5.csv"), ([], "sub/x.csv"),
-    (["--sweep", "modes", "--modes", "3"], "sweep_modes.csv"),
-], ids=["summary", "bode_csv", "subdir", "sweep_csv"])
+    (["--sweep", "modes", "--modes", "3"], "sweep_modes.csv"), ([], ""),
+], ids=["summary", "bode_csv", "subdir", "sweep_csv", "empty"])
 def test_dump_ss_cannot_replace_another_output(tmp_path, capsys, sweep, dump):
     out = tmp_path / "out"
     cfg = small_bode_config(tmp_path)
@@ -748,12 +748,15 @@ def _tree(root):
     (["simulate", "--duration", "1"], {"simulation": {"scenario": "fig9"}},
      2, "config error: unknown scenario 'fig9'"),
     (["equilibrium", "--tension", "0.5", "--out", "FILE"], {}, 1, "i/o error: "),
+    (["equilibrium"], b"\xff\xfe{}", 2, "config error: cannot read config "),
 ], ids=["unreadable_config", "unknown_unit_profile", "bad_boom", "map_units_mismatch",
-        "unknown_config_scenario", "out_is_a_file"])
+        "unknown_config_scenario", "out_is_a_file", "config_not_utf8"])
 def test_config_and_io_errors_are_one_line_and_write_nothing(tmp_path, capsys, argv,
                                                              config, code, message):
     cfg = tmp_path / "config.json"
-    if config is not None:
+    if isinstance(config, bytes):  # raw file contents, not a JSON value
+        cfg.write_bytes(config)
+    elif config is not None:
         cfg.write_text(json.dumps(config))
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")

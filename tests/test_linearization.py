@@ -147,3 +147,34 @@ def test_replace_keeps_structure(ss_at_1n):
     variant = dataclasses.replace(ss_at_1n, c=c_position, d=0.1)
     assert variant.d == 0.1
     assert np.array_equal(variant.a, ss_at_1n.a)
+
+
+def test_plant_keeps_read_only_copies_of_its_arrays(ss_at_1n):
+    # A plant is a value: writing to it fails, and editing the arrays it was
+    # built from changes neither its matrices nor its response.
+    arrays = {name: getattr(ss_at_1n, name).copy() for name in ("a", "b", "c", "x_bar")}
+    ss = dataclasses.replace(ss_at_1n, **arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        ss.a[0, 0] = 1.0
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ss, name)[-1] = 1.0
+    for array in arrays.values():
+        array += 1.0
+    for name in arrays:
+        assert np.array_equal(getattr(ss, name), getattr(ss_at_1n, name)), name
+    grid = fb.default_grid(300)
+    assert np.array_equal(fb.frequency_response(ss, grid).response,
+                          fb.frequency_response(ss_at_1n, grid).response)
+
+
+def test_two_mode_flutter_onset_is_pinned(params):
+    # Two modes never reach a critical tension, but the eigenvalues of
+    # M^-1 K_eff turn complex between 25.855 and 25.86 N: linearize accepts
+    # the first plant and refuses the second as flutter.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(2))
+    ss = fb.linearize(model, fb.solve_equilibrium(model, 25.855))
+    assert np.max(np.abs(ss.eigenvalues().real)) <= 1e-12
+    with pytest.raises(RuntimeError, match=r"imaginary axis by 8\.642e-03 at tension 25\.86 N"
+                       r".*complex eigenvalues there \(flutter"):
+        fb.linearize(model, fb.solve_equilibrium(model, 25.86))

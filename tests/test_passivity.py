@@ -150,6 +150,28 @@ def test_pole_on_grid_is_nudged(ss_nominal):
     assert fr.omega[0] == pytest.approx(omega_pole * (1.0 + 1e-6))
 
 
+def test_plant_is_factorised_once_across_its_responses(monkeypatch, model3):
+    # The rate block's Schur form is the plant's: two responses and a check
+    # share one factorisation, read-only, and match a fresh copy's bit for bit.
+    ss = fb.linearize(model3, fb.solve_equilibrium(model3, 1.0))
+    schur, calls = fb.linearization.schur, []
+    monkeypatch.setattr(fb.linearization, "schur",
+                        lambda matrix: calls.append(matrix) or schur(matrix))
+    eigs = ss.eigenvalues()
+    grid = np.sort(np.append(fb.default_grid(300), np.min(eigs.imag[eigs.imag > 0.0])))
+    responses = [fb.frequency_response(ss, grid), fb.frequency_response(ss, grid)]
+    report = fb.passivity_check(ss, grid)
+    assert len(calls) == 1
+    assert all(not array.flags.writeable for array in ss.rate_schur[:4])
+    fresh = dataclasses.replace(ss)
+    expected = fb.frequency_response(fresh, grid)
+    assert len(calls) == 2 and expected.nudged
+    for fr in responses:
+        assert np.array_equal(fr.omega, expected.omega) and fr.nudged == expected.nudged
+        assert np.array_equal(fr.response, expected.response)
+    assert report == fb.passivity_check(fresh, grid)
+
+
 def test_pole_on_grid_error_when_nudge_fails():
     # Near-defective toy plant: one pole pair at 1e-10 rad/s; a nudge of one
     # part in 1e6 cannot pull the solve away from singularity.

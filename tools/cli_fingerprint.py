@@ -231,12 +231,17 @@ COMMANDS = [
                                      "--out", f"modes_oversize_{command}"])
       for command, extra in (("equilibrium", []), ("bode", ["--teq", "0.5"]),
                              ("simulate", []))],
+    # An empty --dump-ss name, and a config file that is not UTF-8: config errors.
+    ("bode_dump_empty", ["bode", "--teq", "0.5", "--dump-ss", "", "--out", "bode_dump_empty"]),
+    ("config_not_utf8", ["equilibrium", "--config", "not_utf8.json",
+                         "--out", "config_not_utf8"]),
 ]
 
 
 def _write_inputs(workdir: Path) -> None:
     for name, config in {**CONFIGS, **BAD_CONFIGS, **SIM_CONFIGS}.items():
         (workdir / f"{name}.json").write_text(json.dumps(config))
+    (workdir / "not_utf8.json").write_bytes(b"\xff\xfe{}")  # raw bytes, not JSON text
     rows = ["torque_N,deflection_m"]
     for i in range(20):
         t = 0.1 + 0.05 * i

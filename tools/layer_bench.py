@@ -13,6 +13,12 @@ once on the warm model and once as a fresh model's ``assemble_matrices``
 plus its first inversion, which builds the closed-form map
 (``StructuralModel.deflection_map``) that every later inversion reuses.
 Each figure is the best of 5 batches of 40 calls, in microseconds per call.
+A plant keeps its rate block's factorisation (``StateSpaceModel.rate_schur``)
+after its first response, so each ``frequency_response`` and
+``passivity_check`` call runs on a fresh copy of the plant
+(``dataclasses.replace``) and pays for the factorisation as a new plant does;
+the copy, the constructor's copies and checks, adds 22-27 us per call at 3 to 6
+modes on a 2-vCPU x86-64 host.
 The last row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
@@ -77,8 +83,8 @@ def layer_times(modes: int) -> dict[str, float]:
         "assemble+tension_for_deflection": lambda: fb.tension_for_deflection(
             fb.assemble_matrices(params, basis), eq.tip_deflection),
         "linearize": lambda: fb.linearize(model, eq),
-        "frequency_response": lambda: fb.frequency_response(ss, grid),
-        "passivity_check": lambda: fb.passivity_check(ss, grid),
+        "frequency_response": lambda: fb.frequency_response(dataclasses.replace(ss), grid),
+        "passivity_check": lambda: fb.passivity_check(dataclasses.replace(ss), grid),
     }
     times = {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
              for name, call in layers.items()}
