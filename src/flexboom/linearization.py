@@ -15,7 +15,7 @@ The structure is undamped, so every pole sits on the imaginary axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import matrix_balance, rsf2csf, schur
@@ -39,7 +39,9 @@ class StateSpaceModel:
     ``c`` and ``x_bar`` are read-only copies of the constructor's arrays, so
     the checks below hold for the plant's lifetime.  ``rate_schur``, the one
     factorisation of the rate block, is computed on its first read and then
-    kept; ``dataclasses.replace`` makes a plant that computes its own.
+    kept; ``dataclasses.replace`` makes a plant that computes its own, and
+    ``rate_scaled`` one whose rate block is a positive multiple of this one's
+    and which inherits this plant's factorisation, scaled.
     """
 
     a: np.ndarray = field(repr=False)
@@ -97,6 +99,31 @@ class StateSpaceModel:
         for array in (s_bal, tri, unitary):  # t_scale, a diagonal view, is read-only
             array.setflags(write=False)
         return s_bal, t_scale, tri, unitary, np.linalg.norm(s_bal, 2)
+
+    def rate_scaled(self, factor: float, b: np.ndarray, t_eq: float) -> StateSpaceModel:
+        """This plant with its rate block times ``factor``, input vector ``b``
+        and anchor tension ``t_eq``, carrying this plant's ``rate_schur`` scaled:
+        (factor S_bal, scale, factor T, Z, factor ||S_bal||_2).
+
+        ``scale`` holds powers of 2, so balancing the scaled block by it is
+        exact short of overflow or underflow: the inherited S_bal is the new
+        rate block balanced, bit for bit, and Z (factor T) Z^H is a Schur form
+        of it.  ``factor`` must be finite
+        and positive, so that the norm scales by it too.
+        """
+        if not 0.0 < factor < np.inf:  # NaN fails too
+            raise ValueError(f"rate factor must be finite and positive, got {factor!r}")
+        n = self.mode_count
+        a = self.a.copy()
+        a[n:, :n] *= factor
+        plant = replace(self, a=a, b=b, t_eq=t_eq)
+        s_bal, t_scale, tri, unitary, s_norm = self.rate_schur
+        s_bal, tri = s_bal * factor, tri * factor
+        for array in (s_bal, tri):
+            array.setflags(write=False)
+        # Filled in before the plant is shared; its cached_property reads it as computed.
+        vars(plant)["rate_schur"] = (s_bal, t_scale, tri, unitary, s_norm * factor)
+        return plant
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.a)

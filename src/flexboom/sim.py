@@ -162,7 +162,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             t = (k + 1) * dt
             # NaN fails the comparison too, so this catches non-finite states.
-            diverged = not float(x @ x) <= threshold_sq
+            diverged = not float(x.dot(x)) <= threshold_sq
             if diverged or (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
                 times.append(t)
                 states.append(x)

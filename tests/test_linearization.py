@@ -178,3 +178,71 @@ def test_two_mode_flutter_onset_is_pinned(params):
     with pytest.raises(RuntimeError, match=r"imaginary axis by 8\.642e-03 at tension 25\.86 N"
                        r".*complex eigenvalues there \(flutter"):
         fb.linearize(model, fb.solve_equilibrium(model, 25.86))
+
+
+def _toy_plant(rate_block):
+    n = len(rate_block)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = rate_block
+    ones = np.concatenate([np.zeros(n), np.ones(n)])
+    return fb.StateSpaceModel(a=a, b=ones, c=ones, d=0.0, t_eq=0.0, x_bar=np.zeros(2 * n))
+
+
+def _assert_inherits_scaled_factorisation(plant, parent, factor):
+    """``plant``'s rate_schur is ``parent``'s times ``factor``, an exact
+    balancing and Schur form of its own rate block, read-only."""
+    s_bal, scale, tri, unitary, s_norm = plant.rate_schur
+    p_bal, p_scale, p_tri, p_unitary, p_norm = parent.rate_schur
+    assert np.array_equal(scale, p_scale) and np.array_equal(unitary, p_unitary)
+    assert np.array_equal(tri, p_tri * factor)
+    # The scale holds powers of 2, so balancing the scaled block by it is exact.
+    assert np.array_equal(s_bal, plant.rate_block / scale[:, None] * scale[None, :])
+    exact_norm = np.linalg.norm(s_bal, 2)
+    assert s_norm == pytest.approx(exact_norm, rel=1e-14)
+    # Measured at most 2.0e-15 over the three- and six-mode box plants.
+    assert np.linalg.norm(unitary @ tri @ unitary.conj().T - s_bal, 2) <= 1e-13 * exact_norm
+    assert not any(array.flags.writeable for array in (s_bal, scale, tri, unitary))
+
+
+@pytest.mark.parametrize("factor", [0.64 / 1.2, 1.0, 0.99 / 0.9, 1.44 / 0.8],
+                         ids=["0.53", "1", "1.1", "1.8"])
+@pytest.mark.parametrize("plant", ["three_modes", "complex_pair"])
+def test_rate_scaled_plant_inherits_the_scaled_factorisation(monkeypatch, ss_at_1n, plant,
+                                                             factor):
+    # A fresh three-mode parent, so its own factorisation is counted below.
+    # Eigenvalues -2 +- j sqrt(3) keep a 2x2 block in the real Schur form, so the
+    # complex pair's factorisation is complex.
+    parent = dataclasses.replace(ss_at_1n) if plant == "three_modes" else _toy_plant(
+        np.array([[-2.0, 3.0], [-1.0, -2.0]]))
+    schur, calls = fb.linearization.schur, []
+    monkeypatch.setattr(fb.linearization, "schur",
+                        lambda matrix: calls.append(matrix) or schur(matrix))
+    n = parent.mode_count
+    b = parent.b / 1.2
+    scaled = parent.rate_scaled(factor, b, 0.5)
+    assert len(calls) == 1  # the parent's factorisation, read by the scaled plant
+    a = parent.a.copy()
+    a[n:, :n] *= factor
+    assert np.array_equal(scaled.a, a) and np.array_equal(scaled.b, b)
+    assert scaled.t_eq == 0.5 and scaled.d == parent.d
+    assert np.array_equal(scaled.c, parent.c) and np.array_equal(scaled.x_bar, parent.x_bar)
+    assert not any(getattr(scaled, name).flags.writeable for name in ("a", "b", "c", "x_bar"))
+    _assert_inherits_scaled_factorisation(scaled, parent, factor)
+
+    # A replaced copy computes its own factorisation; the responses agree to
+    # 2.0e-11 (measured over the three-mode box plants).
+    fresh = dataclasses.replace(scaled)
+    grid = fb.default_grid()
+    expected = fb.frequency_response(fresh, grid)
+    assert len(calls) == 2
+    fr = fb.frequency_response(scaled, grid)
+    assert np.array_equal(fr.omega, expected.omega) and fr.nudged == expected.nudged
+    assert np.max(np.abs(fr.response - expected.response)) <= (
+        1e-10 * np.max(np.abs(expected.response)))
+
+
+@pytest.mark.parametrize("factor", [0.0, -0.5, np.nan, np.inf, -np.inf])
+def test_rate_scaled_refuses_a_factor_that_is_not_finite_and_positive(ss_at_1n, factor):
+    with pytest.raises(ValueError, match="rate factor must be finite and positive"):
+        ss_at_1n.rate_scaled(factor, ss_at_1n.b, 1.0)

@@ -304,6 +304,78 @@ def test_uncertainty_sweep_matches_the_per_sample_chain(monkeypatch, params, mod
     assert nudged == (1 if (modes, t_eq) == (6, 1.0) else 0)
 
 
+def _counting_schur(monkeypatch):
+    """Record every Schur factorisation a plant runs."""
+    schur, calls = fb.linearization.schur, []
+    monkeypatch.setattr(fb.linearization, "schur",
+                        lambda matrix: calls.append(matrix) or schur(matrix))
+    return calls
+
+
+def test_box_factorises_each_e_i_class_once(monkeypatch, params, basis3):
+    # The 75 certified plants of a 125-sample box are 15 E*I classes times 5 rho
+    # levels; each rho plant inherits its class's factorisation, scaled.
+    calls = _counting_schur(monkeypatch)
+    fb.uncertainty_sweep(params, basis3, 1.0, 0.2, 125, fb.default_grid(300))
+    axis = np.linspace(0.8, 1.2, 5)
+    assert len(calls) == len({e * i for e, i in itertools.product(axis, repeat=2)}) == 15
+
+
+def test_refused_class_factorises_each_sample_own_model(monkeypatch, params, basis3):
+    # Refuse the nominal chain of class e*i = 0.64 only: its five samples, one per
+    # rho, are solved and factorised on their own models, the rest by class.
+    chain, refused = passivity._chain, 1.0 / (0.8 * 0.8)
+
+    def refusing(model, t_eq):
+        if model.params == params and t_eq == refused:
+            raise RuntimeError("refused")
+        return chain(model, t_eq)
+
+    monkeypatch.setattr(passivity, "_chain", refusing)
+    calls = _counting_schur(monkeypatch)
+    grid = fb.default_grid(300)
+    reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.2, 125, grid)
+    assert len(calls) == 14 + 5
+    own = [report for report in reports
+           if report.metadata["e_scale"] == report.metadata["i_scale"] == 0.8]
+    assert len(own) == 5
+    for report in own:
+        model = fb.assemble_matrices(params.scaled(
+            0.8, report.metadata["rho_scale"], 0.8), basis3)
+        expected = fb.passivity_check(fb.linearize(model, fb.solve_equilibrium(model, 1.0)),
+                                      grid)
+        assert report.min_real == expected.min_real
+        assert report.worst_phase_omega == expected.worst_phase_omega
+
+
+@pytest.mark.parametrize("modes, t_eq, bound", [
+    # Worst relative differences measured: 1.9e-11 (three modes), 6.3e-8 and
+    # 7.6e-9 (six modes at 0.75 and 1 N, next to poles).
+    (3, 1.0, 1e-10), (6, 0.75, 1e-6), (6, 1.0, 1e-6),
+])
+def test_box_plants_respond_as_plants_that_factorise_themselves(monkeypatch, params, modes,
+                                                                t_eq, bound):
+    grid = fb.default_grid()
+    basis = fb.BasisSet.with_mode_count(modes)
+    _, plants = _swept_plants(monkeypatch, params, basis, t_eq, 125, grid)
+    assert len(plants) == 75
+    nudged = 0
+    for ss, sample in plants:
+        s_bal, scale, tri, unitary, s_norm = ss.rate_schur
+        # A fresh balancing of the inherited plant's block picks the same scale.
+        fresh_bal, fresh_scale = matrix_balance(ss.rate_block, permute=False)
+        assert np.array_equal(fresh_bal, s_bal) and np.array_equal(fresh_scale.diagonal(), scale)
+        assert s_norm == pytest.approx(np.linalg.norm(s_bal, 2), rel=1e-14)
+        assert np.linalg.norm(unitary @ tri @ unitary.conj().T - s_bal, 2) <= 1e-13 * s_norm
+        fr = fb.frequency_response(ss, grid)
+        expected = fb.frequency_response(dataclasses.replace(ss), grid)
+        assert fr.nudged == expected.nudged and np.array_equal(fr.omega, expected.omega)
+        error = np.abs(fr.response - expected.response) / np.abs(expected.response)
+        assert np.max(error) <= bound, sample
+        nudged += len(fr.nudged)
+    assert nudged == (1 if modes == 6 else 0)
+
+
 def test_uncertainty_sweep_twins_share_one_report_under_their_own_scales(params, basis3):
     # (e, rho, i) and (i, rho, e) are one plant, certified once.
     reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.2, 27, fb.default_grid(300))

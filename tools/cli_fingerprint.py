@@ -235,6 +235,12 @@ COMMANDS = [
     ("bode_dump_empty", ["bode", "--teq", "0.5", "--dump-ss", "", "--out", "bode_dump_empty"]),
     ("config_not_utf8", ["equilibrium", "--config", "not_utf8.json",
                          "--out", "config_not_utf8"]),
+    # Six-mode 125-sample boxes, whose rescaled plants are the worst conditioned
+    # that inherit their class's factorisation: they nudge 1, 1 and 2 points.
+    *[(f"bode_modes6_125_{teq}", ["bode", "--config", "modes6.json", "--teq", teq,
+                                  "--sweep", "uncertainty", "--samples", "125",
+                                  "--out", f"sweep_modes6_125_{teq}"])
+      for teq in ("0.75", "1", "1.4")],
 ]
 
 

@@ -21,6 +21,10 @@ the copy, the constructor's copies and checks, adds 22-27 us per call at 3 to 6
 modes on a 2-vCPU x86-64 host.
 The last row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
+In that box only the 15 E*I classes factorise their rate blocks; each rho
+plant reads its class's factorisation, scaled (``StateSpaceModel.rate_scaled``),
+so the ``uncertainty_sweep/sample`` row is not comparable with runs of trees
+in which every certified plant factorised its own.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
 1 ms) at 3 modes, for the fig7a scenario and for the same scenario
 unforced, best of 5 runs, in microseconds per step.  The per-run setup (the
