@@ -159,26 +159,20 @@ def _ramp_law(start: float, end: float, duration: float) -> _Law:
     """t -> value and time rate of the quintic ramp from start to end.
 
     The blend of s = t / duration has s-derivative 30 s^2 (1 - s)^2 >= 0.
-    Outside [0, duration] the value holds its endpoint and the rate is zero.
+    Only outside [0, duration] does s need clipping to [0, 1]; there the value
+    holds its endpoint and the rate is zero (a NaN time: NaN value, zero rate).
     """
     rise = end - start
 
     def ramp(t: float, *_) -> tuple[float, float]:
+        if 0.0 <= t <= duration:
+            s = t / duration
+            return (start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise,
+                    30.0 * s * s * (1.0 - s) * (1.0 - s) * rise / duration)
         s = min(max(t / duration, 0.0), 1.0)
-        value = start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise
-        if not 0.0 <= t <= duration:
-            return value, 0.0
-        return value, 30.0 * s * s * (1.0 - s) * (1.0 - s) * rise / duration
+        return start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise, 0.0
 
     return ramp
-
-
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
-    """Polynomial (descending coefficients) at x; the operations of np.polyval."""
-    y = 0.0
-    for c in coeffs:
-        y = y * x + c
-    return y
 
 
 def _feedforward_law(profile: FeedforwardProfile) -> _Law:
@@ -194,7 +188,8 @@ def _reference_law(ref: ReferenceTrajectory) -> _Law:
 
     A map-composed reference evaluates the map at the feedforward tension,
     with its rate by the chain rule; the derivative's coefficients are formed
-    here, once, as np.polyder forms them.  The other modes ignore the tension.
+    here, once, as np.polyder forms them, and both run np.polyval's Horner
+    operations.  The other modes ignore the tension.
     """
     if ref.mode == "constant":
         w = ref.w_final
@@ -206,7 +201,12 @@ def _reference_law(ref: ReferenceTrajectory) -> _Law:
     slopes = tuple(c * (degree - i) for i, c in enumerate(coeffs[:-1]))
 
     def composed(t: float, tension: float, tension_rate: float) -> tuple[float, float]:
-        return _horner(coeffs, tension), _horner(slopes, tension) * tension_rate
+        w = slope = 0.0
+        for c in coeffs:
+            w = w * tension + c
+        for c in slopes:
+            slope = slope * tension + c
+        return w, slope * tension_rate
 
     return composed
 
@@ -249,13 +249,14 @@ def make_controller(cfg: ControllerConfig) -> Callable[[float, float, float], Co
     feedforward = _feedforward_law(cfg.feedforward)
     reference = _reference_law(cfg.reference)
     clamp = cfg.clamp_nonnegative
+    new_sample = tuple.__new__  # what ControlSample() calls, minus its Python frame
 
     def controller(t: float, w_tip: float, w_rate: float) -> ControlSample:
         t_des, t_des_rate = feedforward(t)
         w_des, w_rate_des = reference(t, t_des, t_des_rate)
         u_raw = t_des - k_p * (w_tip - w_des) - k_d * (w_rate - w_rate_des)
         u = max(0.0, u_raw) if clamp else u_raw
-        return ControlSample(t, t_des, w_des, w_rate_des, u_raw, u)
+        return new_sample(ControlSample, (t, t_des, w_des, w_rate_des, u_raw, u))
 
     return controller
 

@@ -282,8 +282,8 @@ class StructuralModel:
     (``equilibrate``): the raw monomial basis spans many orders of magnitude
     at full boom length, and the scaling keeps the factorizations accurate
     for mode counts up to at least six.  ``mass_solve`` reads the cached mass
-    factorization; the operator of ``state_rate``, the one definition of the
-    dynamics, is built through it on a model's first ``state_rate`` and then
+    factorization; the operator of ``rate_kernel``, the one definition of the
+    dynamics, is built through it on a model's first ``rate_kernel`` and then
     kept: a pure function of the read-only fields, so the model stays safe
     to share.  Assembly also keeps one eigendecomposition of the equilibrated
     K^-1 (spreader_matrix / dx): ``critical_tension`` comes from its
@@ -329,7 +329,7 @@ class StructuralModel:
 
     @functools.cached_property
     def _rate_operator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, (0, M^-1 h psi'(L)^T)) for ``state_rate``; its docstring names the rows of R x."""
+        """(R, (0, M^-1 h psi'(L)^T)) for ``rate_kernel``; its docstring names the rows of R x."""
         n = self.mode_count
         rate_op = np.zeros((2 + 4 * n, 2 * n))
         rate_op[0, :n] = self.tip_row
@@ -341,6 +341,28 @@ class StructuralModel:
         input_rate = np.concatenate((np.zeros(n), self.mass_solve(
             self.params.cable_offset * self.tip_slope)))
         return _readonly(rate_op), _readonly(input_rate)
+
+    def rate_kernel(self, law: Callable[[float, float, float], float]
+                    ) -> Callable[[float, np.ndarray], np.ndarray]:
+        """Bind ``law(t, w_tip, w_rate) -> u`` into (t, x) -> rate of x = (q, q_rate).
+
+        The one definition of the dynamics, bound once per run.  One product
+        R x yields the tip deflection and rate, the unforced rate
+        (q_rate, -M^-1 K q) and the part the tension multiplies,
+        (0, M^-1 spreader_matrix q / dx).  The law closes the loop with the
+        cable tension u, and the rate is unforced + u (tension part +
+        (0, M^-1 h psi'(L)^T)), which is (q_rate, M^-1 (f(q, u) - K q)).
+        """
+        rate_op, input_rate = self._rate_operator
+        dot = rate_op.dot  # the same bits as @, at half its dispatch cost on operands this small
+        split = 2 + 2 * self.mode_count
+
+        def rate(t: float, x: np.ndarray) -> np.ndarray:
+            y = dot(x)
+            u = law(t, y.item(0), y.item(1))
+            return y[2:split] + u * (y[split:] + input_rate)
+
+        return rate
 
     @functools.cached_property
     def deflection_map(self) -> DeflectionMap:
@@ -440,20 +462,8 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
 
 def state_rate(model: StructuralModel, x: np.ndarray,
                tension_law: Callable[[float, float], float]) -> np.ndarray:
-    """Rate of the stacked state x = (q, q_rate): the one definition of the dynamics.
-
-    One product R x yields the tip deflection and rate, the unforced rate
-    (q_rate, -M^-1 K q) and the part the tension multiplies,
-    (0, M^-1 spreader_matrix q / dx).  ``tension_law(w_tip, w_rate)`` closes
-    the loop with the cable tension u, and the rate is
-    unforced + u (tension part + (0, M^-1 h psi'(L)^T)), which is
-    (q_rate, M^-1 (f(q, u) - K q)).
-    """
-    rate_op, input_rate = model._rate_operator
-    y = rate_op.dot(x)  # the same bits as @, at half its dispatch cost on operands this small
-    u = tension_law(y.item(0), y.item(1))
-    split = x.size + 2
-    return y[2:split] + u * (y[split:] + input_rate)
+    """Rate of x = (q, q_rate) under ``tension_law(w_tip, w_rate)``: one ``rate_kernel`` call."""
+    return model.rate_kernel(lambda t, w_tip, w_rate: tension_law(w_tip, w_rate))(0.0, x)
 
 
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:

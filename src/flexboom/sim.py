@@ -2,11 +2,12 @@
 
 Classic fourth-order Runge-Kutta with the controller evaluated at every
 stage time and stage state (the control law is an explicit function of
-time and the tip measurements, so no zero-order hold is emulated).  Each
-stage is one call of ``model.state_rate``, the same kernel that defines
-``dynamics_rhs``: one stacked product gives the tip measurements the
-controller reads and both parts of the state rate.  An unforced run binds
-a zero control law.  The loop records only the time and state of each
+time and the tip measurements, so no zero-order hold is emulated).  A run
+binds its control law into ``StructuralModel.rate_kernel`` once, the kernel
+that ``state_rate`` and ``dynamics_rhs`` also call, and each stage is one
+call of the bound kernel: one stacked product gives the tip measurements
+the controller reads and both parts of the state rate.  An unforced run
+binds a zero control law.  The loop records only the time and state of each
 logged step; the rest of the log is derived from those states after it.
 Divergence is declared when the state norm exceeds 1e6 times its initial
 norm or any entry stops being finite; a diverged run is returned with
@@ -24,7 +25,7 @@ from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import solve_equilibrium, tension_for_deflection
 from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    assemble_matrices, state_rate, total_energy)
+                    assemble_matrices, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -40,7 +41,7 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
-_MAX_STEPS = 10**9  # 9-14 h of RK4 at 32-51 us per three-mode step
+_MAX_STEPS = 10**9  # 6-12 h of RK4 at 22-45 us per three-mode step
 
 SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
 TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
@@ -139,9 +140,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     dt = scenario.dt
     n_steps = scenario.step_count
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
-
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return state_rate(model, x, lambda w_tip, w_rate: law(t, w_tip, w_rate).u)
+    rate = model.rate_kernel(lambda t, w_tip, w_rate: law(t, w_tip, w_rate).u)
 
     x = initial_state_from_deflection(model, scenario.w_init).as_vector()
     norm0 = max(float(np.linalg.norm(x)), _NORM_FLOOR)
@@ -155,10 +154,10 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     # Overflow is how a run diverges, and divergence is reported as a status.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + half, x + half * k1)
-            k3 = rhs(t + half, x + half * k2)
-            k4 = rhs(t + dt, x + dt * k3)
+            k1 = rate(t, x)
+            k2 = rate(t + half, x + half * k1)
+            k3 = rate(t + half, x + half * k2)
+            k4 = rate(t + dt, x + dt * k3)
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             t = (k + 1) * dt
             # NaN fails the comparison too, so this catches non-finite states.

@@ -333,3 +333,47 @@ def test_control_input_rejects_nan_time(ff):
     with pytest.raises(ValueError, match="time"):
         fb.control_input(cfg, float("nan"), 1.0, 0.0)
     assert fb.control_input(cfg, float("inf"), 1.0, 0.0).t_des == ff.tension_final
+
+
+# The bound controller's samples at the ramp's edges, pinned bit for bit:
+# (k_p, k_d) = (10, 50), clamp off, tip (1.6, -0.01), quintic feedforward
+# 0.4 -> 1 N over ORACLE_DURATION.  Fields after ``time``, before ``u``.
+EDGE_TIMES = (-np.inf, np.inf, float(np.nextafter(ORACLE_DURATION, 0.0)), ORACLE_DURATION, np.nan)
+EDGE_SAMPLES = {
+    "quintic": (
+        (0.4, 1.0, 0.0, -5.1000000000000005),
+        (1.0, 1.3, 0.0, -1.5000000000000004),
+        (1.0000000000000009, 1.3000000000000005, 3.697785493223493e-33, -1.4999999999999951),
+        (1.0, 1.3, 0.0, -1.5000000000000004),
+        (np.nan, np.nan, 0.0, np.nan),
+    ),
+    "cubic_map": (
+        (0.4, 1.11264, 0.0, -3.9735999999999994),
+        (1.0, 1.26, 0.0, -1.9000000000000008),
+        (1.0000000000000009, 1.2600000000000002, 1.7009813268828058e-33, -1.8999999999999977),
+        (1.0, 1.26, 0.0, -1.9000000000000008),
+        (np.nan, np.nan, np.nan, np.nan),
+    ),
+}
+
+
+def _bits(sample):
+    """Each field's exact bits (sign of zero included); every NaN reads alike."""
+    return tuple("nan" if np.isnan(v) else float.hex(v) for v in sample)
+
+
+@pytest.mark.parametrize("ref_name", sorted(EDGE_SAMPLES))
+@pytest.mark.parametrize("clamp", [False, True])
+def test_bound_controller_at_the_ramp_edges(ref_name, clamp):
+    """-inf, +inf, the last time before the end, the end and NaN, bit for bit.
+
+    A NaN time gives a NaN feedforward and reference value with a zero ramp
+    rate; the clamp sends a NaN or negative tension to 0.
+    """
+    controller = fb.make_controller(fb.ControllerConfig(
+        gains=fb.PDGains(k_p=10.0, k_d=50.0),
+        feedforward=fb.FeedforwardProfile.quintic(0.4, 1.0, ORACLE_DURATION),
+        reference=_reference(ref_name), clamp_nonnegative=clamp))
+    for t, (t_des, w_des, w_rate_des, u_raw) in zip(EDGE_TIMES, EDGE_SAMPLES[ref_name]):
+        expected = (t, t_des, w_des, w_rate_des, u_raw, 0.0 if clamp else u_raw)
+        assert _bits(controller(t, 1.6, -0.01)) == _bits(expected), t

@@ -234,3 +234,70 @@ def test_unforced_run_logs_zero_control(model3):
     result = fb.run_simulation(_unforced(model3, 0.5, 2.0, decimation=1))
     for col in CONTROL_COLUMNS:
         assert np.array_equal(getattr(result, col), np.zeros(result.time.size)), col
+
+
+# Three-step forced runs whose control law moves within each step: a ramp the
+# clamp cuts at some stages, and a map-composed reference.
+FORCED_STEP = 1e-3
+FORCED_CONFIGS = {
+    "ramp_clamp": (0.0, fb.ControllerConfig(
+        gains=fb.PDGains(k_d=50.0),
+        feedforward=fb.FeedforwardProfile.quintic(0.02, -0.02, 3 * FORCED_STEP),
+        reference=fb.ReferenceTrajectory.quintic(0.0, -1e-6, 3 * FORCED_STEP),
+        clamp_nonnegative=True)),
+    "map_composed": (1.1, fb.ControllerConfig(
+        gains=fb.PDGains(k_d=50.0),
+        feedforward=fb.FeedforwardProfile.quintic(0.9, 1.0, 4 * FORCED_STEP),
+        reference=fb.ReferenceTrajectory.map_composed((0.6, 0.5, 0.1686)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_CONFIGS))
+def test_forced_steps_are_rk4_at_the_stage_times(model3, monkeypatch, name):
+    """Each stage's time, tip measurements and step result against textbook RK4.
+
+    The textbook evaluates the law at t, t + h/2, t + h/2 and t + h through
+    ``state_rate``; the run's controller calls during the integration are
+    recorded, so a wrong stage time or stage state fails even where the step
+    result would hide it.
+    """
+    w_init, cfg = FORCED_CONFIGS[name]
+    h = FORCED_STEP
+    calls = []
+
+    def recording_controller(config):
+        law = fb.make_controller(config)
+
+        def record(t, w_tip, w_rate):
+            calls.append((t, w_tip, w_rate))
+            return law(t, w_tip, w_rate)
+        return record
+
+    monkeypatch.setattr(fb.sim, "make_controller", recording_controller)
+    result = fb.run_simulation(fb.SimScenario(model=model3, controller=cfg, w_init=w_init,
+                                              duration=3 * h, dt=h, decimation=1))
+    law = fb.make_controller(cfg)
+    expected_calls = []
+
+    def f(t, x):
+        def tension(w_tip, w_rate):
+            expected_calls.append((t, w_tip, w_rate))
+            return law(t, w_tip, w_rate).u
+        return fb.state_rate(model3, x, tension)
+
+    x = fb.initial_state_from_deflection(model3, w_init).as_vector()
+    expected = [x]
+    for k in range(3):
+        t = k * h
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        expected.append(x)
+    assert calls[:12] == expected_calls
+    assert np.array_equal(np.hstack((result.q, result.q_rate)), expected)
+    assert result.time.tolist() == [0.0, h, 2 * h, 3 * h]
+    if cfg.clamp_nonnegative:  # the clamp must cut some stages and pass others
+        raw = [law(*call).u_unclamped for call in expected_calls]
+        assert 0 < sum(u < 0.0 for u in raw) < len(raw)

@@ -51,6 +51,7 @@ CONFIGS = {
     # pole; at 0.75 N point 702 of two samples lies 6.9e-5 from a pole and is
     # not nudged.
     "modes6": {"modes": 6},
+    "modes5": {"modes": 5},  # the five-mode closed-loop runs below
     # Well-typed configs carrying non-finite numbers (JSON NaN).
     "nan_eps_tol": {"bode": {"eps_tol": float("nan")}},
     "nan_w_final": {"controller": {"reference": {"w_final": float("nan")}}},
@@ -149,6 +150,14 @@ COMMANDS = [
     ("simulate_default", ["simulate", "--duration", "3", "--out", "sim_default"]),
     ("simulate_map", ["simulate", "--config", "map.json", "--duration", "3",
                       "--out", "sim_map"]),
+    # Five- and six-mode runs.  Every other simulate line is three-mode, so a
+    # change that moves only larger trajectories, such as a product summed in
+    # another order above some size, would pass those unseen; summary.json
+    # prints these runs' final tips to the last bit.
+    *[(f"simulate_modes{n}_{name}", ["simulate", "--config", f"modes{n}.json",
+                                     "--scenario", name, "--duration", "1",
+                                     "--out", f"sim_modes{n}_{name}"])
+      for n in (5, 6) for name in ("fig7a", "fig8")],
     ("fit_auto", ["fit", "fit_data.csv", "--out", "fit_auto"]),
     ("fit_degree_2", ["fit", "fit_data.csv", "--degree", "2", "--out", "fit_2"]),
     *[(f"config_{label}", ["equilibrium", "--config", f"{label}.json",

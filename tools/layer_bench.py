@@ -6,7 +6,7 @@ Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
 modes, on the default 2000-point grid.  One more row times a fresh model's
 ``assemble_matrices`` plus its first ``state_rate``, which builds the
-stacked operator that every later ``state_rate`` of that model reuses.  Three
+stacked operator that every later ``rate_kernel`` of that model reuses.  Three
 rows time the equilibrium map: a 2000-sample ``deflection_curve`` over
 [0, 1.8] N, and ``tension_for_deflection`` of the tip deflection at 0.77 N,
 once on the warm model and once as a fresh model's ``assemble_matrices``
@@ -26,10 +26,13 @@ plant reads its class's factorisation, scaled (``StateSpaceModel.rate_scaled``),
 so the ``uncertainty_sweep/sample`` row is not comparable with runs of trees
 in which every certified plant factorised its own.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
-1 ms) at 3 modes, for the fig7a scenario and for the same scenario
-unforced, best of 5 runs, in microseconds per step.  The per-run setup (the
-initial equilibrium) and the log derived after the loop are included in that
-figure; both runs share one model, so its operator is built once, not per run.
+1 ms) at 3 modes, for each of the four named scenarios (fig7a, fig7c, fig8,
+fig8-clamped), for a map-composed run (fig8's gains, a quintic feedforward
+from 0.9 to 1 N over 2 s and the reference read from a quadratic map of it,
+as ``flexboom simulate`` builds from a fitted map) and for fig7a unforced,
+best of 5 runs, in microseconds per step.  The per-run setup (the initial
+equilibrium) and the log derived after the loop are included in that figure;
+all runs share one model, so its operator is built once, not per run.
 
     python tools/layer_bench.py
 
@@ -65,6 +68,8 @@ SWEEP_SAMPLES = 125
 SWEEP_PERTURBATION = 0.2
 SIM_MODES = 3
 SIM_DURATION = 5.0  # s, of the scenarios' 1 ms steps
+MAP_FEEDFORWARD = fb.FeedforwardProfile.quintic(0.9, 1.0, 2.0)
+MAP_COEFFICIENTS = (0.6, 0.5, 0.1686)  # m per N^2, m per N, m
 
 
 def layer_times(modes: int) -> dict[str, float]:
@@ -101,10 +106,12 @@ def layer_times(modes: int) -> dict[str, float]:
 
 def rk4_step_times() -> dict[str, float]:
     """Best-of-REPEATS microseconds per RK4 step of a whole simulation run."""
-    fig7a = next(s for s in fb.scenario_suite(mode_count=SIM_MODES, duration=SIM_DURATION)
-                 if s.name == "fig7a")
-    runs = {"fig7a": fig7a,
-            "unforced": dataclasses.replace(fig7a, controller=None, name="unforced")}
+    runs = {s.name: s for s in fb.scenario_suite(mode_count=SIM_MODES, duration=SIM_DURATION)}
+    fig7a, fig8 = runs["fig7a"], runs["fig8"]
+    runs["map-composed"] = dataclasses.replace(fig8, name="map-composed", controller=(
+        dataclasses.replace(fig8.controller, feedforward=MAP_FEEDFORWARD,
+                            reference=fb.ReferenceTrajectory.map_composed(MAP_COEFFICIENTS))))
+    runs["unforced"] = dataclasses.replace(fig7a, controller=None, name="unforced")
     steps = round(SIM_DURATION / fig7a.dt)
     return {name: 1e6 * min(timeit.repeat(functools.partial(fb.run_simulation, scenario),
                                           number=1, repeat=REPEATS)) / steps
