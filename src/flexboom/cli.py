@@ -194,7 +194,11 @@ def _build_model(config: dict):
 
 
 def _csv(header: Sequence[str], rows) -> str:
-    """CSV text: a float (np.float64 too) as %.12g, any other value as str."""
+    """CSV text: a float (np.float64 too) as %.12g, any other value as str;
+    a 2-d float64 array is a table of floats, formatted by one template."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        template = _row_template((float,) * rows.shape[1]) * len(rows)
+        return _csv(header, ()) + template % tuple(rows.ravel().tolist())
     lines = (tuple(row) for row in (header, *rows))
     return "".join(_row_template(tuple(map(type, row))) % row for row in lines)
 
@@ -239,7 +243,7 @@ def cmd_equilibrium(config: dict, args: argparse.Namespace, outdir: Path) -> _Ou
     samples = config["equilibrium"]["samples"]
     points = deflection_curve(model, t_max=t_max, samples=samples)
     header = ["tension_N", "tip_deflection_m"] + [f"q_{i+1}" for i in range(model.mode_count)]
-    rows = [[p.tension, p.tip_deflection, *p.modal_coords] for p in points]
+    rows = np.array([[p.tension, p.tip_deflection, *p.modal_coords] for p in points])
     name = "equilibrium_curve.csv"
     summary = {"curve": {
         "samples": samples,
@@ -292,9 +296,9 @@ def cmd_bode(config: dict, args: argparse.Namespace, outdir: Path) -> _Outcome:
 
     g = fr.response
     files = {names[0]: _csv(["omega_rad_s", "re", "im", "mag_db", "phase_deg"],
-                            zip(fr.omega, g.real, g.imag,
-                                20.0 * np.log10(np.maximum(np.abs(g), 1e-300)),
-                                np.degrees(np.unwrap(np.angle(g)))))}
+                            np.column_stack((fr.omega, g.real, g.imag,
+                                             20.0 * np.log10(np.maximum(np.abs(g), 1e-300)),
+                                             np.degrees(np.unwrap(np.angle(g))))))}
     lines = [f"wrote {outdir / names[0]}; nominal plant at {t_eq:g} N is {report.verdict}"]
     summary: dict[str, Any] = {
         "t_eq_N": t_eq, "nominal_verdict": report.verdict,
@@ -393,9 +397,9 @@ def cmd_simulate(config: dict, args: argparse.Namespace, outdir: Path) -> _Outco
     stem = f"sim_{result.scenario_name}"
     header = (["t_s", "w_tip_m", "wdot_tip_m_s", "u_N", "T_des_N", "w_des_m"]
               + [f"q_{i+1}" for i in range(scenario.model.mode_count)] + ["KE_J", "PE_J"])
-    rows = zip(result.time, result.tip, result.tip_rate, result.u, result.t_des,
-               result.w_des, *result.q.T, result.kinetic, result.potential)
-    control_rows = zip(*(getattr(result, name) for name in ControlSample._fields))
+    rows = np.column_stack((result.time, result.tip, result.tip_rate, result.u, result.t_des,
+                            result.w_des, result.q, result.kinetic, result.potential))
+    control_rows = np.column_stack([getattr(result, name) for name in ControlSample._fields])
     meta_lines = [
         f"scenario={result.scenario_name}",
         f"status={result.status}",

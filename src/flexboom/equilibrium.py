@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructuralModel, actuation_force, tip_deflection
+from .model import StructuralModel, actuation_force
 
 __all__ = [
     "NearSingularStiffness",
@@ -104,7 +104,8 @@ def _equilibria(model: StructuralModel, tensions: np.ndarray) -> list[Equilibriu
             f"equilibrium solve at {tensions[i]} N left residual "
             f"{residual[i]:.3e} N above tolerance {tol[i]:.3e} N"
         )
-    return [EquilibriumPoint(u, row, tip_deflection(model, row)) for u, row in zip(rows, q)]
+    tips = np.vecdot(q, model.tip_row).tolist()  # each row's tip_deflection, bit for bit
+    return [EquilibriumPoint(u, row, tip) for u, row, tip in zip(rows, q, tips)]
 
 
 def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoint:

@@ -15,7 +15,7 @@ The structure is undamped, so every pole sits on the imaginary axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import matrix_balance, rsf2csf, schur
@@ -108,21 +108,29 @@ class StateSpaceModel:
         ``scale`` holds powers of 2, so balancing the scaled block by it is
         exact short of overflow or underflow: the inherited S_bal is the new
         rate block balanced, bit for bit, and Z (factor T) Z^H is a Schur form
-        of it.  ``factor`` must be finite
-        and positive, so that the norm scales by it too.
+        of it.  ``factor`` must be finite and positive, so that the norm scales
+        by it too.  The rest of A, ``c`` and ``x_bar`` are this plant's, checked,
+        so of the constructor's checks only those that scaling (overflow) and the
+        new ``b`` can fail run, with the constructor's messages.
         """
         if not 0.0 < factor < np.inf:  # NaN fails too
             raise ValueError(f"rate factor must be finite and positive, got {factor!r}")
         n = self.mode_count
         a = self.a.copy()
         a[n:, :n] *= factor
-        plant = replace(self, a=a, b=b, t_eq=t_eq)
+        b = np.array(b, dtype=float).reshape(2 * n)
+        if (b[:n] != 0.0).any():
+            raise ValueError("B must drive only the rate block")
+        if not (np.isfinite(a[n:, :n]).all() and np.isfinite(b).all()):
+            raise ValueError("state-space matrices must be finite")
         s_bal, t_scale, tri, unitary, s_norm = self.rate_schur
         s_bal, tri = s_bal * factor, tri * factor
-        for array in (s_bal, tri):
+        for array in (a, b, s_bal, tri):
             array.setflags(write=False)
+        plant = object.__new__(StateSpaceModel)
         # Filled in before the plant is shared; its cached_property reads it as computed.
-        vars(plant)["rate_schur"] = (s_bal, t_scale, tri, unitary, s_norm * factor)
+        vars(plant).update(vars(self), a=a, b=b, t_eq=t_eq,
+                           rate_schur=(s_bal, t_scale, tri, unitary, s_norm * factor))
         return plant
 
     def eigenvalues(self) -> np.ndarray:

@@ -21,12 +21,13 @@ back-substitution on T + w^2 I, vectorised over the grid, and one step of
 residual refinement against S_bal in real arithmetic (Skeel, Math. Comp.
 1980).  The diagonal of T holds the eigenvalues of S_bal, so the condition
 of a point's solve is estimated without a condition number as
-cond = (||S_bal||_2 + w^2) / min_k |T_kk + w^2|.  A point whose estimate
-exceeds 1e12 is nudged by one part in 1e6; nudges are reported.  A float
-residual leaves G off by about eps * cond times the ratio of the terms
-summed into G to |G|: that is large next to a pole (cond large) and at an
-antiresonance (|G| small), so where cond times that ratio exceeds 1e6 the
-residual is formed in extended precision (np.longdouble) instead.
+cond = (||S_bal||_2 + w^2) / gap, with the pole gap min_k |T_kk + w^2| formed
+once per grid (again at nudged points only) and read by every test below.  A
+point whose estimate exceeds 1e12 is nudged by one part in 1e6; nudges are
+reported.  A float residual leaves G off by about eps * cond times the ratio
+of the terms summed into G to |G|: that is large next to a pole (cond large)
+and at an antiresonance (|G| small), so where cond times that ratio exceeds
+1e6 the residual is formed in extended precision (np.longdouble) instead.
 
 The (E, rho, I) uncertainty box is a one-parameter family: M scales with rho
 and K with E*I, and the cable terms with neither, so a sample at tension T is
@@ -153,24 +154,25 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
     n = ss.mode_count
     s_bal, t_scale, tri, unitary, s_norm = ss.rate_schur
     eigs = tri.diagonal()[:, None]
-
-    def near_pole(w2: np.ndarray, limit: float) -> np.ndarray:
-        return np.abs(eigs + w2).min(axis=0) * limit <= s_norm + w2
-
-    retry = np.flatnonzero(near_pole(grid ** 2, _COND_NUDGE))
-    grid[retry] *= 1.0 + _NUDGE
-    bad = near_pole(grid[retry] ** 2, _COND_FAIL)
-    if np.any(bad):
-        raise PoleOnGrid(f"grid frequencies {grid[retry[bad]]} rad/s remain on a pole "
-                         f"after nudging (condition estimate above {_COND_FAIL:.0e})")
+    w2 = grid ** 2
+    shifted = eigs + w2
+    gap = np.abs(shifted).min(axis=0)
+    retry = np.flatnonzero(gap * _COND_NUDGE <= s_norm + w2)
+    if retry.size:
+        grid[retry] *= 1.0 + _NUDGE
+        w2[retry] = grid[retry] ** 2
+        shifted[:, retry] = eigs + w2[retry]
+        gap[retry] = np.abs(shifted[:, retry]).min(axis=0)
+        bad = gap[retry] * _COND_FAIL <= s_norm + w2[retry]
+        if np.any(bad):
+            raise PoleOnGrid(f"grid frequencies {grid[retry[bad]]} rad/s remain on a pole "
+                             f"after nudging (condition estimate above {_COND_FAIL:.0e})")
 
     # Columns are grid points: z[:, i] solves (S_bal + w_i^2 I) z = rhs[:, i]
     # as Z (T + w_i^2 I)^-1 Z^H rhs, one back-substitution row at a time.
-    w2 = grid ** 2
-    shifted = eigs + w2
-
     def solve(y: np.ndarray) -> np.ndarray:
-        for k in range(n - 1, -1, -1):
+        y[n - 1] /= shifted[n - 1]
+        for k in range(n - 2, -1, -1):
             y[k] = (y[k] - tri[k, k + 1:] @ y[k + 1:]) / shifted[k]
         return (unitary @ y).real  # z is real; a complex Z leaves rounding in .imag
 
@@ -186,10 +188,10 @@ def frequency_response(ss: StateSpaceModel, omega: Sequence[float] | None = None
         size = np.abs(z)
         spread = np.abs(c_q) @ size + grid * (np.abs(c_v) @ size)
         gain = np.hypot(c_q @ z + ss.d, grid * (c_v @ z))
-        ext = np.flatnonzero((s_norm + w2) * spread
-                             > _COND_EXTENDED * np.abs(shifted).min(axis=0) * gain)
-        z_ext = z[:, ext].astype(np.longdouble)
-        residual[:, ext] = rhs[:, None] - s_bal.astype(np.longdouble) @ z_ext - w2[ext] * z_ext
+        ext = np.flatnonzero((s_norm + w2) * spread > _COND_EXTENDED * gap * gain)
+        if ext.size:
+            z_ext = z[:, ext].astype(np.longdouble)
+            residual[:, ext] = rhs[:, None] - s_bal.astype(np.longdouble) @ z_ext - w2[ext] * z_ext
         z += solve(unitary.conj().T @ residual)
         response = (c_q @ z + ss.d) + 1j * (grid * (c_v @ z))
     if np.any(~np.isfinite(response)):

@@ -857,3 +857,17 @@ def test_csv_matches_the_per_value_formatter():
     assert cli._csv(header, rows) == _reference_csv(header, rows)
     assert cli._csv(header, iter(rows)) == _reference_csv(header, rows)
     assert cli._csv(header, []) == "h,w_m,%d\n"
+
+
+def test_csv_formats_a_float_table_as_the_per_value_formatter():
+    floats = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
+              1.7976931348623157e308, 0.1, 1 / 3, -2.5e-17, 1e16]
+    table = np.array(floats).reshape(4, 3)
+    header = ["h", "w_m", "%d"]
+    assert cli._csv(header, table) == _reference_csv(header, table.tolist())
+    assert cli._csv(header, np.empty((0, 3))) == "h,w_m,%d\n"
+    # Other 2-d arrays stay on the per-value path: float32 and ints go through str.
+    with np.errstate(over="ignore"):  # 1.797e308 is inf in float32
+        narrow = table.astype(np.float32)
+    for other in (narrow, np.arange(12).reshape(4, 3)):
+        assert cli._csv(header, other) == _reference_csv(header, other)

@@ -149,6 +149,16 @@ def test_curve_rows_are_the_point_solves(params, scales, modes):
             float(model.tip_row @ reference).hex()
 
 
+@pytest.mark.parametrize("modes", range(1, 13))
+def test_curve_tips_are_the_per_row_tip_deflection(params, modes):
+    # The curve forms its tips in one batched product; each must equal, bit for
+    # bit, the per-row dot of tip_deflection (a plain q @ tip_row matmul does not).
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(modes))
+    t_max = min(1.8, 0.999 * model.critical_tension)
+    for row in fb.deflection_curve(model, t_max=t_max, samples=2000):
+        assert row.tip_deflection == fb.tip_deflection(model, row.modal_coords)
+
+
 @pytest.mark.parametrize("samples", [1, 0])
 def test_curve_needs_two_samples(model3, samples):
     with pytest.raises(ValueError, match="at least two samples"):

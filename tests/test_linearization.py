@@ -246,3 +246,26 @@ def test_rate_scaled_plant_inherits_the_scaled_factorisation(monkeypatch, ss_at_
 def test_rate_scaled_refuses_a_factor_that_is_not_finite_and_positive(ss_at_1n, factor):
     with pytest.raises(ValueError, match="rate factor must be finite and positive"):
         ss_at_1n.rate_scaled(factor, ss_at_1n.b, 1.0)
+
+
+def _with(values: np.ndarray, index: int, value: float) -> np.ndarray:
+    values = values.copy()
+    values[index] = value
+    return values
+
+
+@pytest.mark.parametrize("case", ["overflow", "nan_b", "b_moves_q", "b_length"])
+def test_rate_scaled_refuses_what_scaling_or_a_new_b_can_break(ss_at_1n, case):
+    # The checks the constructor would make on the scaled plant, with its messages.
+    b, n = ss_at_1n.b, ss_at_1n.mode_count
+    factor, message = 1.0, "state-space matrices must be finite"
+    if case == "overflow":
+        factor = np.finfo(float).max
+    elif case == "nan_b":
+        b = _with(b, n, np.nan)
+    elif case == "b_moves_q":
+        b, message = _with(b, 0, 1.0), "B must drive only the rate block"
+    else:
+        b, message = b[1:], "cannot reshape"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        ss_at_1n.rate_scaled(factor, b, 1.0)

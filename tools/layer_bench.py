@@ -19,12 +19,19 @@ after its first response, so each ``frequency_response`` and
 (``dataclasses.replace``) and pays for the factorisation as a new plant does;
 the copy, the constructor's copies and checks, adds 22-27 us per call at 3 to 6
 modes on a 2-vCPU x86-64 host.
-The last row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
+Two rows time a box sample's plant: ``rate_scaled``, which builds the plant of
+sample (1.2, 0.8, 1.2) from the nominal plant and hands it the nominal
+factorisation, scaled, and that plant's ``passivity_check``, which factorises
+nothing.
+The last layer row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
 In that box only the 15 E*I classes factorise their rate blocks; each rho
 plant reads its class's factorisation, scaled (``StateSpaceModel.rate_scaled``),
 so the ``uncertainty_sweep/sample`` row is not comparable with runs of trees
 in which every certified plant factorised its own.
+Then times the CLI's CSV writer, ``cli._csv``, on a 2000 x 5 table of
+float64 values (a default-grid Bode table's shape), passed once as a 2-d
+array and once as a list of tuples of ``np.float64``, in microseconds per table.
 Then times the RK4 loop: a whole ``run_simulation`` of 5 s (5000 steps of
 1 ms) at 3 modes, for each of the four named scenarios (fig7a, fig7c, fig8,
 fig8-clamped), for a map-composed run (fig8's gains, a quintic feedforward
@@ -57,6 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import flexboom as fb  # noqa: E402
+from flexboom import cli  # noqa: E402
 
 MODES = (3, 4, 6)
 TENSION = 0.77   # N
@@ -70,6 +78,8 @@ SIM_MODES = 3
 SIM_DURATION = 5.0  # s, of the scenarios' 1 ms steps
 MAP_FEEDFORWARD = fb.FeedforwardProfile.quintic(0.9, 1.0, 2.0)
 MAP_COEFFICIENTS = (0.6, 0.5, 0.1686)  # m per N^2, m per N, m
+BOX_SAMPLE = (1.2, 0.8, 1.2)  # (e, rho, i) scales of the rho-plant rows
+CSV_SHAPE = (2000, 5)
 
 
 def layer_times(modes: int) -> dict[str, float]:
@@ -95,6 +105,11 @@ def layer_times(modes: int) -> dict[str, float]:
         "frequency_response": lambda: fb.frequency_response(dataclasses.replace(ss), grid),
         "passivity_check": lambda: fb.passivity_check(dataclasses.replace(ss), grid),
     }
+    e, rho, i = BOX_SAMPLE
+    rho_plant = functools.partial(ss.rate_scaled, e * i / rho, ss.b / rho, TENSION)
+    layers["rate_scaled"] = rho_plant
+    layers["passivity_check/rho plant"] = functools.partial(fb.passivity_check, rho_plant(),
+                                                            grid)
     times = {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
              for name, call in layers.items()}
     sweep = functools.partial(fb.uncertainty_sweep, params, basis, TENSION,
@@ -102,6 +117,16 @@ def layer_times(modes: int) -> dict[str, float]:
     times["uncertainty_sweep/sample"] = (
         1e6 * min(timeit.repeat(sweep, number=1, repeat=REPEATS)) / SWEEP_SAMPLES)
     return times
+
+
+def csv_times() -> dict[str, float]:
+    """Best-of-REPEATS microseconds per ``cli._csv`` call on one float table."""
+    table = np.random.default_rng(0).standard_normal(CSV_SHAPE)
+    header = [f"c{j}" for j in range(CSV_SHAPE[1])]
+    inputs = {"array": table, "tuples": [tuple(row) for row in table]}
+    return {name: 1e6 * min(timeit.repeat(functools.partial(cli._csv, header, rows),
+                                          number=CALLS, repeat=REPEATS)) / CALLS
+            for name, rows in inputs.items()}
 
 
 def rk4_step_times() -> dict[str, float]:
@@ -125,6 +150,10 @@ def main() -> int:
     print(f"{'layer':<32}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
         print(f"{name:<32}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
+    print(f"\nus per cli._csv call on a {CSV_SHAPE[0]} x {CSV_SHAPE[1]} float table, "
+          f"best of {REPEATS} x {CALLS}")
+    for name, value in csv_times().items():
+        print(f"{'_csv ' + name:<32}{value:>10.1f}")
     print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
     for name, value in rk4_step_times().items():
         print(f"{'rk4 ' + name:<32}{value:>10.2f}")
