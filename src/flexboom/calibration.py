@@ -101,14 +101,17 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class TorqueDeflectionMap:
-    """Polynomial map, coefficients in descending degree."""
+    """Polynomial map, coefficients in descending degree; ``degree`` follows from them."""
 
     coefficients: tuple[float, ...]
-    degree: int
     residual_rms: float
     fit_range: tuple[float, float]
     torque_unit: str = "N"
     deflection_unit: str = "m"
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
 
     def evaluate(self, torque: float) -> float:
         return float(np.polyval(np.asarray(self.coefficients), torque))
@@ -137,7 +140,6 @@ def fit_map(data: MeasurementSet, degree: int) -> TorqueDeflectionMap:
     residual_rms = float(np.sqrt(np.mean((predicted - data.deflections) ** 2)))
     return TorqueDeflectionMap(
         coefficients=descending,
-        degree=degree,
         residual_rms=residual_rms,
         fit_range=(float(data.torques.min()), float(data.torques.max())),
         torque_unit=data.torque_unit,

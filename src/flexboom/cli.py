@@ -243,7 +243,8 @@ def cmd_equilibrium(config: dict, args: argparse.Namespace, outdir: Path) -> _Ou
     samples = config["equilibrium"]["samples"]
     points = deflection_curve(model, t_max=t_max, samples=samples)
     header = ["tension_N", "tip_deflection_m"] + [f"q_{i+1}" for i in range(model.mode_count)]
-    rows = np.array([[p.tension, p.tip_deflection, *p.modal_coords] for p in points])
+    rows = np.column_stack(([p.tension for p in points], [p.tip_deflection for p in points],
+                            [p.modal_coords for p in points]))
     name = "equilibrium_curve.csv"
     summary = {"curve": {
         "samples": samples,

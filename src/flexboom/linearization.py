@@ -37,11 +37,10 @@ class StateSpaceModel:
     (zero top-left, identity top-right, zero bottom-right) and B drives only
     the rate block; the frequency-response code relies on it.  ``a``, ``b``,
     ``c`` and ``x_bar`` are read-only copies of the constructor's arrays, so
-    the checks below hold for the plant's lifetime.  ``rate_schur``, the one
-    factorisation of the rate block, is computed on its first read and then
-    kept; ``dataclasses.replace`` makes a plant that computes its own, and
-    ``rate_scaled`` one whose rate block is a positive multiple of this one's
-    and which inherits this plant's factorisation, scaled.
+    the checks below hold for the plant's lifetime.  The six fields define
+    the plant; ``rate_schur``, the one factorisation of its rate block, is
+    derived from them on first read (``dataclasses.replace`` makes a plant
+    that derives its own, and ``rate_scaled`` hands its plant one ready made).
     """
 
     a: np.ndarray = field(repr=False)
@@ -111,7 +110,8 @@ class StateSpaceModel:
         of it.  ``factor`` must be finite and positive, so that the norm scales
         by it too.  The rest of A, ``c`` and ``x_bar`` are this plant's, checked,
         so of the constructor's checks only those that scaling (overflow) and the
-        new ``b`` can fail run, with the constructor's messages.
+        new ``b`` can fail run, with the constructor's messages.  The new plant
+        gets its six fields by name and that ``rate_schur``, nothing else.
         """
         if not 0.0 < factor < np.inf:  # NaN fails too
             raise ValueError(f"rate factor must be finite and positive, got {factor!r}")
@@ -129,7 +129,7 @@ class StateSpaceModel:
             array.setflags(write=False)
         plant = object.__new__(StateSpaceModel)
         # Filled in before the plant is shared; its cached_property reads it as computed.
-        vars(plant).update(vars(self), a=a, b=b, t_eq=t_eq,
+        vars(plant).update(a=a, b=b, c=self.c, d=self.d, t_eq=t_eq, x_bar=self.x_bar,
                            rate_schur=(s_bal, t_scale, tri, unitary, s_norm * factor))
         return plant
 

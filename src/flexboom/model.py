@@ -218,6 +218,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real_positive(values: np.ndarray) -> np.ndarray:
+    """Real parts of the ``values`` with |imag| <= 1e-9 |value| and real part > 0:
+    a double root that rounding splits into a complex pair still counts."""
+    return values.real[(np.abs(values.imag) <= 1e-9 * np.abs(values)) & (values.real > 0.0)]
+
+
 @dataclass(frozen=True)
 class DeflectionMap:
     """Equilibrium tip deflection at constant tension T, in closed form.
@@ -229,15 +235,13 @@ class DeflectionMap:
     sum of the equilibrated coordinates:
     w(T) = Re sum_i beta_i T / (1 - lam_i T), beta = (1^T V) * (V^-1 K^-1 f).
     ``eigenvalues`` and ``weights`` hold lam and beta (complex where lam
-    is), and ``stationary`` every T > 0 where dw/dT vanishes, ascending:
-    between two of them w is monotone.  The form is exact in exact
-    arithmetic; in floats it loses accuracy as V grows ill-conditioned
-    (see the ``equilibrium`` module).
+    is) and define the map; ``stationary`` is derived from them on first
+    read.  The form is exact in exact arithmetic; in floats it loses
+    accuracy as V grows ill-conditioned (see the ``equilibrium`` module).
     """
 
     eigenvalues: tuple[complex, ...]
     weights: tuple[complex, ...]
-    stationary: tuple[float, ...]
 
     def deflection(self, tension: float) -> float:
         """w(T) (m)."""
@@ -249,47 +253,45 @@ class DeflectionMap:
         return sum(b / (1.0 - lam * tension) ** 2
                    for lam, b in zip(self.eigenvalues, self.weights)).real
 
+    @functools.cached_property
+    def stationary(self) -> tuple[float, ...]:
+        """Every T > 0 where dw/dT vanishes, ascending: between two of them w is monotone.
 
-def _stationary_tensions(lam: np.ndarray, weights: np.ndarray) -> tuple[float, ...]:
-    """Ascending real T > 0 where sum_i beta_i / (1 - lam_i T)^2 vanishes.
-
-    They are the real positive roots of the numerator
-    sum_i beta_i prod_{j != i} (1 - lam_j T)^2, a polynomial of degree
-    2n - 2 with real coefficients (lam and beta come in conjugate pairs).
-    A root counts as real when |imag| <= 1e-9 |root|.
-    """
-    squares = [np.convolve([-x, 1.0], [-x, 1.0]) for x in lam]  # descending powers of T
-    numerator = sum(b * functools.reduce(np.convolve, squares[:i] + squares[i + 1:], np.ones(1))
-                    for i, b in enumerate(weights))
-    roots = np.roots(np.real(numerator))
-    real = roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)]
-    return tuple(np.sort(real).tolist())
+        They are the real positive roots of the numerator
+        sum_i beta_i prod_{j != i} (1 - lam_j T)^2, a polynomial of degree
+        2n - 2 with real coefficients (lam and beta come in conjugate pairs),
+        held here in descending powers of T.
+        """
+        squares = [np.convolve([-x, 1.0], [-x, 1.0]) for x in self.eigenvalues]
+        numerator = sum(b * functools.reduce(np.convolve, squares[:i] + squares[i + 1:], np.ones(1))
+                        for i, b in enumerate(self.weights))
+        return tuple(np.sort(_real_positive(np.roots(np.real(numerator)))).tolist())
 
 
 @dataclass(frozen=True)
 class StructuralModel:
     """Assembled discretization: immutable after construction, safe to share.
 
-    ``mass_matrix`` and ``stiffness_matrix`` are the raw closed-form energy
-    matrices in the monomial coordinates; ``spreader_matrix`` is the cable
-    reaction matrix (enters the force as spreader_matrix / node_spacing);
-    ``tip_row`` and ``tip_slope`` are psi(L) and psi'(L).
+    The seven fields define the model: ``mass_matrix`` and
+    ``stiffness_matrix`` are the raw closed-form energy matrices in the
+    monomial coordinates; ``spreader_matrix`` is the cable reaction matrix
+    (enters the force as spreader_matrix / node_spacing); ``tip_row`` and
+    ``tip_slope`` are psi(L) and psi'(L).  Everything else the model exposes
+    is derived from the fields on first read and then kept: a pure function
+    of the read-only fields, so the model stays safe to share, and
+    ``dataclasses.replace`` makes a model that derives its own.
+
     ``critical_tension`` is the first positive tension (N) at which
     ``effective_stiffness`` turns singular (inf when no positive tension
-    does); static equilibria exist only below it.
-
-    Every solve of the model runs on the system equilibrated by ``tip_row``
-    (``equilibrate``): the raw monomial basis spans many orders of magnitude
-    at full boom length, and the scaling keeps the factorizations accurate
-    for mode counts up to at least six.  ``mass_solve`` reads the cached mass
-    factorization; the operator of ``rate_kernel``, the one definition of the
-    dynamics, is built through it on a model's first ``rate_kernel`` and then
-    kept: a pure function of the read-only fields, so the model stays safe
-    to share.  Assembly also keeps one eigendecomposition of the equilibrated
-    K^-1 (spreader_matrix / dx): ``critical_tension`` comes from its
-    eigenvalues, and ``deflection_map``, the closed-form tip deflection that
-    ``tension_for_deflection`` brackets and starts its polish from, is built
-    from it on the model's first read and then kept the same way.
+    does); static equilibria exist only below it.  Every solve runs on the
+    system equilibrated by ``tip_row`` (``equilibrate``): the raw monomial
+    basis spans many orders of magnitude at full boom length, and the scaling
+    keeps the factorizations accurate for mode counts up to at least six.
+    ``rate_kernel``'s operator, the one definition of the dynamics, is built
+    through the mass factorization, and one eigendecomposition of the
+    equilibrated K^-1 (spreader_matrix / dx) gives ``critical_tension`` and
+    ``deflection_map``, the closed form that ``tension_for_deflection``
+    brackets and starts its polish from.
     """
 
     params: BoomParams
@@ -299,9 +301,30 @@ class StructuralModel:
     spreader_matrix: np.ndarray = field(repr=False)
     tip_row: np.ndarray = field(repr=False)
     tip_slope: np.ndarray = field(repr=False)
-    critical_tension: float
-    _mass_chol: tuple = field(repr=False)
-    _softening: tuple = field(repr=False)
+
+    @functools.cached_property
+    def _mass_chol(self) -> tuple:
+        """Cholesky factor of the equilibrated mass matrix; ValueError if it has none."""
+        # Equilibrate by the basis scale at the tip before factorizing: the raw
+        # matrices are Hilbert-like with columns spanning ~L^(2n) in magnitude.
+        try:
+            return cho_factor(equilibrate(self.mass_matrix, self.tip_row), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("mass matrix is not positive definite") from exc
+
+    @functools.cached_property
+    def _softening(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V) of K^-1 (spreader_matrix / dx) on the equilibrated matrices."""
+        return np.linalg.eig(np.linalg.solve(
+            equilibrate(self.stiffness_matrix, self.tip_row),
+            equilibrate(self.spreader_matrix / self.params.node_spacing, self.tip_row)))
+
+    @functools.cached_property
+    def critical_tension(self) -> float:
+        """Smallest T > 0 with det(K - T spreader_matrix / dx) = 0, else inf: the roots
+        are T = 1/lam for the real lam > 0 of ``_softening`` (K is positive definite)."""
+        real = _real_positive(self._softening[0])
+        return float(1.0 / real.max()) if real.size else float("inf")
 
     @property
     def mode_count(self) -> int:
@@ -371,26 +394,12 @@ class StructuralModel:
         unit_load = actuation_force(self, np.zeros(self.mode_count), 1.0)
         response = self.stiffness_solve(np.zeros(1), unit_load[None])[0] * self.tip_row
         weights = vectors.sum(axis=0) * np.linalg.solve(vectors, response)
-        return DeflectionMap(tuple(lam.tolist()), tuple(weights.tolist()),
-                             _stationary_tensions(lam, weights))
+        return DeflectionMap(tuple(lam.tolist()), tuple(weights.tolist()))
 
 
 def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """D^-1 matrix D^-1 with D = diag(scale); A x = b becomes (D^-1 A D^-1)(D x) = b / scale."""
     return matrix / scale[:, None] / scale[None, :]
-
-
-def _first_critical_tension(lam: np.ndarray) -> float:
-    """Smallest T > 0 with det(stiffness - T * spreader) = 0, else inf.
-
-    The roots are T = 1/lam for the real eigenvalues lam > 0 of
-    stiffness^-1 spreader (computed on the equilibrated matrices); the stiffness is positive definite, so lam = 0
-    (no spreader coupling) maps to no root at all.  Eigenvalues with
-    |imag| <= 1e-9 |lam| count as real, so a double root that rounding
-    splits into a complex pair is not missed.
-    """
-    real = lam.real[(np.abs(lam.imag) <= 1e-9 * np.abs(lam)) & (lam.real > 0.0)]
-    return float(1.0 / real.max()) if real.size else float("inf")
 
 
 def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
@@ -401,12 +410,12 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     M_jk = rho * L^(pj+pk+1) / (pj+pk+1) and
     K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
     are the exact monomial integrals of the kinetic and strain energies.
-    The first critical tension (see ``StructuralModel``) is computed here
-    once, so per-tension solves only compare against it; the
-    eigendecomposition it comes from is kept for ``deflection_map``.
-    Raises ValueError if a matrix overflows (from about 103 modes on the
-    nominal boom) or the mass matrix is not positive definite (from about
-    13 modes, where the monomial basis is numerically dependent).
+    The rest of the model is derived from its fields on first read (see
+    ``StructuralModel``); only the mass factorization is read here, so that
+    assembly refuses a mass matrix without one.  Raises ValueError if a matrix
+    overflows (from about 103 modes on the nominal boom) or the mass matrix is
+    not positive definite (from about 13 modes, where the monomial basis is
+    numerically dependent).
     """
     p = np.asarray(basis.exponents, dtype=float)
     length = params.length
@@ -422,19 +431,7 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     spreader = build_spreader_matrix(params, basis)
 
     tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
-    spreader_per_dx = spreader / params.node_spacing
-
-    # Equilibrate by the basis scale at the tip before factorizing: the raw
-    # matrices are Hilbert-like with columns spanning ~L^(2n) in magnitude.
-    try:
-        mass_chol = cho_factor(equilibrate(mass, tip_row), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("mass matrix is not positive definite") from exc
-    # (lam, V) of K^-1 (spreader / dx) on the equilibrated matrices.
-    softening = np.linalg.eig(np.linalg.solve(equilibrate(stiffness, tip_row),
-                                              equilibrate(spreader_per_dx, tip_row)))
-
-    return StructuralModel(
+    model = StructuralModel(
         params=params,
         basis=basis,
         mass_matrix=_readonly(mass),
@@ -442,10 +439,9 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
         spreader_matrix=_readonly(spreader),
         tip_row=_readonly(tip_row),
         tip_slope=_readonly(tip_slope),
-        critical_tension=_first_critical_tension(softening[0]),
-        _mass_chol=mass_chol,
-        _softening=softening,
     )
+    model._mass_chol  # refuses a mass matrix that is not positive definite here
+    return model
 
 
 def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:

@@ -41,13 +41,13 @@ balancing scale holds powers of 2, so the scaled block stays exactly
 balanced), and a 5-level box runs 15 factorisations for its 75 plants.
 Each plant is still checked on the caller's grid with its own nudging and
 refinement, against its own balanced block.
+Where the nominal boom is refused (its assembly, or its chain at T / (e*i):
+the critical tension, a residual, flutter), the sample's own model is built
+and solved at T instead, so the refusal names the sample's own tension and
+critical tension, and that sample factorises its own plant.
 The box puts the same levels on the E and I axes, so samples (e, rho, i) and
-(i, rho, e) are one plant: each distinct (e*i, rho) plant is certified once,
-and its twin gets that report under its own scales.  Where the nominal boom
-is refused (its assembly, or its chain at T / (e*i): the critical tension, a
-residual, flutter), the sample's own model is built and solved at T instead,
-so the refusal names the sample's own tension and critical tension; such a
-class is not reused, and each of its samples factorises its own plant.
+(i, rho, e) are one plant: every distinct (e*i, rho) plant is certified once,
+refused classes included, and its twin gets that report under its own scales.
 """
 
 from __future__ import annotations
@@ -292,10 +292,8 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
         twin = certified.get((e * i, rho))
         if twin is not None:
             return replace(twin, metadata={**twin.metadata, **sample})
-        result = _sweep_sample("sweep sample", sample, functools.partial(plant, e, rho, i),
-                               t_eq, omega, eps_tol)
-        if chains[e * i] is not None:  # a refused class is certified sample by sample
-            certified[e * i, rho] = result
+        certified[e * i, rho] = result = _sweep_sample(
+            "sweep sample", sample, functools.partial(plant, e, rho, i), t_eq, omega, eps_tol)
         return result
 
     return [report(e, rho, i) for e, rho, i in itertools.product(axis, repeat=3)]

@@ -207,6 +207,15 @@ def test_critical_tension_is_the_sharp_bound(model3):
         fb.solve_equilibrium(model3, 1.01 * t_c)
 
 
+def test_a_replaced_model_derives_its_own_critical_tension_and_map(model3):
+    # Derived values come from the fields: twice the spreader matrix halves T_c
+    # (4.00 N) and moves the closed form with the direct solve (2.66 m at 1 N).
+    doubled = dataclasses.replace(model3, spreader_matrix=2.0 * model3.spreader_matrix)
+    assert doubled.critical_tension == pytest.approx(model3.critical_tension / 2.0, rel=1e-12)
+    tip = fb.solve_equilibrium(doubled, 1.0).tip_deflection
+    assert doubled.deflection_map.deflection(1.0) == pytest.approx(tip, rel=1e-9)
+
+
 def test_cantilever_has_no_critical_tension(cantilever_model, params):
     assert cantilever_model.critical_tension == float("inf")
     point = fb.solve_equilibrium(cantilever_model, 50.0)

@@ -242,6 +242,15 @@ def test_rate_scaled_plant_inherits_the_scaled_factorisation(monkeypatch, ss_at_
         1e-10 * np.max(np.abs(expected.response)))
 
 
+def test_rate_scaled_plant_carries_only_its_fields_and_factorisation(ss_at_1n):
+    # A value cached on the parent later (a stand-in here) is not handed on.
+    parent = dataclasses.replace(ss_at_1n)
+    vars(parent)["derived_stand_in"] = object()
+    scaled = parent.rate_scaled(1.1, parent.b / 1.2, 0.5)
+    fields = {field.name for field in dataclasses.fields(fb.StateSpaceModel)}
+    assert set(vars(scaled)) == fields | {"rate_schur"}
+
+
 @pytest.mark.parametrize("factor", [0.0, -0.5, np.nan, np.inf, -np.inf])
 def test_rate_scaled_refuses_a_factor_that_is_not_finite_and_positive(ss_at_1n, factor):
     with pytest.raises(ValueError, match="rate factor must be finite and positive"):

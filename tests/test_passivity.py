@@ -348,6 +348,32 @@ def test_refused_class_factorises_each_sample_own_model(monkeypatch, params, bas
         assert report.worst_phase_omega == expected.worst_phase_omega
 
 
+def test_refused_class_certifies_each_twin_pair_once(monkeypatch, params, basis3):
+    # Refuse the nominal chain of class e*i = 0.8 * 1.2 only: its ten samples are
+    # five twin pairs (0.8, rho, 1.2) and (1.2, rho, 0.8), and each pair's plant is
+    # solved and factorised once, on the first twin's own model.
+    chain, refused = passivity._chain, 1.0 / (0.8 * 1.2)
+
+    def refusing(model, t_eq):
+        if model.params == params and t_eq == refused:
+            raise RuntimeError("refused")
+        return chain(model, t_eq)
+
+    monkeypatch.setattr(passivity, "_chain", refusing)
+    calls = _counting_schur(monkeypatch)
+    reports = fb.uncertainty_sweep(params, basis3, 1.0, 0.2, 125, fb.default_grid(300))
+    assert len(calls) == 14 + 5
+    pairs = {}
+    for report in reports:
+        if {report.metadata["e_scale"], report.metadata["i_scale"]} == {0.8, 1.2}:
+            pairs.setdefault(report.metadata["rho_scale"], []).append(report)
+    assert len(pairs) == 5
+    for first, twin in pairs.values():
+        assert (first.metadata["e_scale"], twin.metadata["e_scale"]) == (0.8, 1.2)
+        assert twin.metadata == {**first.metadata, "e_scale": 1.2, "i_scale": 0.8}
+        assert dataclasses.replace(twin, metadata=first.metadata) == first
+
+
 @pytest.mark.parametrize("modes, t_eq, bound", [
     # Worst relative differences measured: 1.9e-11 (three modes), 6.3e-8 and
     # 7.6e-9 (six modes at 0.75 and 1 N, next to poles).

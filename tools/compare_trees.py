@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Compare this checkout with a git revision: same CLI outputs, and from how much code.
+
+Exports REV with ``git archive`` into a temporary directory, runs this
+checkout's ``tools/cli_fingerprint.py`` on both trees (a copy placed in the
+export, so both run one command set), and prints the unified diff of the two
+printouts.  Then prints, for every module of ``src/flexboom`` in either tree,
+its total and code-only source lines; a code-only line is one that is not
+blank, not a comment and not part of a docstring.  Exits 1 when the
+fingerprints differ, else 0.
+
+    python tools/compare_trees.py HEAD~1
+
+The working tree is compared as it is on disk, uncommitted changes included.
+"""
+
+from __future__ import annotations
+
+import ast
+import difflib
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FINGERPRINT = Path("tools") / "cli_fingerprint.py"
+PACKAGE = Path("src") / "flexboom"
+
+
+def fingerprint(tree: Path) -> list[str]:
+    """The printout of the fingerprint script run on ``tree``."""
+    result = subprocess.run([sys.executable, str(tree / FINGERPRINT)], cwd=tree,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines(keepends=True)
+
+
+def line_counts(path: Path) -> tuple[int, int]:
+    """(total, code-only) lines of one Python source file."""
+    text = path.read_text()
+    lines = text.splitlines()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                docstrings.update(range(body[0].lineno, body[0].end_lineno + 1))
+    code = sum(1 for number, line in enumerate(lines, start=1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docstrings)
+    return len(lines), code
+
+
+def source_table(trees: dict[str, Path]) -> list[str]:
+    """One row per module: total and code-only lines in each tree, then the sums."""
+    counts = {label: {path.name: line_counts(path)
+                      for path in sorted((tree / PACKAGE).glob("*.py"))}
+              for label, tree in trees.items()}
+    modules = sorted(set().union(*counts.values()))
+    rows = [f"{'module':<20}" + "".join(f"{label + ' total':>16}{label + ' code':>16}"
+                                        for label in trees)]
+    for name in [*modules, "all"]:
+        cells = []
+        for label in trees:
+            if name == "all":
+                total, code = map(sum, zip(*counts[label].values()))
+            elif name in counts[label]:
+                total, code = counts[label][name]
+            else:
+                total = code = "-"
+            cells.append(f"{total:>16}{code:>16}")
+        rows.append(f"{name:<20}" + "".join(cells))
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: compare_trees.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp)
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
+        (other / FINGERPRINT).parent.mkdir(exist_ok=True)
+        shutil.copyfile(ROOT / FINGERPRINT, other / FINGERPRINT)
+        diff = list(difflib.unified_diff(fingerprint(other), fingerprint(ROOT),
+                                         fromfile=rev, tofile="working tree"))
+        table = source_table({rev: other, "tree": ROOT})
+    sys.stdout.writelines(diff)
+    print("fingerprints differ" if diff else "fingerprints identical")
+    print("\n".join(table))
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
