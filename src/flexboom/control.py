@@ -165,12 +165,10 @@ def _ramp_law(start: float, end: float, duration: float) -> _Law:
     rise = end - start
 
     def ramp(t: float, *_) -> tuple[float, float]:
-        if 0.0 <= t <= duration:
-            s = t / duration
-            return (start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise,
-                    30.0 * s * s * (1.0 - s) * (1.0 - s) * rise / duration)
-        s = min(max(t / duration, 0.0), 1.0)
-        return start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise, 0.0
+        inside = 0.0 <= t <= duration
+        s = t / duration if inside else min(max(t / duration, 0.0), 1.0)
+        rate = 30.0 * s * s * (1.0 - s) * (1.0 - s) * rise / duration if inside else 0.0
+        return start + s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) * rise, rate
 
     return ramp
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -276,9 +276,10 @@ class StructuralModel:
     ``stiffness_matrix`` are the raw closed-form energy matrices in the
     monomial coordinates; ``spreader_matrix`` is the cable reaction matrix
     (enters the force as spreader_matrix / node_spacing); ``tip_row`` and
-    ``tip_slope`` are psi(L) and psi'(L).  Everything else the model exposes
-    is derived from the fields on first read and then kept: a pure function
-    of the read-only fields, so the model stays safe to share, and
+    ``tip_slope`` are psi(L) and psi'(L).  However the model is built, it keeps
+    read-only float copies of the five arrays and refuses a mass matrix with no
+    Cholesky factor (ValueError); all else it exposes is derived from those
+    fields on first read and then kept, so the model stays safe to share and
     ``dataclasses.replace`` makes a model that derives its own.
 
     ``critical_tension`` is the first positive tension (N) at which
@@ -301,6 +302,11 @@ class StructuralModel:
     spreader_matrix: np.ndarray = field(repr=False)
     tip_row: np.ndarray = field(repr=False)
     tip_slope: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("mass_matrix", "stiffness_matrix", "spreader_matrix", "tip_row", "tip_slope"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        self._mass_chol  # refuses a mass matrix that is not positive definite
 
     @functools.cached_property
     def _mass_chol(self) -> tuple:
@@ -365,16 +371,17 @@ class StructuralModel:
             self.params.cable_offset * self.tip_slope)))
         return _readonly(rate_op), _readonly(input_rate)
 
-    def rate_kernel(self, law: Callable[[float, float, float], float]
+    def rate_kernel(self, law: Callable[[float, float, float], Sequence[float]]
                     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Bind ``law(t, w_tip, w_rate) -> u`` into (t, x) -> rate of x = (q, q_rate).
+        """Bind ``law(t, w_tip, w_rate)`` into (t, x) -> rate of x = (q, q_rate).
 
-        The one definition of the dynamics, bound once per run.  One product
-        R x yields the tip deflection and rate, the unforced rate
-        (q_rate, -M^-1 K q) and the part the tension multiplies,
-        (0, M^-1 spreader_matrix q / dx).  The law closes the loop with the
-        cable tension u, and the rate is unforced + u (tension part +
-        (0, M^-1 h psi'(L)^T)), which is (q_rate, M^-1 (f(q, u) - K q)).
+        The one definition of the dynamics, bound once per run; the law is
+        called as given, and the cable tension u is the last item of its
+        result (a ``ControlSample`` or a one-tuple).  One product R x yields
+        the tip deflection and rate, the unforced rate (q_rate, -M^-1 K q)
+        and the part the tension multiplies, (0, M^-1 spreader_matrix q / dx).
+        The law closes the loop with u, and the rate is unforced + u (tension
+        part + (0, M^-1 h psi'(L)^T)), which is (q_rate, M^-1 (f(q, u) - K q)).
         """
         rate_op, input_rate = self._rate_operator
         dot = rate_op.dot  # the same bits as @, at half its dispatch cost on operands this small
@@ -382,7 +389,7 @@ class StructuralModel:
 
         def rate(t: float, x: np.ndarray) -> np.ndarray:
             y = dot(x)
-            u = law(t, y.item(0), y.item(1))
+            u = law(t, y.item(0), y.item(1))[-1]
             return y[2:split] + u * (y[split:] + input_rate)
 
         return rate
@@ -410,12 +417,12 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     M_jk = rho * L^(pj+pk+1) / (pj+pk+1) and
     K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
     are the exact monomial integrals of the kinetic and strain energies.
-    The rest of the model is derived from its fields on first read (see
-    ``StructuralModel``); only the mass factorization is read here, so that
-    assembly refuses a mass matrix without one.  Raises ValueError if a matrix
-    overflows (from about 103 modes on the nominal boom) or the mass matrix is
-    not positive definite (from about 13 modes, where the monomial basis is
-    numerically dependent).
+    The model's constructor freezes the arrays and refuses a mass matrix
+    without a Cholesky factor (see ``StructuralModel``); assembly only builds
+    them.  Raises ValueError if a matrix overflows (from about 103 modes on
+    the nominal boom, refused before the spreader and tip rows are built) or
+    the mass matrix is not positive definite (from about 13 modes, where the
+    monomial basis is numerically dependent).
     """
     p = np.asarray(basis.exponents, dtype=float)
     length = params.length
@@ -431,17 +438,7 @@ def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
     spreader = build_spreader_matrix(params, basis)
 
     tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
-    model = StructuralModel(
-        params=params,
-        basis=basis,
-        mass_matrix=_readonly(mass),
-        stiffness_matrix=_readonly(stiffness),
-        spreader_matrix=_readonly(spreader),
-        tip_row=_readonly(tip_row),
-        tip_slope=_readonly(tip_slope),
-    )
-    model._mass_chol  # refuses a mass matrix that is not positive definite here
-    return model
+    return StructuralModel(params, basis, mass, stiffness, spreader, tip_row, tip_slope)
 
 
 def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:
@@ -458,14 +455,15 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
 
 def state_rate(model: StructuralModel, x: np.ndarray,
                tension_law: Callable[[float, float], float]) -> np.ndarray:
-    """Rate of x = (q, q_rate) under ``tension_law(w_tip, w_rate)``: one ``rate_kernel`` call."""
-    return model.rate_kernel(lambda t, w_tip, w_rate: tension_law(w_tip, w_rate))(0.0, x)
+    """Rate of x = (q, q_rate) under ``tension_law(w_tip, w_rate) -> u``: one
+    ``rate_kernel`` call, whose one lambda hands the kernel u as a one-tuple."""
+    return model.rate_kernel(lambda t, w_tip, w_rate: (tension_law(w_tip, w_rate),))(0.0, x)
 
 
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:
     """First-order dynamics: d/dt (q, q_rate) = (q_rate, M^-1 (f(q, u) - K q))."""
-    return State.from_vector(state_rate(model, state.as_vector(),
-                                        lambda w_tip, w_rate: u))
+    return State.from_vector(model.rate_kernel(lambda t, w_tip, w_rate: (u,))(
+        0.0, state.as_vector()))
 
 
 def tip_deflection(model: StructuralModel, q: np.ndarray) -> float:

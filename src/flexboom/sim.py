@@ -4,11 +4,12 @@ Classic fourth-order Runge-Kutta with the controller evaluated at every
 stage time and stage state (the control law is an explicit function of
 time and the tip measurements, so no zero-order hold is emulated).  A run
 binds its control law into ``StructuralModel.rate_kernel`` once, the kernel
-that ``state_rate`` and ``dynamics_rhs`` also call, and each stage is one
-call of the bound kernel: one stacked product gives the tip measurements
-the controller reads and both parts of the state rate.  An unforced run
-binds a zero control law.  The loop records only the time and state of each
-logged step; the rest of the log is derived from those states after it.
+that ``state_rate`` and ``dynamics_rhs`` also call.  Each stage is one call of
+the bound kernel, which calls the controller itself (no wrapper) and takes u
+from the end of its ``ControlSample``; one stacked product gives the tip
+measurements and both parts of the state rate.  An unforced run binds a zero
+control law.  The loop records only the time and state of each logged step;
+the rest of the log is derived from those states after it.
 Divergence is declared when the state norm exceeds 1e6 times its initial
 norm or any entry stops being finite; a diverged run is returned with
 status rather than raised, since blow-up is a legitimate experimental
@@ -140,7 +141,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     dt = scenario.dt
     n_steps = scenario.step_count
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
-    rate = model.rate_kernel(lambda t, w_tip, w_rate: law(t, w_tip, w_rate).u)
+    rate = model.rate_kernel(law)
 
     x = initial_state_from_deflection(model, scenario.w_init).as_vector()
     norm0 = max(float(np.linalg.norm(x)), _NORM_FLOOR)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -233,6 +234,31 @@ def test_clamped_root_for_random_shapes(model3):
 def test_model_arrays_read_only(model3):
     with pytest.raises(ValueError):
         model3.mass_matrix[0, 0] = 1.0
+
+
+MODEL_ARRAYS = ("mass_matrix", "stiffness_matrix", "spreader_matrix", "tip_row", "tip_slope")
+
+
+def test_model_keeps_read_only_copies_of_its_arrays(model3):
+    # However it is built, a model is a value: writing to it fails, and editing
+    # the arrays it was built from changes neither its fields nor what it derives.
+    arrays = {name: getattr(model3, name).copy() for name in MODEL_ARRAYS}
+    model = dataclasses.replace(model3, **arrays)
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[-1] = 1.0
+    tension = model.critical_tension
+    for array in arrays.values():
+        array += 1.0
+    for name in arrays:
+        assert np.array_equal(getattr(model, name), getattr(model3, name)), name
+    assert dataclasses.replace(model).critical_tension == tension
+    assert tension == model3.critical_tension
+
+
+def test_replaced_model_refuses_a_mass_matrix_without_a_factor(model3):
+    with pytest.raises(ValueError, match="mass matrix is not positive definite"):
+        dataclasses.replace(model3, mass_matrix=-model3.mass_matrix)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

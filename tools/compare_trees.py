@@ -7,7 +7,9 @@ export, so both run one command set), and prints the unified diff of the two
 printouts.  Then prints, for every module of ``src/flexboom`` in either tree,
 its total and code-only source lines; a code-only line is one that is not
 blank, not a comment and not part of a docstring.  Exits 1 when the
-fingerprints differ, else 0.
+fingerprints differ, else 0.  A failure prints one ``error:`` line: exit 2
+when REV is not a revision or this checkout has no git repository, exit 1
+(with the last line of its stderr) when a tree's fingerprint script fails.
 
     python tools/compare_trees.py HEAD~1
 
@@ -29,10 +31,34 @@ FINGERPRINT = Path("tools") / "cli_fingerprint.py"
 PACKAGE = Path("src") / "flexboom"
 
 
-def fingerprint(tree: Path) -> list[str]:
-    """The printout of the fingerprint script run on ``tree``."""
+class Failure(Exception):
+    """A run that ends with one ``error:`` line and exit ``status``."""
+
+    def __init__(self, message: str, status: int) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def tree_id(rev: str) -> str:
+    """The id of ``rev``'s tree in this checkout's repository."""
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT,
+                         capture_output=True, text=True)
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+        raise Failure(f"{ROOT} is not a git checkout", 2)
+    tree = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{tree}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    if tree.returncode != 0:
+        raise Failure(f"{rev!r} is not a revision of {ROOT}", 2)
+    return tree.stdout.strip()
+
+
+def fingerprint(tree: Path, label: str) -> list[str]:
+    """The printout of the fingerprint script run on ``tree``, named ``label``."""
     result = subprocess.run([sys.executable, str(tree / FINGERPRINT)], cwd=tree,
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True)
+    if result.returncode != 0:
+        stderr = result.stderr.strip().splitlines() or ["no output"]
+        raise Failure(f"fingerprint of {label} failed: {stderr[-1]}", 1)
     return result.stdout.splitlines(keepends=True)
 
 
@@ -80,16 +106,22 @@ def main(argv: list[str]) -> int:
         print("usage: compare_trees.py REV", file=sys.stderr)
         return 2
     rev = argv[0]
-    with tempfile.TemporaryDirectory() as tmp:
-        other = Path(tmp)
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
-        (other / FINGERPRINT).parent.mkdir(exist_ok=True)
-        shutil.copyfile(ROOT / FINGERPRINT, other / FINGERPRINT)
-        diff = list(difflib.unified_diff(fingerprint(other), fingerprint(ROOT),
-                                         fromfile=rev, tofile="working tree"))
-        table = source_table({rev: other, "tree": ROOT})
+    try:
+        tree = tree_id(rev)
+        with tempfile.TemporaryDirectory() as tmp:
+            other = Path(tmp)
+            archive = subprocess.run(["git", "archive", tree], cwd=ROOT, capture_output=True,
+                                     check=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
+            (other / FINGERPRINT).parent.mkdir(exist_ok=True)
+            shutil.copyfile(ROOT / FINGERPRINT, other / FINGERPRINT)
+            diff = list(difflib.unified_diff(fingerprint(other, rev),
+                                             fingerprint(ROOT, "working tree"),
+                                             fromfile=rev, tofile="working tree"))
+            table = source_table({rev: other, "tree": ROOT})
+    except Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.status
     sys.stdout.writelines(diff)
     print("fingerprints differ" if diff else "fingerprints identical")
     print("\n".join(table))
