@@ -14,15 +14,16 @@ the neutral axis.  Cable tension u enters the dynamics in two ways:
   coordinates and the tension, summed over the route into the constant
   spreader matrix so the force reads (spreader_matrix / node_spacing) q u.
 
-Mass and stiffness matrices are assembled in closed form (the basis is
-polynomial, so the energy integrals are exact); no numeric quadrature is
-involved.
+A model is its (params, basis): ``StructuralModel``'s constructor assembles
+the mass and stiffness matrices in closed form (the basis is polynomial, so
+the energy integrals are exact; no numeric quadrature is involved), the
+spreader matrix and the tip rows, and freezes them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,8 +81,9 @@ class BoomParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not (isinstance(self.spreader_count, (int, np.integer)) and self.spreader_count >= 0):
-            raise ValueError(f"spreader_count must be an int >= 0, got {self.spreader_count!r}")
+        count = self.spreader_count
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 0):
+            raise ValueError(f"spreader_count must be an int >= 0, got {count!r}")
         if self.spreader_count * self.node_spacing > self.length * (1.0 + _TIP_TOL):
             raise ValueError(
                 "spreader nodes must lie on the boom: "
@@ -113,6 +115,7 @@ class BasisSet:
     exponents: tuple[int, ...] = (2, 3, 4)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.exponents) < 1:
             raise ValueError("basis needs at least one exponent")
         _check_mode_ceiling(len(self.exponents))
@@ -270,17 +273,25 @@ class DeflectionMap:
 
 @dataclass(frozen=True)
 class StructuralModel:
-    """Assembled discretization: immutable after construction, safe to share.
+    """The assembled discretization of (params, basis): immutable, safe to share.
 
-    The seven fields define the model: ``mass_matrix`` and
-    ``stiffness_matrix`` are the raw closed-form energy matrices in the
-    monomial coordinates; ``spreader_matrix`` is the cable reaction matrix
-    (enters the force as spreader_matrix / node_spacing); ``tip_row`` and
-    ``tip_slope`` are psi(L) and psi'(L).  However the model is built, it keeps
-    read-only float copies of the five arrays and refuses a mass matrix with no
-    Cholesky factor (ValueError); all else it exposes is derived from those
-    fields on first read and then kept, so the model stays safe to share and
-    ``dataclasses.replace`` makes a model that derives its own.
+    The two fields define the model, and the constructor builds its arrays in
+    closed form (the basis is polynomial, so the energy integrals are exact):
+    ``mass_matrix`` M_jk = rho * L^(pj+pk+1) / (pj+pk+1) and
+    ``stiffness_matrix`` K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
+    in the monomial coordinates; ``spreader_matrix``, the cable reaction
+    matrix (``build_spreader_matrix``, entering the force as
+    spreader_matrix / node_spacing); ``tip_row`` and ``tip_slope``, psi(L)
+    and psi'(L).  The five arrays are read-only, and models compare and hash
+    by (params, basis); the cantilever with no spreader reactions is the model
+    of ``dataclasses.replace(params, spreader_count=0)``, and
+    ``dataclasses.replace(model, params=...)`` builds a model that derives all
+    of its own.  The constructor raises ValueError if M or K overflows (from
+    about 103 modes on the nominal boom, refused before the spreader and tip
+    rows are built), if the spreader matrix does (``build_spreader_matrix``),
+    or if the mass matrix is not positive definite (from about 13 modes, where
+    the monomial basis is numerically dependent).  All else the model exposes
+    is derived on first read and then kept.
 
     ``critical_tension`` is the first positive tension (N) at which
     ``effective_stiffness`` turns singular (inf when no positive tension
@@ -297,15 +308,23 @@ class StructuralModel:
 
     params: BoomParams
     basis: BasisSet
-    mass_matrix: np.ndarray = field(repr=False)
-    stiffness_matrix: np.ndarray = field(repr=False)
-    spreader_matrix: np.ndarray = field(repr=False)
-    tip_row: np.ndarray = field(repr=False)
-    tip_slope: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("mass_matrix", "stiffness_matrix", "spreader_matrix", "tip_row", "tip_slope"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        p = np.asarray(self.basis.exponents, dtype=float)
+        length = self.params.length
+        psum = p[:, None] + p[None, :]
+        curv = p * (p - 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            mass = self.params.linear_density * length ** (psum + 1.0) / (psum + 1.0)
+            stiffness = (self.params.bending_stiffness * np.outer(curv, curv)
+                         * length ** (psum - 3.0) / (psum - 3.0))
+        mass, stiffness = _finite(np.stack((mass, stiffness)), self.basis, length)
+        spreader = build_spreader_matrix(self.params, self.basis)
+        tip_row, tip_slope, _ = evaluate_basis(self.basis, length, length)
+        for name, array in (("mass_matrix", mass), ("stiffness_matrix", stiffness),
+                            ("spreader_matrix", spreader), ("tip_row", tip_row),
+                            ("tip_slope", tip_slope)):
+            object.__setattr__(self, name, _readonly(array))
         self._mass_chol  # refuses a mass matrix that is not positive definite
 
     @functools.cached_property
@@ -410,35 +429,8 @@ def equilibrate(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def assemble_matrices(params: BoomParams, basis: BasisSet) -> StructuralModel:
-    """Assemble mass, stiffness, spreader, and tip quantities in closed form.
-
-    A model is fully described by (params, basis); the cantilever with no
-    spreader reactions is ``dataclasses.replace(params, spreader_count=0)``.
-    M_jk = rho * L^(pj+pk+1) / (pj+pk+1) and
-    K_jk = EI * pj(pj-1) pk(pk-1) * L^(pj+pk-3) / (pj+pk-3)
-    are the exact monomial integrals of the kinetic and strain energies.
-    The model's constructor freezes the arrays and refuses a mass matrix
-    without a Cholesky factor (see ``StructuralModel``); assembly only builds
-    them.  Raises ValueError if a matrix overflows (from about 103 modes on
-    the nominal boom, refused before the spreader and tip rows are built) or
-    the mass matrix is not positive definite (from about 13 modes, where the
-    monomial basis is numerically dependent).
-    """
-    p = np.asarray(basis.exponents, dtype=float)
-    length = params.length
-    rho = params.linear_density
-    ei = params.bending_stiffness
-
-    psum = p[:, None] + p[None, :]
-    curv = p * (p - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        mass = rho * length ** (psum + 1.0) / (psum + 1.0)
-        stiffness = ei * np.outer(curv, curv) * length ** (psum - 3.0) / (psum - 3.0)
-    mass, stiffness = _finite(np.stack((mass, stiffness)), basis, length)
-    spreader = build_spreader_matrix(params, basis)
-
-    tip_row, tip_slope, _ = evaluate_basis(basis, length, length)
-    return StructuralModel(params, basis, mass, stiffness, spreader, tip_row, tip_slope)
+    """The model of (params, basis): ``StructuralModel(params, basis)``."""
+    return StructuralModel(params, basis)
 
 
 def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarray:

@@ -208,12 +208,12 @@ def test_critical_tension_is_the_sharp_bound(model3):
 
 
 def test_a_replaced_model_derives_its_own_critical_tension_and_map(model3):
-    # Derived values come from the fields: twice the spreader matrix halves T_c
-    # (4.00 N) and moves the closed form with the direct solve (2.66 m at 1 N).
-    doubled = dataclasses.replace(model3, spreader_matrix=2.0 * model3.spreader_matrix)
-    assert doubled.critical_tension == pytest.approx(model3.critical_tension / 2.0, rel=1e-12)
-    tip = fb.solve_equilibrium(doubled, 1.0).tip_deflection
-    assert doubled.deflection_map.deflection(1.0) == pytest.approx(tip, rel=1e-9)
+    # Derived values come from (params, basis): half the E*I halves T_c (4.00 N)
+    # and moves the closed form with the direct solve at 1 N.
+    halved = dataclasses.replace(model3, params=model3.params.scaled(0.5))
+    assert halved.critical_tension == pytest.approx(model3.critical_tension / 2.0, rel=1e-12)
+    tip = fb.solve_equilibrium(halved, 1.0).tip_deflection
+    assert halved.deflection_map.deflection(1.0) == pytest.approx(tip, rel=1e-9)
 
 
 def test_cantilever_has_no_critical_tension(cantilever_model, params):

@@ -239,26 +239,54 @@ def test_model_arrays_read_only(model3):
 MODEL_ARRAYS = ("mass_matrix", "stiffness_matrix", "spreader_matrix", "tip_row", "tip_slope")
 
 
-def test_model_keeps_read_only_copies_of_its_arrays(model3):
-    # However it is built, a model is a value: writing to it fails, and editing
-    # the arrays it was built from changes neither its fields nor what it derives.
-    arrays = {name: getattr(model3, name).copy() for name in MODEL_ARRAYS}
-    model = dataclasses.replace(model3, **arrays)
-    for name in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(model, name)[-1] = 1.0
-    tension = model.critical_tension
-    for array in arrays.values():
-        array += 1.0
-    for name in arrays:
-        assert np.array_equal(getattr(model, name), getattr(model3, name)), name
-    assert dataclasses.replace(model).critical_tension == tension
-    assert tension == model3.critical_tension
+def test_model_keeps_read_only_copies_of_its_arrays(model3, params, basis3):
+    # However it is built, a model is a value: writing to its arrays fails, and
+    # a model rebuilt from its (params, basis) holds equal arrays and derives the same.
+    copy = dataclasses.replace(model3)
+    halved = dataclasses.replace(model3, params=params.scaled(0.5))
+    for model in (fb.assemble_matrices(params, basis3), copy, halved):
+        for name in MODEL_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[-1] = 1.0
+    for name in MODEL_ARRAYS:
+        assert np.array_equal(getattr(copy, name), getattr(model3, name)), name
+    assert copy.critical_tension == model3.critical_tension
 
 
 def test_replaced_model_refuses_a_mass_matrix_without_a_factor(model3):
+    # The constructor itself refuses: 13 monomial modes have no mass factor.
     with pytest.raises(ValueError, match="mass matrix is not positive definite"):
-        dataclasses.replace(model3, mass_matrix=-model3.mass_matrix)
+        dataclasses.replace(model3, basis=fb.BasisSet.with_mode_count(13))
+
+
+def test_models_of_equal_params_and_basis_are_equal(model3, params, basis3):
+    model = fb.StructuralModel(params, basis3)
+    assert model == model3
+    assert hash(model) == hash(model3)
+    assert dataclasses.replace(model3, params=params.scaled(0.5)) != model3
+
+
+def test_a_basis_keeps_its_exponents_as_a_tuple(model3, params, basis3):
+    listed = fb.BasisSet([2, 3, 4])
+    assert listed.exponents == (2, 3, 4)
+    assert listed == basis3 and hash(listed) == hash(basis3)
+    model = fb.assemble_matrices(params, listed)
+    assert model == model3
+    assert hash(model) == hash(model3)
+
+
+def test_a_model_takes_no_arrays(model3):
+    # A model's arrays are built from (params, basis), never handed in.
+    with pytest.raises(TypeError):
+        dataclasses.replace(model3, tip_row=np.ones(1))
+    with pytest.raises(TypeError):
+        fb.StructuralModel(model3.params, model3.basis, model3.mass_matrix)
+
+
+def test_params_refuse_a_bool_spreader_count():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="spreader_count must be an int >= 0"):
+            fb.BoomParams(spreader_count=flag)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

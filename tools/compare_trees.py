@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Compare this checkout with a git revision: same CLI outputs, and from how much code.
+"""Compare this checkout with a git revision: CLI outputs, code size and public API.
 
 Exports REV with ``git archive`` into a temporary directory, runs this
 checkout's ``tools/cli_fingerprint.py`` on both trees (a copy placed in the
 export, so both run one command set), and prints the unified diff of the two
 printouts.  Then prints, for every module of ``src/flexboom`` in either tree,
 its total and code-only source lines; a code-only line is one that is not
-blank, not a comment and not part of a docstring.  Exits 1 when the
-fingerprints differ, else 0.  A failure prints one ``error:`` line: exit 2
-when REV is not a revision or this checkout has no git repository, exit 1
-(with the last line of its stderr) when a tree's fingerprint script fails.
+blank, not a comment and not part of a docstring.  Last it prints the unified
+diff of the two trees' public surfaces: one line per name in
+``flexboom.__all__``, giving its kind and its ``inspect.signature`` (a
+dataclass's lists its fields; a value has its repr instead), each read in a
+subprocess that imports the package from that tree's ``src``.  Exits 1 when
+the fingerprints differ, else 0, whatever the surfaces show.  A failure
+prints one ``error:`` line: exit 2 when REV is not a revision or this
+checkout has no git repository, exit 1 (with the last line of its stderr)
+when a tree's fingerprint or surface script fails.
 
     python tools/compare_trees.py HEAD~1
 
@@ -52,14 +57,43 @@ def tree_id(rev: str) -> str:
     return tree.stdout.strip()
 
 
-def fingerprint(tree: Path, label: str) -> list[str]:
-    """The printout of the fingerprint script run on ``tree``, named ``label``."""
-    result = subprocess.run([sys.executable, str(tree / FINGERPRINT)], cwd=tree,
-                            capture_output=True, text=True)
+# Prints one line per public name of the package found on the path given as argv[1].
+SURFACE = """
+import dataclasses, inspect, sys
+sys.path.insert(0, sys.argv[1])
+import flexboom
+for name in flexboom.__all__:
+    obj = getattr(flexboom, name)
+    if inspect.isclass(obj):
+        kind = "dataclass" if dataclasses.is_dataclass(obj) else "class"
+    else:
+        kind = type(obj).__name__
+    try:
+        shape = str(inspect.signature(obj))
+    except (TypeError, ValueError):
+        shape = repr(obj)
+    print(f"{name}  {kind}  {shape}")
+"""
+
+
+def printout(tree: Path, label: str, what: str, argv: list[str]) -> list[str]:
+    """Lines a Python script (``argv``) prints when run in ``tree``, named ``label``;
+    ``what`` names the script in the error a failure raises."""
+    result = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
     if result.returncode != 0:
         stderr = result.stderr.strip().splitlines() or ["no output"]
-        raise Failure(f"fingerprint of {label} failed: {stderr[-1]}", 1)
+        raise Failure(f"{what} of {label} failed: {stderr[-1]}", 1)
     return result.stdout.splitlines(keepends=True)
+
+
+def fingerprint(tree: Path, label: str) -> list[str]:
+    """The printout of the fingerprint script run on ``tree``, named ``label``."""
+    return printout(tree, label, "fingerprint", [str(tree / FINGERPRINT)])
+
+
+def surface(tree: Path, label: str) -> list[str]:
+    """The public surface of ``tree``'s package: one line per name, see ``SURFACE``."""
+    return printout(tree, label, "surface", ["-c", SURFACE, str(tree / "src")])
 
 
 def line_counts(path: Path) -> tuple[int, int]:
@@ -119,12 +153,16 @@ def main(argv: list[str]) -> int:
                                              fingerprint(ROOT, "working tree"),
                                              fromfile=rev, tofile="working tree"))
             table = source_table({rev: other, "tree": ROOT})
+            api = list(difflib.unified_diff(surface(other, rev), surface(ROOT, "working tree"),
+                                            fromfile=rev, tofile="working tree"))
     except Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.status
     sys.stdout.writelines(diff)
     print("fingerprints differ" if diff else "fingerprints identical")
     print("\n".join(table))
+    sys.stdout.writelines(api)
+    print("surfaces differ" if api else "surfaces identical")
     return 1 if diff else 0
 
 

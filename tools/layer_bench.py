@@ -4,10 +4,11 @@
 Times each layer of one passivity certificate on the nominal boom at 0.77 N:
 ``assemble_matrices``, ``solve_equilibrium``, ``linearize``,
 ``frequency_response`` and ``passivity_check``, for 3, 4 and 6 assumed
-modes, on the default 2000-point grid.  A model derives everything beyond its
-fields on first read, so the ``assemble_matrices`` row holds the closed-form
-matrices and the mass factorization only: the eigendecomposition behind
-``critical_tension`` is paid by the model's first solve.  One more row times a
+modes, on the default 2000-point grid.  A model builds its arrays and its mass
+factorization at construction and derives everything else on first read, so
+the ``assemble_matrices`` row holds the closed-form matrices and the mass
+factorization only: the eigendecomposition behind ``critical_tension`` is paid
+by the model's first solve.  One more row times a
 fresh model's ``assemble_matrices`` plus its first ``state_rate``, which builds
 the stacked operator that every later ``rate_kernel`` of that model reuses.  Three
 rows time the equilibrium map: a 2000-sample ``deflection_curve`` over
