@@ -124,7 +124,9 @@ class TorqueDeflectionMap:
 
 def fit_map(data: MeasurementSet, degree: int) -> TorqueDeflectionMap:
     """Ordinary least-squares polynomial fit of deflection against torque."""
-    if degree not in (1, 2, 3):
+    # 1.0 and True equal 1, but only an int is a degree.
+    if (type(degree) is bool or not isinstance(degree, (int, np.integer))
+            or degree not in (1, 2, 3)):
         raise ValueError(f"degree must be 1, 2, or 3, got {degree}")
     if data.distinct_torques <= degree:
         raise RankDeficient(

@@ -40,10 +40,10 @@ from . import __version__
 from .calibration import MeasurementSet, fit_map, select_degree
 from .control import (ControllerConfig, ControlSample, FeedforwardProfile, PDGains,
                       ReferenceTrajectory)
-from .equilibrium import (DEFAULT_TENSION_MAX, OutOfRange, check_t_max,
-                          deflection_curve, solve_equilibrium)
+from .equilibrium import (DEFAULT_TENSION_MAX, OutOfRange, deflection_curve,
+                          solve_equilibrium)
 from .linearization import linearize
-from .model import BasisSet, BoomParams, assemble_matrices
+from .model import BasisSet, BoomParams, assemble_matrices, checked_real
 from .passivity import (DEFAULT_EPS_TOL, default_grid, frequency_response,
                         mode_count_sweep, passivity_check, uncertainty_sweep)
 from .sim import (RAMP_DURATION, SCENARIO_NAMES, TARGET_TENSION, SimScenario,
@@ -221,7 +221,7 @@ _Outcome = tuple[dict[str, Any], dict[str, str], str]
 
 def _verified_tension(label: str, tension: float, t_max: float) -> float:
     """``tension``; OutOfRange unless it lies in [0, t_max] for a valid t_max."""
-    check_t_max(t_max)
+    checked_real("t_max", t_max)
     if not 0.0 <= tension <= t_max:
         raise OutOfRange(f"{label} {tension} N outside the verified range [0, {t_max}] N")
     return tension

@@ -28,6 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .model import checked_real
+
 __all__ = [
     "PDGains",
     "FeedforwardProfile",
@@ -44,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PDGains:
-    """Proportional and derivative gains; both strictly positive.
+    """Proportional and derivative gains: each a real number, finite and > 0
+    (a bool, a string or a value that is not a real number is a ValueError).
 
     The defaults, k_p = 10 N/m and k_d = 25 N s/m, are the fig7a gains.
     k_d > 0 doubles as the strictly positive feedthrough of the equivalent
@@ -57,9 +60,7 @@ class PDGains:
 
     def __post_init__(self) -> None:
         for name in ("k_p", "k_d"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            checked_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class FeedforwardProfile:
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
         if not (np.isfinite(self.tension_final) and np.isfinite(self.tension_initial)):
             raise ValueError("feedforward tensions must be finite")
-        if self.mode == "quintic" and not 0.0 < self.duration < np.inf:
-            raise ValueError("quintic feedforward needs a finite duration > 0")
+        if self.mode == "quintic":
+            checked_real("quintic feedforward duration", self.duration)
 
     @classmethod
     def constant(cls, tension: float) -> "FeedforwardProfile":
@@ -108,8 +109,8 @@ class ReferenceTrajectory:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "quintic-deflection", "map-composed"):
             raise ValueError(f"unknown reference mode {self.mode!r}")
-        if self.mode == "quintic-deflection" and not 0.0 < self.duration < np.inf:
-            raise ValueError("quintic-deflection reference needs a finite duration > 0")
+        if self.mode == "quintic-deflection":
+            checked_real("quintic-deflection reference duration", self.duration)
         if self.mode == "map-composed" and not self.map_coefficients:
             raise ValueError("map-composed reference needs map coefficients")
         if self.map_coefficients is not None:

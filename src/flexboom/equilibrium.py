@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructuralModel, actuation_force
+from .model import StructuralModel, actuation_force, checked_count, checked_real
 
 __all__ = [
     "NearSingularStiffness",
@@ -73,12 +73,6 @@ class EquilibriumPoint:
     tip_deflection: float
 
 
-def check_t_max(t_max: float) -> None:
-    """ValueError unless the tension limit ``t_max`` is finite and positive."""
-    if not (np.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
-
-
 def _equilibria(model: StructuralModel, tensions: np.ndarray) -> list[EquilibriumPoint]:
     """Equilibria at a 1-d stack of tensions in (0, T_c), in one batched solve.
 
@@ -113,13 +107,13 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
 
     Equilibria exist exactly on [0, T_c): a tension at or beyond the first
     critical tension raises NearSingularStiffness, a negative (a cable cannot
-    push) or non-finite one ValueError; no conditioning test refuses a tension
-    below T_c.  A residual above 1e-9 (relative) is a RuntimeError.  Any
-    other tension is a batch of one, so the point's tension is a float.
+    push) or non-finite one, or one that is not a real number, ValueError; no
+    conditioning test refuses a tension below T_c.  A residual above 1e-9
+    (relative) is a RuntimeError.  Any other tension is a batch of one, so the
+    point's tension is a float.
     """
-    if not (np.isfinite(tension) and tension >= 0.0):
-        raise ValueError(f"tension must be finite and >= 0, got {tension!r}")
-    if tension == 0.0:
+    checked_real("tension", tension, zero=True)
+    if tension == 0.0:  # the batched solve gives -0.0 coordinates here, written as -0
         return EquilibriumPoint(0.0, np.zeros(model.mode_count), 0.0)
     return _equilibria(model, np.array([tension], dtype=float))[0]
 
@@ -133,9 +127,8 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
     first critical tension raises the NearSingularStiffness of t_max, and no
     partial curve is returned.
     """
-    check_t_max(t_max)
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    checked_real("t_max", t_max)
+    checked_count("samples", samples, 2)
     tensions = np.linspace(0.0, t_max, samples)
     return [solve_equilibrium(model, 0.0), *_equilibria(model, tensions[1:])]
 
@@ -167,7 +160,7 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     # Imported here: scipy.optimize adds about 0.3 s to importing the package.
     from scipy.optimize import brentq
 
-    check_t_max(t_max)
+    checked_real("t_max", t_max)
     if w_target == 0.0:
         return 0.0
     w_end = solve_equilibrium(model, t_max).tip_deflection

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import matrix_balance, rsf2csf, schur
 
 from .equilibrium import EquilibriumPoint
-from .model import StructuralModel, actuation_force
+from .model import StructuralModel, actuation_force, checked_real
 
 __all__ = ["StateSpaceModel", "linearize"]
 
@@ -113,8 +113,7 @@ class StateSpaceModel:
         new ``b`` can fail run, with the constructor's messages.  The new plant
         gets its six fields by name and that ``rate_schur``, nothing else.
         """
-        if not 0.0 < factor < np.inf:  # NaN fails too
-            raise ValueError(f"rate factor must be finite and positive, got {factor!r}")
+        checked_real("rate factor", factor)
         n = self.mode_count
         a = self.a.copy()
         a[n:, :n] *= factor

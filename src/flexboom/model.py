@@ -18,6 +18,9 @@ A model is its (params, basis): ``StructuralModel``'s constructor assembles
 the mass and stiffness matrices in closed form (the basis is polynomial, so
 the energy integrals are exact; no numeric quadrature is involved), the
 spreader matrix and the tip rows, and freezes them.
+
+``checked_real`` and ``checked_count`` are the library's one rule for a
+numeric input: every module refuses a bad real number or count through them.
 """
 
 from __future__ import annotations
@@ -49,9 +52,27 @@ __all__ = [
 # Relative tolerance for "a spreader node sits at the tip attachment".
 _TIP_TOL = 1e-9
 
+# The largest float: NaN, inf and ints no float can hold all fail ``value <= _FLOAT_MAX``.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # Most modes a basis may have, refused before any n x n array (8 MB each here) is
 # built; the mass matrix of a 1, 29.4 or 100 m boom already refuses 11, 13 or 11.
 _MODE_CEILING = 1000
+
+
+def checked_real(name: str, value: float, *, zero: bool = False) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number (a Python
+    or numpy float or int, not a bool) that is finite and > 0, or >= 0 with ``zero``."""
+    if not (type(value) is not bool and isinstance(value, (float, int, np.floating, np.integer))
+            and (0.0 <= value if zero else 0.0 < value) and value <= _FLOAT_MAX):
+        raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
+
+
+def checked_count(name: str, value: int, minimum: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int (a Python or numpy
+    int, not a bool) that is >= ``minimum``."""
+    if not (type(value) is not bool and isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def _check_mode_ceiling(count: int) -> None:
@@ -64,7 +85,10 @@ class BoomParams:
     """Physical constants of the boom and its cable rigging.
 
     Defaults are the nominal simulation values for a 29.4 m deployable
-    composite boom.
+    composite boom.  Each float field must be a real number, finite and > 0,
+    and ``spreader_count`` an int >= 0; anything else (a bool, a string, a
+    value that is not a real number or out of range) is a ValueError naming
+    the field, as are spreader nodes that do not fit on the boom.
     """
 
     length: float = 29.4               # m
@@ -78,12 +102,8 @@ class BoomParams:
     def __post_init__(self) -> None:
         for name in ("length", "linear_density", "elastic_modulus",
                      "second_moment", "cable_offset", "node_spacing"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        count = self.spreader_count
-        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 0):
-            raise ValueError(f"spreader_count must be an int >= 0, got {count!r}")
+            checked_real(name, getattr(self, name))
+        checked_count("spreader_count", self.spreader_count, 0)
         if self.spreader_count * self.node_spacing > self.length * (1.0 + _TIP_TOL):
             raise ValueError(
                 "spreader nodes must lie on the boom: "
@@ -127,8 +147,7 @@ class BasisSet:
     @classmethod
     def with_mode_count(cls, n: int) -> "BasisSet":
         """Default basis for n modes: consecutive monomials x^2 .. x^(n+1), n <= 1000."""
-        if n < 1:
-            raise ValueError(f"mode count must be >= 1, got {n}")
+        checked_count("mode count", n, 1)
         _check_mode_ceiling(n)
         return cls(exponents=tuple(range(2, n + 2)))
 

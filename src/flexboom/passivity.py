@@ -62,7 +62,8 @@ import numpy as np
 
 from .equilibrium import solve_equilibrium
 from .linearization import StateSpaceModel, linearize
-from .model import BasisSet, BoomParams, StructuralModel, assemble_matrices
+from .model import (BasisSet, BoomParams, StructuralModel, assemble_matrices, checked_count,
+                    checked_real)
 
 __all__ = [
     "PoleOnGrid",
@@ -96,7 +97,8 @@ class SweepSampleError(RuntimeError):
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
-    if not (0.0 < omega_min < omega_max and _finite_square(omega_max) and n_points >= 1):
+    if not (type(n_points) is not bool and isinstance(n_points, (int, np.integer))
+            and n_points >= 1 and 0.0 < omega_min < omega_max and _finite_square(omega_max)):
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
                          f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
                          f"omega_max={omega_max!r}, n_points={n_points!r}")
@@ -207,8 +209,7 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
 
     The worst principal phase and its frequency are reported, not tested.
     """
-    if not 0.0 <= eps_tol < np.inf:  # NaN fails too
-        raise ValueError(f"eps_tol must be finite and nonnegative, got {eps_tol!r}")
+    checked_real("eps_tol", eps_tol, zero=True)
     fr = frequency_response(ss, omega)
 
     principal = fr.phase_principal_deg
@@ -264,8 +265,7 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     """
     if not 0.0 <= perturbation < 1.0:
         raise ValueError("perturbation must lie in [0, 1)")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    checked_count("samples", samples, 1)
     levels = round(samples ** (1.0 / 3.0))
     if perturbation == 0.0 or levels == 1:
         axis = np.array([1.0])

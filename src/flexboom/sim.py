@@ -26,7 +26,7 @@ from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import solve_equilibrium, tension_for_deflection
 from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    assemble_matrices, total_energy)
+                    assemble_matrices, checked_count, checked_real, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -56,8 +56,10 @@ class SimScenario:
 
     ``controller`` may be None for an unforced (zero-tension) run.
     ``decimation`` thins the log: one row every that many steps, plus the
-    final step whenever the step count is not a multiple of it.  A run of
-    more than 10**9 steps (hours of integration) is refused.
+    final step whenever the step count is not a multiple of it.  ``dt`` must
+    be a real number, finite and > 0, and ``decimation`` an int >= 1 (a bool,
+    a string or a value that is not a real number is a ValueError naming the
+    field); a run of more than 10**9 steps (hours of integration) is refused.
     """
 
     model: StructuralModel
@@ -69,15 +71,12 @@ class SimScenario:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt < np.inf):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        checked_real("dt", self.dt)
         steps = self.step_count
         if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
                              f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
-        d = self.decimation
-        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
-            raise ValueError(f"decimation must be an integer >= 1, got {d!r}")
+        checked_count("decimation", self.decimation, 1)
         if steps > _MAX_STEPS:
             raise ValueError(f"a run of {steps} steps exceeds the ceiling of {_MAX_STEPS} steps")
 

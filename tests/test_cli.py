@@ -438,7 +438,8 @@ def test_simulate_rejects_infinite_ramp_duration(tmp_path, capsys, controller):
     code = main(["simulate", "--duration", "1", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: controller: ") and "finite duration" in err
+    assert (err.startswith("config error: controller: ")
+            and "duration must be finite and > 0" in err)
     assert not out.exists() or not any(out.iterdir())
 
 

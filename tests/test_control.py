@@ -24,9 +24,9 @@ def test_gain_validation():
 
 
 @pytest.mark.parametrize("gains, message", [
-    ({"k_p": 0.0}, "k_p must be > 0, got 0.0"),
-    ({"k_d": float("nan")}, "k_d must be > 0, got nan"),
-    ({"k_p": -1.0, "k_d": -2.0}, "k_p must be > 0, got -1.0"),  # k_p is checked first
+    ({"k_p": 0.0}, "k_p must be finite and > 0, got 0.0"),
+    ({"k_d": float("nan")}, "k_d must be finite and > 0, got nan"),
+    ({"k_p": -1.0, "k_d": -2.0}, "k_p must be finite and > 0, got -1.0"),  # k_p is checked first
 ])
 def test_gain_refusal_names_the_gain(gains, message):
     with pytest.raises(ValueError) as refused:
@@ -222,7 +222,7 @@ def test_reference_rejects_non_finite_values(make, bad):
     lambda duration: fb.ReferenceTrajectory.quintic(1.0, 1.3, duration),
 ], ids=["feedforward", "reference"])
 def test_quintic_duration_must_be_finite(make):
-    with pytest.raises(ValueError, match="finite duration"):
+    with pytest.raises(ValueError, match="duration must be finite and > 0"):
         make(float("inf"))
 
 

@@ -161,8 +161,22 @@ def test_curve_tips_are_the_per_row_tip_deflection(params, modes):
 
 @pytest.mark.parametrize("samples", [1, 0])
 def test_curve_needs_two_samples(model3, samples):
-    with pytest.raises(ValueError, match="at least two samples"):
+    with pytest.raises(ValueError, match="samples must be an int >= 2"):
         fb.deflection_curve(model3, t_max=1.0, samples=samples)
+
+
+@pytest.mark.parametrize("route", [{}, {"spreader_count": 0},
+                                   {"spreader_count": 9, "node_spacing": 3.0}],
+                         ids=["nominal", "no_spreader", "nine_at_3m"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_zero_tension_point_has_no_negative_zero(route, n):
+    # The batched solve gives -0.0 coordinates at 0 N for n >= 2, which the
+    # CLI's CSV would write as -0; the curve's first point must be +0.0.
+    model = fb.assemble_matrices(fb.BoomParams(**route), fb.BasisSet.with_mode_count(n))
+    first = fb.deflection_curve(model, t_max=0.5, samples=3)[0]
+    assert first.tension == 0.0
+    assert not np.signbit(first.modal_coords).any()
+    assert not np.signbit(first.tip_deflection)
 
 
 def test_non_finite_tension_rejected(model3):

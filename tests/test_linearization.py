@@ -253,7 +253,7 @@ def test_rate_scaled_plant_carries_only_its_fields_and_factorisation(ss_at_1n):
 
 @pytest.mark.parametrize("factor", [0.0, -0.5, np.nan, np.inf, -np.inf])
 def test_rate_scaled_refuses_a_factor_that_is_not_finite_and_positive(ss_at_1n, factor):
-    with pytest.raises(ValueError, match="rate factor must be finite and positive"):
+    with pytest.raises(ValueError, match="rate factor must be finite and > 0"):
         ss_at_1n.rate_scaled(factor, ss_at_1n.b, 1.0)
 
 

@@ -713,7 +713,7 @@ def test_exact_pole_screen_emits_no_warning():
 
 @pytest.mark.parametrize("eps_tol", [float("nan"), float("inf"), -1e-9])
 def test_eps_tol_must_be_finite_and_nonnegative(ss_nominal, eps_tol):
-    with pytest.raises(ValueError, match="eps_tol must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="eps_tol must be finite and >= 0"):
         fb.passivity_check(ss_nominal, fb.default_grid(50), eps_tol)
 
 

@@ -120,6 +120,16 @@ SIM_CONFIGS = {
         "mode": "map-composed", "map_coefficients": [[1]]}}},
 }
 
+# Well-typed numbers the library's shared checks refuse, each run through the
+# command that reaches its check, so a rewording of any of them shows here.
+RULE_CONFIGS = {
+    "k_p_zero": ("simulate", {"controller": {"gains": {"k_p": 0}}}),
+    "dt_zero": ("simulate", {"simulation": {"dt": 0}}),
+    "decimation_zero": ("simulate", {"simulation": {"decimation": 0}}),
+    "length_negative": ("equilibrium", {"boom": {"length": -1}}),
+    "samples_one": ("equilibrium", {"equilibrium": {"samples": 1}}),
+}
+
 # Configs the checker must refuse (exit 2), one per rule it enforces.
 BAD_CONFIGS = {
     "unknown_nested_key": {"controller": {"gains": {"k_i": 1.0}}},
@@ -250,11 +260,14 @@ COMMANDS = [
                                   "--sweep", "uncertainty", "--samples", "125",
                                   "--out", f"sweep_modes6_125_{teq}"])
       for teq in ("0.75", "1", "1.4")],
+    *[(f"rule_{name}", [command, "--config", f"{name}.json", "--out", f"rule_{name}"])
+      for name, (command, _) in RULE_CONFIGS.items()],
 ]
 
 
 def _write_inputs(workdir: Path) -> None:
-    for name, config in {**CONFIGS, **BAD_CONFIGS, **SIM_CONFIGS}.items():
+    rule_configs = {name: config for name, (_, config) in RULE_CONFIGS.items()}
+    for name, config in {**CONFIGS, **BAD_CONFIGS, **SIM_CONFIGS, **rule_configs}.items():
         (workdir / f"{name}.json").write_text(json.dumps(config))
     (workdir / "not_utf8.json").write_bytes(b"\xff\xfe{}")  # raw bytes, not JSON text
     rows = ["torque_N,deflection_m"]
