@@ -23,10 +23,16 @@ def test_gain_validation():
         fb.PDGains(k_p=1.0, k_d=-2.0)
 
 
+# The ids name each case by the rule it breaks; they stay fixed when the
+# wording of the refusal changes.
 @pytest.mark.parametrize("gains, message", [
-    ({"k_p": 0.0}, "k_p must be finite and > 0, got 0.0"),
-    ({"k_d": float("nan")}, "k_d must be finite and > 0, got nan"),
-    ({"k_p": -1.0, "k_d": -2.0}, "k_p must be finite and > 0, got -1.0"),  # k_p is checked first
+    pytest.param({"k_p": 0.0}, "k_p must be finite and > 0, got 0.0",
+                 id="gains0-k_p must be > 0, got 0.0"),
+    pytest.param({"k_d": float("nan")}, "k_d must be finite and > 0, got nan",
+                 id="gains1-k_d must be > 0, got nan"),
+    # k_p is checked first
+    pytest.param({"k_p": -1.0, "k_d": -2.0}, "k_p must be finite and > 0, got -1.0",
+                 id="gains2-k_p must be > 0, got -1.0"),
 ])
 def test_gain_refusal_names_the_gain(gains, message):
     with pytest.raises(ValueError) as refused:
