@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import is_number
+
 __all__ = [
     "RankDeficient",
     "MeasurementSet",
@@ -125,8 +127,7 @@ class TorqueDeflectionMap:
 def fit_map(data: MeasurementSet, degree: int) -> TorqueDeflectionMap:
     """Ordinary least-squares polynomial fit of deflection against torque."""
     # 1.0 and True equal 1, but only an int is a degree.
-    if (type(degree) is bool or not isinstance(degree, (int, np.integer))
-            or degree not in (1, 2, 3)):
+    if not is_number(degree, integral=True) or degree not in (1, 2, 3):
         raise ValueError(f"degree must be 1, 2, or 3, got {degree}")
     if data.distinct_torques <= degree:
         raise RankDeficient(

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import checked_real
+from .model import checked_number, checked_real
 
 __all__ = [
     "PDGains",
@@ -75,6 +75,8 @@ class FeedforwardProfile:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "quintic"):
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
+        for name in ("tension_final", "tension_initial"):
+            checked_number(name, getattr(self, name))
         if not (np.isfinite(self.tension_final) and np.isfinite(self.tension_initial)):
             raise ValueError("feedforward tensions must be finite")
         if self.mode == "quintic":
@@ -109,6 +111,8 @@ class ReferenceTrajectory:
     def __post_init__(self) -> None:
         if self.mode not in ("constant", "quintic-deflection", "map-composed"):
             raise ValueError(f"unknown reference mode {self.mode!r}")
+        for name in ("w_final", "w_initial"):
+            checked_number(name, getattr(self, name))
         if self.mode == "quintic-deflection":
             checked_real("quintic-deflection reference duration", self.duration)
         if self.mode == "map-composed" and not self.map_coefficients:

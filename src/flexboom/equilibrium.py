@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructuralModel, actuation_force, checked_count, checked_real
+from .model import StructuralModel, actuation_force, checked_count, checked_number, checked_real
 
 __all__ = [
     "NearSingularStiffness",
@@ -154,13 +154,15 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     its stationary tensions below t_max (with two modes w peaks at 5.89 m
     near 3.50 N and falls to 4.12 m at 10 N, so with t_max = 10 N the target
     5 m is held at 2.38 N).  A t_max at or beyond the first critical tension
-    raises NearSingularStiffness, a t_max that is not finite and positive
-    ValueError, and a polish that does not meet the target RuntimeError.
+    raises NearSingularStiffness, a t_max that is not finite and positive or a
+    w_target that is not a real number (a bool, a string) ValueError, and a
+    polish that does not meet the target RuntimeError.
     """
     # Imported here: scipy.optimize adds about 0.3 s to importing the package.
     from scipy.optimize import brentq
 
     checked_real("t_max", t_max)
+    checked_number("w_target", w_target)
     if w_target == 0.0:
         return 0.0
     w_end = solve_equilibrium(model, t_max).tip_deflection

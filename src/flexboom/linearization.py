@@ -15,7 +15,7 @@ The structure is undamped, so every pole sits on the imaginary axis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import matrix_balance, rsf2csf, schur
@@ -37,9 +37,10 @@ class StateSpaceModel:
     (zero top-left, identity top-right, zero bottom-right) and B drives only
     the rate block; the frequency-response code relies on it.  ``a``, ``b``,
     ``c`` and ``x_bar`` are read-only copies of the constructor's arrays, so
-    the checks below hold for the plant's lifetime.  The six fields define
-    the plant; ``rate_schur``, the one factorisation of its rate block, is
-    derived from them on first read (``dataclasses.replace`` makes a plant
+    the checks below hold for the plant's lifetime; every plant, a box
+    sample's from ``rate_scaled`` too, is built through them.  The six fields
+    define the plant; ``rate_schur``, the one factorisation of its rate block,
+    is derived from them on first read (``dataclasses.replace`` makes a plant
     that derives its own, and ``rate_scaled`` hands its plant one ready made).
     """
 
@@ -101,35 +102,27 @@ class StateSpaceModel:
 
     def rate_scaled(self, factor: float, b: np.ndarray, t_eq: float) -> StateSpaceModel:
         """This plant with its rate block times ``factor``, input vector ``b``
-        and anchor tension ``t_eq``, carrying this plant's ``rate_schur`` scaled:
+        and anchor tension ``t_eq``, built and checked by the constructor like
+        any plant, carrying this plant's ``rate_schur`` scaled:
         (factor S_bal, scale, factor T, Z, factor ||S_bal||_2).
 
         ``scale`` holds powers of 2, so balancing the scaled block by it is
         exact short of overflow or underflow: the inherited S_bal is the new
         rate block balanced, bit for bit, and Z (factor T) Z^H is a Schur form
         of it.  ``factor`` must be finite and positive, so that the norm scales
-        by it too.  The rest of A, ``c`` and ``x_bar`` are this plant's, checked,
-        so of the constructor's checks only those that scaling (overflow) and the
-        new ``b`` can fail run, with the constructor's messages.  The new plant
-        gets its six fields by name and that ``rate_schur``, nothing else.
+        by it too.
         """
         checked_real("rate factor", factor)
         n = self.mode_count
         a = self.a.copy()
         a[n:, :n] *= factor
-        b = np.array(b, dtype=float).reshape(2 * n)
-        if (b[:n] != 0.0).any():
-            raise ValueError("B must drive only the rate block")
-        if not (np.isfinite(a[n:, :n]).all() and np.isfinite(b).all()):
-            raise ValueError("state-space matrices must be finite")
+        plant = replace(self, a=a, b=b, t_eq=t_eq)
         s_bal, t_scale, tri, unitary, s_norm = self.rate_schur
         s_bal, tri = s_bal * factor, tri * factor
-        for array in (a, b, s_bal, tri):
+        for array in (s_bal, tri):
             array.setflags(write=False)
-        plant = object.__new__(StateSpaceModel)
-        # Filled in before the plant is shared; its cached_property reads it as computed.
-        vars(plant).update(a=a, b=b, c=self.c, d=self.d, t_eq=t_eq, x_bar=self.x_bar,
-                           rate_schur=(s_bal, t_scale, tri, unitary, s_norm * factor))
+        # Stored in the cached_property's slot before the plant is shared, so it is never computed.
+        vars(plant)["rate_schur"] = (s_bal, t_scale, tri, unitary, s_norm * factor)
         return plant
 
     def eigenvalues(self) -> np.ndarray:

@@ -19,8 +19,9 @@ the mass and stiffness matrices in closed form (the basis is polynomial, so
 the energy integrals are exact; no numeric quadrature is involved), the
 spreader matrix and the tip rows, and freezes them.
 
-``checked_real`` and ``checked_count`` are the library's one rule for a
-numeric input: every module refuses a bad real number or count through them.
+``is_number`` is the library's one type test for a numeric input, and
+``checked_real`` and ``checked_count`` its one rule: every module refuses a
+value that is not a real number, or a bad real number or count, through them.
 """
 
 from __future__ import annotations
@@ -60,18 +61,30 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _MODE_CEILING = 1000
 
 
+def is_number(value: object, *, integral: bool = False) -> bool:
+    """True if ``value`` is a real number: a Python or numpy float or int, only
+    an int with ``integral``, and never a bool (it equals 0 or 1 but is no number)."""
+    kinds = (int, np.integer) if integral else (float, int, np.floating, np.integer)
+    return type(value) is not bool and isinstance(value, kinds)
+
+
+def checked_number(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number (any range)."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def checked_real(name: str, value: float, *, zero: bool = False) -> None:
-    """ValueError naming ``name`` unless ``value`` is a real number (a Python
-    or numpy float or int, not a bool) that is finite and > 0, or >= 0 with ``zero``."""
-    if not (type(value) is not bool and isinstance(value, (float, int, np.floating, np.integer))
-            and (0.0 <= value if zero else 0.0 < value) and value <= _FLOAT_MAX):
+    """ValueError naming ``name`` unless ``value`` is a real number that is
+    finite and > 0, or >= 0 with ``zero``."""
+    if not (is_number(value) and (0.0 <= value if zero else 0.0 < value) and value <= _FLOAT_MAX):
         raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
 
 
 def checked_count(name: str, value: int, minimum: int) -> None:
     """ValueError naming ``name`` unless ``value`` is an int (a Python or numpy
     int, not a bool) that is >= ``minimum``."""
-    if not (type(value) is not bool and isinstance(value, (int, np.integer)) and value >= minimum):
+    if not (is_number(value, integral=True) and value >= minimum):
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 

@@ -63,7 +63,7 @@ import numpy as np
 from .equilibrium import solve_equilibrium
 from .linearization import StateSpaceModel, linearize
 from .model import (BasisSet, BoomParams, StructuralModel, assemble_matrices, checked_count,
-                    checked_real)
+                    checked_number, checked_real, is_number)
 
 __all__ = [
     "PoleOnGrid",
@@ -97,8 +97,9 @@ class SweepSampleError(RuntimeError):
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
-    if not (type(n_points) is not bool and isinstance(n_points, (int, np.integer))
-            and n_points >= 1 and 0.0 < omega_min < omega_max and _finite_square(omega_max)):
+    if not (is_number(n_points, integral=True) and n_points >= 1 and is_number(omega_min)
+            and is_number(omega_max) and 0.0 < omega_min < omega_max
+            and _finite_square(omega_max)):
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
                          f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
                          f"omega_max={omega_max!r}, n_points={n_points!r}")
@@ -263,7 +264,8 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     report's metadata carries its own ``e_scale``, ``rho_scale`` and
     ``i_scale``, and the first sample that fails raises SweepSampleError.
     """
-    if not 0.0 <= perturbation < 1.0:
+    checked_number("t_eq", t_eq)
+    if not (is_number(perturbation) and 0.0 <= perturbation < 1.0):
         raise ValueError("perturbation must lie in [0, 1)")
     checked_count("samples", samples, 1)
     levels = round(samples ** (1.0 / 3.0))
@@ -303,6 +305,7 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
                      omega: Sequence[float] | None = None,
                      eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
+    checked_number("t_eq", t_eq)
     return [_sweep_sample(
         "mode-count sample", {"mode_count": int(n)},
         lambda: _chain(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq),

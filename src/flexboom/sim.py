@@ -25,8 +25,8 @@ import numpy as np
 from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import solve_equilibrium, tension_for_deflection
-from .model import (BasisSet, BoomParams, State, StructuralModel,
-                    assemble_matrices, checked_count, checked_real, total_energy)
+from .model import (BasisSet, BoomParams, State, StructuralModel, assemble_matrices,
+                    checked_count, checked_number, checked_real, is_number, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -57,9 +57,10 @@ class SimScenario:
     ``controller`` may be None for an unforced (zero-tension) run.
     ``decimation`` thins the log: one row every that many steps, plus the
     final step whenever the step count is not a multiple of it.  ``dt`` must
-    be a real number, finite and > 0, and ``decimation`` an int >= 1 (a bool,
-    a string or a value that is not a real number is a ValueError naming the
-    field); a run of more than 10**9 steps (hours of integration) is refused.
+    be a real number, finite and > 0, ``decimation`` an int >= 1, and
+    ``duration`` and ``w_init`` real numbers (a bool, a string or a value that
+    is not a real number is a ValueError naming the field); a run of more
+    than 10**9 steps (hours of integration) is refused.
     """
 
     model: StructuralModel
@@ -72,7 +73,8 @@ class SimScenario:
 
     def __post_init__(self) -> None:
         checked_real("dt", self.dt)
-        steps = self.step_count
+        checked_number("w_init", self.w_init)
+        steps = self.step_count if is_number(self.duration) else 0
         if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
                              f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")

@@ -109,3 +109,58 @@ def test_numpy_scalars_stay_accepted(model3, data):
     assert fb.default_grid(np.int64(5)).size == 5
     assert fb.fit_map(data, np.int64(2)).degree == 2
     assert fb.BasisSet.with_mode_count(np.int64(4)).mode_count == 4
+
+
+# Inputs of any sign or range whose type alone is checked here: (label, call(value, ctx),
+# fragment, a bool the range checks would let through, a numpy scalar that stays accepted)
+TYPED = [
+    ("default_grid.omega_min", lambda v, ctx: fb.default_grid(5, v, 10.0), "omega_min=",
+     True, np.float64(1e-3)),
+    ("default_grid.omega_max", lambda v, ctx: fb.default_grid(5, 1e-3, v), "omega_max=",
+     True, np.float64(10.0)),
+    ("uncertainty_sweep.t_eq",
+     lambda v, ctx: fb.uncertainty_sweep(ctx["model"].params, ctx["model"].basis, v, 0.1, 1,
+                                         fb.default_grid(50)),
+     "t_eq must be", True, np.float64(0.5)),
+    ("uncertainty_sweep.perturbation",
+     lambda v, ctx: fb.uncertainty_sweep(ctx["model"].params, ctx["model"].basis, 0.5, v, 1,
+                                         fb.default_grid(50)),
+     "perturbation must", False, np.float64(0.1)),
+    ("mode_count_sweep.t_eq",
+     lambda v, ctx: fb.mode_count_sweep(ctx["model"].params, [3], v, fb.default_grid(50)),
+     "t_eq must be", True, np.float64(0.5)),
+    ("tension_for_deflection.w_target",
+     lambda v, ctx: fb.tension_for_deflection(ctx["model"], v), "w_target must be",
+     True, np.float64(0.5)),
+    ("SimScenario.duration",
+     lambda v, ctx: fb.SimScenario(ctx["model"], None, 0.0, duration=v), "duration must be",
+     True, np.float64(1.0)),
+    ("SimScenario.w_init", lambda v, ctx: fb.SimScenario(ctx["model"], None, v, duration=1.0),
+     "w_init must be", True, np.float64(0.5)),
+    ("FeedforwardProfile.constant", lambda v, ctx: fb.FeedforwardProfile.constant(v),
+     "tension_final must be", True, np.float64(1.0)),
+    ("FeedforwardProfile.tension_initial",
+     lambda v, ctx: fb.FeedforwardProfile.quintic(v, 1.0, 10.0), "tension_initial must be",
+     True, np.float64(0.5)),
+    ("ReferenceTrajectory.constant", lambda v, ctx: fb.ReferenceTrajectory.constant(v),
+     "w_final must be", True, np.float64(1.0)),
+    ("ReferenceTrajectory.w_initial",
+     lambda v, ctx: fb.ReferenceTrajectory.quintic(v, 1.3, 10.0), "w_initial must be",
+     True, np.float64(1.0)),
+]
+
+
+@pytest.mark.parametrize("call, fragment, value", [
+    pytest.param(call, fragment, value, id=f"{label}-{tag}")
+    for label, call, fragment, refused_bool, _ in TYPED
+    for value, tag in [(refused_bool, "bool"), ("1", "string")]])
+def test_type_refusal_names_the_field(model3, call, fragment, value):
+    with pytest.raises(ValueError) as refused:
+        call(value, {"model": model3})
+    assert fragment in str(refused.value)
+
+
+@pytest.mark.parametrize("call, value", [pytest.param(call, value, id=label)
+                                         for label, call, _, _, value in TYPED])
+def test_numpy_scalar_stays_accepted_where_only_the_type_is_checked(model3, call, value):
+    call(value, {"model": model3})

@@ -24,9 +24,10 @@ after its first response, so each ``frequency_response`` and
 the copy, the constructor's copies and checks, adds 22-27 us per call at 3 to 6
 modes on a 2-vCPU x86-64 host.
 Two rows time a box sample's plant: ``rate_scaled``, which builds the plant of
-sample (1.2, 0.8, 1.2) from the nominal plant and hands it the nominal
-factorisation, scaled, and that plant's ``passivity_check``, which factorises
-nothing.
+sample (1.2, 0.8, 1.2) from the nominal plant through the same constructor
+(24-29 us per call on that host, its copies and checks included) and hands it
+the nominal factorisation, scaled, and that plant's ``passivity_check``, which
+factorises nothing.
 The last layer row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
 In that box only the 15 E*I classes factorise their rate blocks; each rho
