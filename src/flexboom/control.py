@@ -100,6 +100,8 @@ class ReferenceTrajectory:
     Map-composed mode evaluates a polynomial torque-to-deflection map
     (coefficients in descending degree) along the feedforward profile, so
     it additionally needs the FeedforwardProfile at evaluation time.
+    Deflections and coefficients must be finite real numbers: a bool or a
+    string is a ValueError naming the field (``map_coefficients[i]``).
     """
 
     mode: str  # "constant" | "quintic-deflection" | "map-composed"
@@ -118,6 +120,8 @@ class ReferenceTrajectory:
         if self.mode == "map-composed" and not self.map_coefficients:
             raise ValueError("map-composed reference needs map coefficients")
         if self.map_coefficients is not None:
+            for i, c in enumerate(self.map_coefficients):
+                checked_number(f"map_coefficients[{i}]", c)
             object.__setattr__(self, "map_coefficients",
                                tuple(float(c) for c in self.map_coefficients))
         if not np.all(np.isfinite([self.w_final, self.w_initial,

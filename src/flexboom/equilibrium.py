@@ -158,7 +158,8 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     w_target that is not a real number (a bool, a string) ValueError, and a
     polish that does not meet the target RuntimeError.
     """
-    # Imported here: scipy.optimize adds about 0.3 s to importing the package.
+    # Imported here, as scipy.linalg is in model and linearization: importing the
+    # package loads no scipy, and only a process that inverts the map pays for it.
     from scipy.optimize import brentq
 
     checked_real("t_max", t_max)

@@ -10,6 +10,11 @@ and the measured output is the tip deflection rate, C = [0, psi(L)], D = 0.
 K_eff is ``StructuralModel.effective_stiffness`` and f is the cable load
 ``actuation_force``; f is linear in u, so df/du(q_eq) = f(q_eq, 1).
 The structure is undamped, so every pole sits on the imaginary axis.
+
+scipy is not imported with this module, so that importing the package stays
+on numpy alone (see the ``model`` module): ``linearize`` loads ``scipy.linalg``
+through ``StructuralModel.mass_solve``, and a plant's ``rate_schur`` calls it
+through the module-level ``schur``, which a test can replace.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import matrix_balance, rsf2csf, schur
 
 from .equilibrium import EquilibriumPoint
 from .model import StructuralModel, actuation_force, checked_real
@@ -26,6 +30,13 @@ from .model import StructuralModel, actuation_force, checked_real
 __all__ = ["StateSpaceModel", "linearize"]
 
 _EIG_AXIS_TOL = 1e-6  # absolute bound on |Re(eig(A))| for produced models
+
+
+def schur(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.schur(matrix)``, with scipy loaded on the first call."""
+    from scipy.linalg import schur as real_schur
+
+    return real_schur(matrix)
 
 
 @dataclass(frozen=True)
@@ -57,17 +68,17 @@ class StateSpaceModel:
         if a.shape != (two_n, two_n) or two_n % 2 != 0:
             raise ValueError(f"A must be square with even size, got {a.shape}")
         n = two_n // 2
-        if (a[:n, :n] != 0.0).any() or (a[n:, n:] != 0.0).any():
+        # ``any`` counts NaN as nonzero, as a compare with 0 does.
+        if a[:n, :n].any() or a[n:, n:].any():
             raise ValueError("A must have zero diagonal blocks")
         if (a[:n, n:] != np.eye(n)).any():
             raise ValueError("top-right block of A must be the identity")
         b = np.array(self.b, dtype=float).reshape(two_n)
-        if (b[:n] != 0.0).any():
+        if b[:n].any():
             raise ValueError("B must drive only the rate block")
         c = np.array(self.c, dtype=float).reshape(two_n)
         x_bar = np.array(self.x_bar, dtype=float).reshape(two_n)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()
-                and np.isfinite(c).all() and np.isfinite(self.d)):
+        if not np.isfinite(np.concatenate((a.ravel(), b, c, (self.d,)))).all():
             raise ValueError("state-space matrices must be finite")
         for name, value in (("a", a), ("b", b), ("c", c), ("x_bar", x_bar)):
             value.setflags(write=False)
@@ -88,6 +99,8 @@ class StateSpaceModel:
         """(S_bal, scale, T, Z, ||S_bal||_2): the rate block balanced,
         S_bal = S with row i divided and column i multiplied by scale[i], and
         its Schur form S_bal = Z T Z^H with T upper triangular."""
+        from scipy.linalg import matrix_balance, rsf2csf
+
         # Balanced similarity scaling: the monomial coordinates are badly scaled.
         s_bal, t_diag = matrix_balance(self.rate_block, permute=False)
         t_scale = np.diag(t_diag)

@@ -19,6 +19,13 @@ the mass and stiffness matrices in closed form (the basis is polynomial, so
 the energy integrals are exact; no numeric quadrature is involved), the
 spreader matrix and the tip rows, and freezes them.
 
+scipy stays off the import path: the constructor factorises the mass matrix
+with numpy, and ``mass_solve`` (the linearization and the dynamics operator)
+loads ``scipy.linalg`` for ``cho_solve`` on its first call.  Loading
+``scipy.linalg`` costs more than numpy itself, so a process that only builds
+models and maps equilibria, as ``flexboom equilibrium`` and ``flexboom fit``
+do, never pays for it.
+
 ``is_number`` is the library's one type test for a numeric input, and
 ``checked_real`` and ``checked_count`` its one rule: every module refuses a
 value that is not a real number, or a bad real number or count, through them.
@@ -31,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "BoomParams",
@@ -360,12 +366,12 @@ class StructuralModel:
         self._mass_chol  # refuses a mass matrix that is not positive definite
 
     @functools.cached_property
-    def _mass_chol(self) -> tuple:
-        """Cholesky factor of the equilibrated mass matrix; ValueError if it has none."""
+    def _mass_chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of the equilibrated mass matrix; ValueError if it has none."""
         # Equilibrate by the basis scale at the tip before factorizing: the raw
         # matrices are Hilbert-like with columns spanning ~L^(2n) in magnitude.
         try:
-            return cho_factor(equilibrate(self.mass_matrix, self.tip_row), lower=True)
+            return np.linalg.cholesky(equilibrate(self.mass_matrix, self.tip_row))
         except np.linalg.LinAlgError as exc:
             raise ValueError("mass matrix is not positive definite") from exc
 
@@ -389,9 +395,11 @@ class StructuralModel:
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs through the cached Cholesky factor."""
+        from scipy.linalg import cho_solve  # loads scipy.linalg: see the module docstring
+
         rhs = np.asarray(rhs, dtype=float)
         scale = self.tip_row if rhs.ndim == 1 else self.tip_row[:, None]
-        return cho_solve(self._mass_chol, rhs / scale) / scale
+        return cho_solve((self._mass_chol, True), rhs / scale) / scale
 
     def stiffness_solve(self, tensions: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve K_eff(T) x = rhs, one row per tension of a 1-d stack, with one refinement pass."""

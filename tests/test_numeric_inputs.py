@@ -147,6 +147,9 @@ TYPED = [
     ("ReferenceTrajectory.w_initial",
      lambda v, ctx: fb.ReferenceTrajectory.quintic(v, 1.3, 10.0), "w_initial must be",
      True, np.float64(1.0)),
+    ("ReferenceTrajectory.map_composed",
+     lambda v, ctx: fb.ReferenceTrajectory.map_composed([v, 0.5]),
+     "map_coefficients[0] must be", True, np.float64(0.6)),
 ]
 
 

@@ -45,6 +45,16 @@ as ``flexboom simulate`` builds from a fitted map) and for fig7a unforced,
 best of 5 runs, in microseconds per step.  The per-run setup (the initial
 equilibrium) and the log derived after the loop are included in that figure;
 all runs share one model, so its operator is built once, not per run.
+Last, the cold start, each figure the median of 7 fresh interpreters, in
+seconds: the benchmark's set-up probe (``import flexboom.cli`` plus the first
+nominal three-mode ``assemble_matrices``, timed inside the interpreter, as
+``bench/harness.py`` times it), and the wall time of each CLI command on the
+default config, from process start to exit: ``equilibrium --tension 1``, the
+default ``equilibrium`` curve, ``fit`` of a five-point quadratic data set,
+``bode --teq 0.77`` and a 4 s ``simulate --scenario fig7a``.  Building a model
+and mapping equilibria run on numpy alone; a plant's first factorisation loads
+``scipy.linalg`` and an inversion ``scipy.optimize``, so ``bode`` and
+``simulate`` pay for scipy.
 
     python tools/layer_bench.py
 
@@ -58,13 +68,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import statistics
+import subprocess
 import sys
+import tempfile
+import time
 import timeit
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -85,6 +100,29 @@ MAP_FEEDFORWARD = fb.FeedforwardProfile.quintic(0.9, 1.0, 2.0)
 MAP_COEFFICIENTS = (0.6, 0.5, 0.1686)  # m per N^2, m per N, m
 BOX_SAMPLE = (1.2, 0.8, 1.2)  # (e, rho, i) scales of the rho-plant rows
 CSV_SHAPE = (2000, 5)
+COLD_RUNS = 7
+COLD_PROBE = """\
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import flexboom.cli
+from flexboom.model import BasisSet, BoomParams, assemble_matrices
+assemble_matrices(BoomParams(), BasisSet.with_mode_count(3))
+print(repr(time.perf_counter() - t0))
+"""
+COLD_COMMAND = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from flexboom.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+COLD_COMMANDS = {
+    "equilibrium --tension 1": ["equilibrium", "--tension", "1"],
+    "equilibrium (curve)": ["equilibrium"],
+    "fit": ["fit", "{data}"],
+    "bode --teq 0.77": ["bode", "--teq", "0.77"],
+    "simulate fig7a 4 s": ["simulate", "--scenario", "fig7a", "--duration", "4"],
+}
 
 
 def layer_times(modes: int) -> dict[str, float]:
@@ -148,6 +186,32 @@ def rk4_step_times() -> dict[str, float]:
             for name, scenario in runs.items()}
 
 
+def _fresh(code: str, *args: str) -> tuple[float, str]:
+    """Wall seconds and stdout of ``code`` run in a fresh interpreter."""
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", code, str(SRC), *args],
+                         capture_output=True, text=True, timeout=600)
+    wall = time.perf_counter() - start
+    if run.returncode != 0:
+        raise RuntimeError(f"cold run {args} failed: {run.stderr.strip()}")
+    return wall, run.stdout
+
+
+def cold_start_times() -> dict[str, float]:
+    """Median seconds over COLD_RUNS fresh interpreters: the set-up probe, then each command."""
+    times = {"probe (import + assemble)": statistics.median(
+        float(_fresh(COLD_PROBE)[1]) for _ in range(COLD_RUNS))}
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text("torque_N,deflection_m\n" + "".join(
+            f"{t},{1.5 * t + 0.4 * t * t}\n" for t in (0.2, 0.4, 0.6, 0.8, 1.0)))
+        for name, args in COLD_COMMANDS.items():
+            args = [arg.format(data=data) for arg in args] + ["--out", str(Path(tmp) / "out")]
+            times[name] = statistics.median(_fresh(COLD_COMMAND, *args)[0]
+                                            for _ in range(COLD_RUNS))
+    return times
+
+
 def main() -> int:
     table = {n: layer_times(n) for n in MODES}
     print(f"us per call, best of {REPEATS} x {CALLS} (sweep: of {REPEATS} sweeps, per sample), "
@@ -162,6 +226,9 @@ def main() -> int:
     print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
     for name, value in rk4_step_times().items():
         print(f"{'rk4 ' + name:<32}{value:>10.2f}")
+    print(f"\ns from a fresh interpreter, median of {COLD_RUNS}; commands on the default config")
+    for name, value in cold_start_times().items():
+        print(f"{'cold ' + name:<32}{value:>10.3f}")
     return 0
 
 
