@@ -74,18 +74,20 @@ class EquilibriumPoint:
 
 
 def _equilibria(model: StructuralModel, tensions: np.ndarray) -> list[EquilibriumPoint]:
-    """Equilibria at a 1-d stack of tensions in (0, T_c), in one batched solve.
+    """Equilibria at a 1-d stack of tensions in [0, T_c), in one batched solve.
 
     The one T_c refusal: a stack whose largest tension is at or beyond T_c
     raises that tension's NearSingularStiffness before any solve.  The first
     row whose residual is above 1e-9 (relative) raises RuntimeError.  Rows do
     not depend on each other.
     """
-    rows = tensions.tolist()
+    # Signed zeros are normalised once here: adding +0.0 turns -0.0 (a tension given
+    # as -0.0, a solve's coordinates at 0 N) into 0.0 and leaves every other value's bits.
+    rows = (tensions + 0.0).tolist()
     if max(rows) >= model.critical_tension:
         raise NearSingularStiffness(max(rows), model.critical_tension)
     t = tensions[:, None]
-    q = model.stiffness_solve(tensions, actuation_force(model, np.zeros(model.mode_count), t))
+    q = model.stiffness_solve(tensions, actuation_force(model, np.zeros(model.mode_count), t)) + 0.0
     stiffness_load = (model.stiffness_matrix @ q[..., None])[..., 0]
     imbalance = actuation_force(model, q, t) - stiffness_load
     residual = np.sqrt(np.vecdot(imbalance, imbalance))  # each row's np.linalg.norm
@@ -109,12 +111,10 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
     critical tension raises NearSingularStiffness, a negative (a cable cannot
     push) or non-finite one, or one that is not a real number, ValueError; no
     conditioning test refuses a tension below T_c.  A residual above 1e-9
-    (relative) is a RuntimeError.  Any other tension is a batch of one, so the
-    point's tension is a float.
+    (relative) is a RuntimeError.  Every tension, 0 N included, is a batch of
+    one, so the point's tension is a float and its zeros are +0.0.
     """
     checked_real("tension", tension, zero=True)
-    if tension == 0.0:  # the batched solve gives -0.0 coordinates here, written as -0
-        return EquilibriumPoint(0.0, np.zeros(model.mode_count), 0.0)
     return _equilibria(model, np.array([tension], dtype=float))[0]
 
 
@@ -122,14 +122,14 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
                      samples: int = 200) -> list[EquilibriumPoint]:
     """Equilibria sampled at evenly spaced tensions over [0, t_max], t_max > 0.
 
-    The 0 N point plus one batched solve, row-identical to
-    ``solve_equilibrium`` at each sample's tension.  A curve that reaches the
-    first critical tension raises the NearSingularStiffness of t_max, and no
-    partial curve is returned.
+    The 0 N point from ``solve_equilibrium`` plus one batched solve of the
+    rest, row-identical to ``solve_equilibrium`` at each sample's tension.  A
+    curve that reaches the first critical tension raises the
+    NearSingularStiffness of t_max, and no partial curve is returned.
     """
     checked_real("t_max", t_max)
     checked_count("samples", samples, 2)
-    tensions = np.linspace(0.0, t_max, samples)
+    tensions = np.linspace(0.0, float(t_max), samples)  # float64 from a narrower t_max
     return [solve_equilibrium(model, 0.0), *_equilibria(model, tensions[1:])]
 
 

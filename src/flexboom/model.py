@@ -34,6 +34,7 @@ value that is not a real number, or a bad real number or count, through them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -59,7 +60,7 @@ __all__ = [
 # Relative tolerance for "a spreader node sits at the tip attachment".
 _TIP_TOL = 1e-9
 
-# The largest float: NaN, inf and ints no float can hold all fail ``value <= _FLOAT_MAX``.
+# The largest float: an int no float can hold fails ``abs(value) <= _FLOAT_MAX``.
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Most modes a basis may have, refused before any n x n array (8 MB each here) is
@@ -74,6 +75,15 @@ def is_number(value: object, *, integral: bool = False) -> bool:
     return type(value) is not bool and isinstance(value, kinds)
 
 
+def _is_finite(value: float) -> bool:
+    """True unless a real number ``value`` is NaN, +-inf or an int no float can hold.
+
+    A numpy float is tested in its own type: comparing a float32 with the
+    largest float64 casts that bound to float32, which overflows.
+    """
+    return abs(value) <= _FLOAT_MAX if isinstance(value, int) else math.isfinite(value)
+
+
 def checked_number(name: str, value: float) -> None:
     """ValueError naming ``name`` unless ``value`` is a real number (any range)."""
     if not is_number(value):
@@ -83,7 +93,7 @@ def checked_number(name: str, value: float) -> None:
 def checked_real(name: str, value: float, *, zero: bool = False) -> None:
     """ValueError naming ``name`` unless ``value`` is a real number that is
     finite and > 0, or >= 0 with ``zero``."""
-    if not (is_number(value) and (0.0 <= value if zero else 0.0 < value) and value <= _FLOAT_MAX):
+    if not (is_number(value) and (0.0 <= value if zero else 0.0 < value) and _is_finite(value)):
         raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
 
 
@@ -148,7 +158,9 @@ class BasisSet:
     """Monomial assumed-mode basis x^p, exponents strictly increasing, p >= 2.
 
     Exponents >= 2 enforce the clamped root: every basis function and its
-    first derivative vanish at x = 0.
+    first derivative vanish at x = 0.  Each exponent must be a finite real
+    number (a bool, a string, NaN or inf is a ValueError naming
+    ``exponents[i]``); it need not be whole.
     """
 
     exponents: tuple[int, ...] = (2, 3, 4)
@@ -158,6 +170,9 @@ class BasisSet:
         if len(self.exponents) < 1:
             raise ValueError("basis needs at least one exponent")
         _check_mode_ceiling(len(self.exponents))
+        for i, p in enumerate(self.exponents):
+            if not (is_number(p) and _is_finite(p)):
+                raise ValueError(f"exponents[{i}] must be a finite real number, got {p!r}")
         if min(self.exponents) < 2:
             raise ValueError(f"minimum exponent is 2, got {min(self.exponents)}")
         if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):

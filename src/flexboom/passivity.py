@@ -45,9 +45,12 @@ Where the nominal boom is refused (its assembly, or its chain at T / (e*i):
 the critical tension, a residual, flutter), the sample's own model is built
 and solved at T instead, so the refusal names the sample's own tension and
 critical tension, and that sample factorises its own plant.
-The box puts the same levels on the E and I axes, so samples (e, rho, i) and
-(i, rho, e) are one plant: every distinct (e*i, rho) plant is certified once,
-refused classes included, and its twin gets that report under its own scales.
+Both sweeps run one loop over (key, sample, plant) triples: the first sample
+of a key builds and certifies its plant, and every sample of that key gets
+that report under its own metadata.  The mode-count sweep keys by the mode
+count.  The box keys by (e*i, rho): it puts the same levels on the E and I
+axes, so samples (e, rho, i) and (i, rho, e) are one plant, certified once,
+refused classes included.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -233,20 +236,31 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
     )
 
 
-def _sweep_sample(label: str, sample: dict, plant: Callable[[], StateSpaceModel],
-                  t_eq: float, omega: Sequence[float] | None,
-                  eps_tol: float) -> PassivityReport:
-    """Certify one sample's plant at t_eq; any failure becomes SweepSampleError."""
-    try:
-        return passivity_check(plant(), omega, eps_tol, metadata=sample)
-    except Exception as exc:
-        raise SweepSampleError(
-            f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
-
-
 def _chain(model: StructuralModel, t_eq: float) -> StateSpaceModel:
     """The plant of ``model`` linearized about its equilibrium at t_eq."""
     return linearize(model, solve_equilibrium(model, t_eq))
+
+
+def _certify(label: str, t_eq: float, omega: Sequence[float] | None, eps_tol: float,
+             samples: Iterable[tuple[Hashable, dict, Callable[[], StateSpaceModel]]]
+             ) -> list[PassivityReport]:
+    """Reports for (key, sample, plant) triples, in order.
+
+    The first sample of a key builds and certifies its plant, whose report
+    every sample of that key gets under its own metadata; any failure is the
+    SweepSampleError of the sample that met it.
+    """
+    reports: dict[Hashable, PassivityReport] = {}
+    out = []
+    for key, sample, plant in samples:
+        if key not in reports:
+            try:
+                reports[key] = passivity_check(plant(), omega, eps_tol, metadata=sample)
+            except Exception as exc:
+                raise SweepSampleError(
+                    f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
+        out.append(replace(reports[key], metadata={**reports[key].metadata, **sample}))
+    return out
 
 
 def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
@@ -275,30 +289,24 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
         axis = np.linspace(1.0 - perturbation, 1.0 + perturbation, levels)
 
     nominal = functools.cache(lambda: assemble_matrices(params, basis))
-    chains: dict[float, StateSpaceModel | None] = {}
-    certified: dict[tuple[float, float], PassivityReport] = {}
+
+    @functools.cache
+    def chain(k: float) -> StateSpaceModel | None:
+        """The nominal plant of class e*i = k, or None where the nominal boom is refused."""
+        try:
+            return _chain(nominal(), t_eq / k)
+        except (RuntimeError, ValueError):  # refused: the sample's own chain says why
+            return None
 
     def plant(e: float, rho: float, i: float) -> StateSpaceModel:
-        k = e * i
-        if k not in chains:
-            try:
-                chains[k] = _chain(nominal(), t_eq / k)
-            except (RuntimeError, ValueError):  # refused: the sample's own chain says why
-                chains[k] = None
-        if chains[k] is None:
+        parent = chain(e * i)
+        if parent is None:
             return _chain(assemble_matrices(params.scaled(e, rho, i), basis), t_eq)
-        return chains[k].rate_scaled(k / rho, chains[k].b / rho, t_eq)  # module docstring
+        return parent.rate_scaled(e * i / rho, parent.b / rho, t_eq)  # module docstring
 
-    def report(e: float, rho: float, i: float) -> PassivityReport:
-        sample = {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)}
-        twin = certified.get((e * i, rho))
-        if twin is not None:
-            return replace(twin, metadata={**twin.metadata, **sample})
-        certified[e * i, rho] = result = _sweep_sample(
-            "sweep sample", sample, functools.partial(plant, e, rho, i), t_eq, omega, eps_tol)
-        return result
-
-    return [report(e, rho, i) for e, rho, i in itertools.product(axis, repeat=3)]
+    return _certify("sweep sample", t_eq, omega, eps_tol, (
+        ((e * i, rho), {"e_scale": float(e), "rho_scale": float(rho), "i_scale": float(i)},
+         functools.partial(plant, e, rho, i)) for e, rho, i in itertools.product(axis, repeat=3)))
 
 
 def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float,
@@ -306,7 +314,8 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
                      eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
     checked_number("t_eq", t_eq)
-    return [_sweep_sample(
-        "mode-count sample", {"mode_count": int(n)},
-        lambda: _chain(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq),
-        t_eq, omega, eps_tol) for n in mode_counts]
+    # Each plant is built while the generator stands at its n.
+    return _certify("mode-count sample", t_eq, omega, eps_tol, (
+        (n, {"mode_count": int(n)},
+         lambda: _chain(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq))
+        for n in mode_counts))

@@ -44,9 +44,17 @@ _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
 _MAX_STEPS = 10**9  # 6-12 h of RK4 at 22-45 us per three-mode step
 
-SCENARIO_NAMES = ("fig7a", "fig7c", "fig8", "fig8-clamped")
+# The benchmark closed-loop scenarios, sharing k_p = 10 N/m (``scenario_suite``):
+# name -> (k_d in N s/m, ramped step, nonnegative-tension clamp).
+_SCENARIOS = {
+    "fig7a": (PDGains.k_d, False, False),  # the default gains, k_d = 25
+    "fig7c": (50.0, False, False),  # the aggressive rate gain a ramped step is meant to tame
+    "fig8": (50.0, True, False),
+    "fig8-clamped": (50.0, True, True),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 TARGET_TENSION = 1.0   # N, the tension whose equilibrium the scenarios command
-RAMP_DURATION = 100.0  # s, length of the fig8 quintic feedforward and reference
+RAMP_DURATION = 100.0  # s, length of a ramped step's quintic feedforward and reference
 _ZERO_SAMPLE = ControlSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -75,7 +83,7 @@ class SimScenario:
         checked_real("dt", self.dt)
         checked_number("w_init", self.w_init)
         steps = self.step_count if is_number(self.duration) else 0
-        if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
+        if steps < 1 or abs(steps * float(self.dt) - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
                              f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
         checked_count("decimation", self.decimation, 1)
@@ -85,7 +93,7 @@ class SimScenario:
     @property
     def step_count(self) -> int:
         """Nearest whole number of steps dt in duration; 0 when there is none to run."""
-        ratio = self.duration / self.dt  # inf on overflow; 2**63 steps never finish
+        ratio = self.duration / float(self.dt)  # inf on overflow; 2**63 steps never finish
         return round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
 
 
@@ -139,7 +147,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     """Integrate the closed loop with fixed-step RK4, then derive the log's columns."""
     model = scenario.model
     n = model.mode_count
-    dt = scenario.dt
+    dt = float(scenario.dt)
     n_steps = scenario.step_count
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
     rate = model.rate_kernel(law)
@@ -190,19 +198,16 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
                    w_init: float = 1.0, duration: float = SimScenario.duration,
                    dt: float = SimScenario.dt,
                    step_scale: float = 1.0) -> list[SimScenario]:
-    """The four benchmark closed-loop scenarios, sharing k_p = 10 N/m.
+    """The benchmark closed-loop scenarios, one per row of the module's table,
+    in ``SCENARIO_NAMES`` order.
 
-    fig7a        constant feedforward at the target tension, the default
-                 ``PDGains()`` (k_d = 25 N s/m)
-    fig7c        same constant feedforward, k_d = 50 N s/m (the aggressive
-                 rate gain that the smooth feedforward is meant to tame)
-    fig8         quintic feedforward and quintic reference over
-                 ``RAMP_DURATION``, k_d = 50 N s/m
-    fig8-clamped fig8 with the nonnegative-tension clamp enabled
-
-    The commanded step runs from w_init to the equilibrium deflection of
-    ``TARGET_TENSION``; ``step_scale`` stretches that step (the target is
-    re-solved so the endpoint remains a true equilibrium).
+    A row gives the rate gain k_d, the step and the clamp.  A constant step
+    commands the target tension as feedforward and the target deflection as
+    reference from t = 0; a ramped step blends both from their initial values
+    with the quintic over ``RAMP_DURATION``.  The step runs from w_init to the
+    equilibrium deflection of ``TARGET_TENSION``; ``step_scale`` stretches
+    that step (the target is re-solved so the endpoint remains a true
+    equilibrium).
     """
     params = params or BoomParams()
     model = assemble_matrices(params, BasisSet.with_mode_count(mode_count))
@@ -212,23 +217,10 @@ def scenario_suite(params: BoomParams | None = None, mode_count: int = 3,
         w_target = w_init + step_scale * (w_target - w_init)
         target_tension = tension_for_deflection(model, w_target)
     t_init = tension_for_deflection(model, w_init)
-
-    constant_ref = ReferenceTrajectory.constant(w_target)
-    constant_ff = FeedforwardProfile.constant(target_tension)
-    ramp_ff = FeedforwardProfile.quintic(t_init, target_tension, RAMP_DURATION)
-    ramp_ref = ReferenceTrajectory.quintic(w_init, w_target, RAMP_DURATION)
-    aggressive = PDGains(k_d=50.0)
-
-    def scen(name: str, gains: PDGains, ff: FeedforwardProfile,
-             ref: ReferenceTrajectory, clamp: bool) -> SimScenario:
-        cfg = ControllerConfig(gains=gains, feedforward=ff, reference=ref,
-                               clamp_nonnegative=clamp)
-        return SimScenario(model=model, controller=cfg, w_init=w_init,
-                           duration=duration, dt=dt, name=name)
-
-    return [
-        scen("fig7a", PDGains(), constant_ff, constant_ref, False),
-        scen("fig7c", aggressive, constant_ff, constant_ref, False),
-        scen("fig8", aggressive, ramp_ff, ramp_ref, False),
-        scen("fig8-clamped", aggressive, ramp_ff, ramp_ref, True),
-    ]
+    return [SimScenario(model, ControllerConfig(
+        PDGains(k_d=k_d),
+        FeedforwardProfile.quintic(t_init, target_tension, RAMP_DURATION) if ramped
+        else FeedforwardProfile.constant(target_tension),
+        ReferenceTrajectory.quintic(w_init, w_target, RAMP_DURATION) if ramped
+        else ReferenceTrajectory.constant(w_target), clamp_nonnegative=clamp),
+        w_init, duration, dt, name=name) for name, (k_d, ramped, clamp) in _SCENARIOS.items()]

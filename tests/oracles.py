@@ -7,6 +7,7 @@ deflection from the classic tip-moment formula, and frequency responses
 from an exact rational solve of the second-order equations.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -197,3 +198,114 @@ def exact_spreader_matrix(params, basis):
             for b in range(n):
                 out[a][b] += node[a] * (prev[b] - 2 * node[b] + nxt[b])
     return out
+
+
+
+def exact_determinant(matrix):
+    """det(matrix) by Gaussian elimination over Fractions."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _primitive(poly):
+    """``poly`` (ascending powers, rational) times a positive rational: coprime ints."""
+    scale = math.lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+    common = math.gcd(*ints)
+    return [c // common for c in ints]
+
+
+def _sign_changes(sturm, x):
+    """Sign changes of the integer polynomials ``sturm`` at the rational x.
+
+    Each p(a / d) is signed as the integer sum_i c_i a^i d^(m-i) = d^m p(a / d).
+    """
+    a, d = x.numerator, x.denominator
+    signs = []
+    for poly in sturm:
+        value, power = poly[-1], 1
+        for c in reversed(poly[:-1]):
+            power *= d
+            value = value * a + c * power
+        if value:
+            signs.append(value > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def exact_critical_tension(params, basis, rel_width=Fraction(1, 10 ** 20)):
+    """Least T > 0 with det(K - (T / dx) S) = 0, as a Fraction, or inf if there is none.
+
+    K is the stiffness matrix from its defining integral,
+    K_jk = EI pj(pj-1) pk(pk-1) L^(pj+pk-3) / (pj+pk-3), and S the spreader
+    matrix from ``exact_spreader_matrix``, with the float parameters taken as
+    exact rationals (EI is their exact product).  The determinant is a
+    polynomial of degree at most n in T, recovered by Newton interpolation
+    from its exact values at T = 0, 1, ..., n.  A Sturm sequence counts its
+    distinct roots in (0, x], and bisection from Cauchy's root bound narrows
+    the least positive root to an interval of relative width ``rel_width``,
+    whose midpoint is returned.  Integer exponents only.
+    """
+    exps = basis.exponents
+    if not all(isinstance(p, int) for p in exps):
+        raise ValueError("exact_critical_tension needs integer exponents")
+    n = basis.mode_count
+    length = Fraction(params.length)
+    ei = Fraction(params.elastic_modulus) * Fraction(params.second_moment)
+    stiffness = [[ei * p * (p - 1) * q * (q - 1) * length ** (p + q - 3) / (p + q - 3)
+                  for q in exps] for p in exps]
+    spreader = exact_spreader_matrix(params, basis)
+    dx = Fraction(params.node_spacing)
+    diffs = [exact_determinant([[k - t * s / dx for k, s in zip(k_row, s_row)]
+                                for k_row, s_row in zip(stiffness, spreader)])
+             for t in range(n + 1)]
+    for level in range(1, n + 1):  # Newton's divided differences on the nodes 0..n
+        for k in range(n, level - 1, -1):
+            diffs[k] = (diffs[k] - diffs[k - 1]) / level
+    coeffs = [diffs[n]]  # ascending powers, expanded by Horner's rule on the nodes
+    for k in range(n - 1, -1, -1):
+        shifted = [Fraction(0)] + coeffs  # coeffs * T
+        coeffs = [s - k * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
+        coeffs[0] += diffs[k]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return math.inf
+    sturm = [_primitive(coeffs), _primitive([k * c for k, c in enumerate(coeffs)][1:])]
+    while len(sturm[-1]) > 1:
+        rem = [Fraction(c) for c in sturm[-2]]
+        while len(rem) >= len(sturm[-1]):  # the remainder of sturm[-2] / sturm[-1]
+            factor = rem[-1] / sturm[-1][-1]
+            for k, c in enumerate(sturm[-1]):
+                rem[len(rem) - len(sturm[-1]) + k] -= factor * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        sturm.append([-c for c in _primitive(rem)])
+    bound = 1 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])  # Cauchy's
+    low, high = Fraction(0), Fraction(1 << math.ceil(bound).bit_length())
+    at_zero = _sign_changes(sturm, low)
+    if _sign_changes(sturm, high) == at_zero:
+        return math.inf
+    while low == 0 or high - low > rel_width * low:
+        mid = (low + high) / 2
+        if _sign_changes(sturm, mid) < at_zero:
+            high = mid
+        else:
+            low = mid
+    return (low + high) / 2

@@ -36,6 +36,48 @@ def test_basis_validation():
         fb.BasisSet(exponents=())
 
 
+@pytest.mark.parametrize("exponents, index", [
+    (("2", "3"), 0), ((2, True), 1), ((2, float("nan")), 1), ((2, float("inf")), 1),
+    ((2, -float("inf")), 1),
+], ids=["string", "bool", "nan", "inf", "-inf"])
+def test_basis_exponent_that_is_not_a_finite_number_is_refused_by_index(exponents, index):
+    with pytest.raises(ValueError, match=rf"^exponents\[{index}\] must be a finite real number"):
+        fb.BasisSet(exponents=exponents)
+
+
+def test_basis_keeps_its_range_messages_and_fractional_exponents(params):
+    with pytest.raises(ValueError, match="^minimum exponent is 2, got 1$"):
+        fb.BasisSet(exponents=(1, 3))
+    with pytest.raises(ValueError, match=r"^exponents must be strictly increasing: \(3, 2\)$"):
+        fb.BasisSet(exponents=(3, 2))
+    fractional = fb.BasisSet(exponents=(2, 2.5))
+    assert fb.assemble_matrices(params, fractional).mode_count == 2
+
+
+def test_exact_critical_tension_oracle_at_one_mode_is_k_dx_over_s(params):
+    # One mode: det(K - (T/dx) S) = K - (T/dx) S is linear, with root K dx / S.
+    basis = fb.BasisSet.with_mode_count(1)
+    stiffness = (Fraction(params.elastic_modulus) * Fraction(params.second_moment)
+                 * 4 * Fraction(params.length))
+    spreader = oracles.exact_spreader_matrix(params, basis)[0][0]
+    root = stiffness * Fraction(params.node_spacing) / spreader
+    assert abs(oracles.exact_critical_tension(params, basis) - root) <= Fraction(1, 10**20) * root
+
+
+# Bounds no tighter than the relative errors measured against the exact root
+# (8.5e-16, 4.6e-13, 3.4e-14, 1.95e-10 and 3.46e-10 for n = 1, 3, 4, 5, 6).
+@pytest.mark.parametrize("modes, bound", [
+    (1, 9e-16), (2, None), (3, 5e-13), (4, 4e-14), (5, 2e-10), (6, 3.5e-10)])
+def test_critical_tension_matches_the_exact_sturm_root(params, modes, bound):
+    basis = fb.BasisSet.with_mode_count(modes)
+    exact = oracles.exact_critical_tension(params, basis)
+    computed = fb.assemble_matrices(params, basis).critical_tension
+    if bound is None:  # two modes: det(K - (T/dx) S) has no positive real root
+        assert exact == computed == float("inf")
+    else:
+        assert abs(Fraction(computed) - exact) <= bound * exact
+
+
 def test_state_shapes_must_match():
     with pytest.raises(ValueError, match="same shape"):
         fb.State(q=[1.0, 2.0], q_rate=[0.0])

@@ -85,7 +85,8 @@ _NOT_NUMBERS = [(True, "true"), ("1", "string"), (float("nan"), "nan"),
 CASES = [
     *[pytest.param(call, fragment, value, id=f"{label}-{tag}")
       for label, call, fragment, low in REALS
-      for value, tag in [*_NOT_NUMBERS, (low, "out_of_range")]],
+      for value, tag in [*_NOT_NUMBERS, (low, "out_of_range"),
+                         (np.float32("inf"), "float32_inf")]],
     *[pytest.param(call, fragment, value, id=f"{label}-{tag}")
       for label, call, fragment, low, valid in COUNTS
       for value, tag in [*_NOT_NUMBERS, (low, "out_of_range"), (float(valid), "float"),
@@ -109,6 +110,15 @@ def test_numpy_scalars_stay_accepted(model3, data):
     assert fb.default_grid(np.int64(5)).size == 5
     assert fb.fit_map(data, np.int64(2)).degree == 2
     assert fb.BasisSet.with_mode_count(np.int64(4)).mode_count == 4
+
+
+@pytest.mark.parametrize("call, dtype", [pytest.param(call, dtype, id=f"{label}-{dtype.__name__}")
+                                         for label, call, _, _ in REALS
+                                         for dtype in (np.float32, np.float16)])
+def test_narrow_numpy_floats_stay_accepted(model3, plant, data, call, dtype):
+    # 1.0 lies in every range above; a float32 compared with the largest float64
+    # used to overflow a cast, a RuntimeWarning under -W error.
+    call(dtype(1.0), {"model": model3, "plant": plant, "data": data})
 
 
 # Inputs of any sign or range whose type alone is checked here: (label, call(value, ctx),

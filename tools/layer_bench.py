@@ -34,6 +34,10 @@ In that box only the 15 E*I classes factorise their rate blocks; each rho
 plant reads its class's factorisation, scaled (``StateSpaceModel.rate_scaled``),
 so the ``uncertainty_sweep/sample`` row is not comparable with runs of trees
 in which every certified plant factorised its own.
+One row under the table times a whole ``mode_count_sweep`` over 3 to 6 modes
+at 0.77 N on the default grid (the bench's ``sweep`` workload runs it as its
+second command), best of 5 sweeps, in microseconds per sweep: four models,
+solves, plants and factorisations, none shared.
 Then times the CLI's CSV writer, ``cli._csv``, on a 2000 x 5 table of
 float64 values (a default-grid Bode table's shape), passed once as a 2-d
 array and once as a list of tuples of ``np.float64``, in microseconds per table.
@@ -94,6 +98,7 @@ REPEATS = 5
 CALLS = 40
 SWEEP_SAMPLES = 125
 SWEEP_PERTURBATION = 0.2
+SWEEP_MODES = (3, 4, 5, 6)
 SIM_MODES = 3
 SIM_DURATION = 5.0  # s, of the scenarios' 1 ms steps
 MAP_FEEDFORWARD = fb.FeedforwardProfile.quintic(0.9, 1.0, 2.0)
@@ -162,6 +167,13 @@ def layer_times(modes: int) -> dict[str, float]:
     return times
 
 
+def mode_sweep_time() -> float:
+    """Best-of-REPEATS microseconds per ``mode_count_sweep`` over SWEEP_MODES."""
+    sweep = functools.partial(fb.mode_count_sweep, fb.BoomParams(), SWEEP_MODES, TENSION,
+                              fb.default_grid())
+    return 1e6 * min(timeit.repeat(sweep, number=1, repeat=REPEATS))
+
+
 def csv_times() -> dict[str, float]:
     """Best-of-REPEATS microseconds per ``cli._csv`` call on one float table."""
     table = np.random.default_rng(0).standard_normal(CSV_SHAPE)
@@ -219,6 +231,8 @@ def main() -> int:
     print(f"{'layer':<32}" + "".join(f"{f'n={n}':>10}" for n in MODES))
     for name in table[MODES[0]]:
         print(f"{name:<32}" + "".join(f"{table[n][name]:>10.1f}" for n in MODES))
+    label = f"mode_count_sweep {SWEEP_MODES[0]}-{SWEEP_MODES[-1]}/sweep"
+    print(f"{label:<32}{mode_sweep_time():>10.1f}")
     print(f"\nus per cli._csv call on a {CSV_SHAPE[0]} x {CSV_SHAPE[1]} float table, "
           f"best of {REPEATS} x {CALLS}")
     for name, value in csv_times().items():
