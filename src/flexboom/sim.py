@@ -93,7 +93,7 @@ class SimScenario:
     @property
     def step_count(self) -> int:
         """Nearest whole number of steps dt in duration; 0 when there is none to run."""
-        ratio = self.duration / float(self.dt)  # inf on overflow; 2**63 steps never finish
+        ratio = float(self.duration) / float(self.dt)  # inf on overflow; 2**63 steps never finish
         return round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
 
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: matrices
 come from adaptive quadrature instead of closed forms, Jacobians from
 finite differences of the nonlinear right-hand side, the cantilever
-deflection from the classic tip-moment formula, and frequency responses
-from an exact rational solve of the second-order equations.
+deflection from the classic tip-moment formula, frequency responses
+from an exact rational solve of the second-order equations, and the
+critical tension from a Sturm sequence on the exact determinant polynomial
+instead of an eigendecomposition.
 """
 
 import math

@@ -112,15 +112,6 @@ def test_numpy_scalars_stay_accepted(model3, data):
     assert fb.BasisSet.with_mode_count(np.int64(4)).mode_count == 4
 
 
-@pytest.mark.parametrize("call, dtype", [pytest.param(call, dtype, id=f"{label}-{dtype.__name__}")
-                                         for label, call, _, _ in REALS
-                                         for dtype in (np.float32, np.float16)])
-def test_narrow_numpy_floats_stay_accepted(model3, plant, data, call, dtype):
-    # 1.0 lies in every range above; a float32 compared with the largest float64
-    # used to overflow a cast, a RuntimeWarning under -W error.
-    call(dtype(1.0), {"model": model3, "plant": plant, "data": data})
-
-
 # Inputs of any sign or range whose type alone is checked here: (label, call(value, ctx),
 # fragment, a bool the range checks would let through, a numpy scalar that stays accepted)
 TYPED = [
@@ -177,3 +168,14 @@ def test_type_refusal_names_the_field(model3, call, fragment, value):
                                          for label, call, _, _, value in TYPED])
 def test_numpy_scalar_stays_accepted_where_only_the_type_is_checked(model3, call, value):
     call(value, {"model": model3})
+
+
+@pytest.mark.parametrize("call, value", [
+    *[pytest.param(call, dtype(1.0), id=f"{label}-{dtype.__name__}")
+      for label, call, _, _ in REALS for dtype in (np.float32, np.float16)],
+    *[pytest.param(call, dtype(value), id=f"{label}-{dtype.__name__}")
+      for label, call, _, _, value in TYPED for dtype in (np.float32, np.float16)]])
+def test_narrow_numpy_floats_stay_accepted(model3, plant, data, call, value):
+    # 1.0 lies in every range of REALS.  Comparing a float32 or float16 with a
+    # bound no such float holds overflows a cast: a RuntimeWarning, which -W error raises.
+    call(value, {"model": model3, "plant": plant, "data": data})
