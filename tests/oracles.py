@@ -202,7 +202,6 @@ def exact_spreader_matrix(params, basis):
     return out
 
 
-
 def exact_determinant(matrix):
     """det(matrix) by Gaussian elimination over Fractions."""
     rows = [list(row) for row in matrix]
