@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import checked_number, checked_real
+from .model import checked_number, checked_real, store_float64
 
 __all__ = [
     "PDGains",
@@ -47,7 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PDGains:
     """Proportional and derivative gains: each a real number, finite and > 0
-    (a bool, a string or a value that is not a real number is a ValueError).
+    (a bool, a string or a value that is not a real number is a ValueError),
+    kept as a Python float.
 
     The defaults, k_p = 10 N/m and k_d = 25 N s/m, are the fig7a gains.
     k_d > 0 doubles as the strictly positive feedthrough of the equivalent
@@ -61,11 +62,15 @@ class PDGains:
     def __post_init__(self) -> None:
         for name in ("k_p", "k_d"):
             checked_real(name, getattr(self, name))
+        store_float64(self, "k_p", "k_d")
 
 
 @dataclass(frozen=True)
 class FeedforwardProfile:
-    """Feedforward tension: constant, or a quintic ramp from T_0 to T_f."""
+    """Feedforward tension: constant, or a quintic ramp from T_0 to T_f.
+
+    The tensions, and a quintic ramp's duration, are kept as Python floats.
+    """
 
     mode: str  # "constant" | "quintic"
     tension_final: float
@@ -79,8 +84,10 @@ class FeedforwardProfile:
             checked_number(name, getattr(self, name))
         if not (np.isfinite(self.tension_final) and np.isfinite(self.tension_initial)):
             raise ValueError("feedforward tensions must be finite")
+        store_float64(self, "tension_final", "tension_initial")
         if self.mode == "quintic":
             checked_real("quintic feedforward duration", self.duration)
+            store_float64(self, "duration")
 
     @classmethod
     def constant(cls, tension: float) -> "FeedforwardProfile":
@@ -101,7 +108,8 @@ class ReferenceTrajectory:
     (coefficients in descending degree) along the feedforward profile, so
     it additionally needs the FeedforwardProfile at evaluation time.
     Deflections and coefficients must be finite real numbers: a bool or a
-    string is a ValueError naming the field (``map_coefficients[i]``).
+    string is a ValueError naming the field (``map_coefficients[i]``).  They,
+    and a quintic ramp's duration, are kept as Python floats.
     """
 
     mode: str  # "constant" | "quintic-deflection" | "map-composed"
@@ -127,6 +135,9 @@ class ReferenceTrajectory:
         if not np.all(np.isfinite([self.w_final, self.w_initial,
                                    *(self.map_coefficients or ())])):
             raise ValueError("reference deflections and map coefficients must be finite")
+        store_float64(self, "w_final", "w_initial")
+        if self.mode == "quintic-deflection":
+            store_float64(self, "duration")
 
     @classmethod
     def constant(cls, w: float) -> "ReferenceTrajectory":

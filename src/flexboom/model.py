@@ -104,6 +104,15 @@ def checked_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def store_float64(instance: object, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``instance``, already checked,
+    to its value as a Python float: a float32 or float16 would carry its width
+    into every product with it (numpy keeps a narrow scalar's type against a
+    Python float)."""
+    for name in names:
+        object.__setattr__(instance, name, float(getattr(instance, name)))
+
+
 def _check_mode_ceiling(count: int) -> None:
     if count > _MODE_CEILING:
         raise ValueError(f"mode count must be <= {_MODE_CEILING}, got {count}")
@@ -114,10 +123,11 @@ class BoomParams:
     """Physical constants of the boom and its cable rigging.
 
     Defaults are the nominal simulation values for a 29.4 m deployable
-    composite boom.  Each float field must be a real number, finite and > 0,
-    and ``spreader_count`` an int >= 0; anything else (a bool, a string, a
-    value that is not a real number or out of range) is a ValueError naming
-    the field, as are spreader nodes that do not fit on the boom.
+    composite boom.  Each float field must be a real number, finite and > 0
+    (kept as a Python float), and ``spreader_count`` an int >= 0; anything
+    else (a bool, a string, a value that is not a real number or out of range)
+    is a ValueError naming the field, as are spreader nodes that do not fit on
+    the boom.
     """
 
     length: float = 29.4               # m
@@ -129,9 +139,11 @@ class BoomParams:
     node_spacing: float = 2.94         # m, distance between cable nodes
 
     def __post_init__(self) -> None:
-        for name in ("length", "linear_density", "elastic_modulus",
-                     "second_moment", "cable_offset", "node_spacing"):
+        names = ("length", "linear_density", "elastic_modulus",
+                 "second_moment", "cable_offset", "node_spacing")
+        for name in names:
             checked_real(name, getattr(self, name))
+        store_float64(self, *names)
         checked_count("spreader_count", self.spreader_count, 0)
         if self.spreader_count * self.node_spacing > self.length * (1.0 + _TIP_TOL):
             raise ValueError(
@@ -147,10 +159,17 @@ class BoomParams:
 
     def scaled(self, e_scale: float = 1.0, rho_scale: float = 1.0,
                i_scale: float = 1.0) -> "BoomParams":
-        """Copy with elastic modulus, linear density, second moment scaled."""
-        return replace(self, linear_density=self.linear_density * rho_scale,
-                       elastic_modulus=self.elastic_modulus * e_scale,
-                       second_moment=self.second_moment * i_scale)
+        """Copy with elastic modulus, linear density, second moment scaled.
+
+        Each scale must be a real number (a bool or a string is a ValueError
+        naming it) and is applied as a float64.
+        """
+        for name, scale in (("e_scale", e_scale), ("rho_scale", rho_scale),
+                            ("i_scale", i_scale)):
+            checked_number(name, scale)
+        return replace(self, linear_density=self.linear_density * float(rho_scale),
+                       elastic_modulus=self.elastic_modulus * float(e_scale),
+                       second_moment=self.second_moment * float(i_scale))
 
 
 @dataclass(frozen=True)
@@ -446,8 +465,9 @@ class StructuralModel:
         return _readonly(rate_op), _readonly(input_rate)
 
     def rate_kernel(self, law: Callable[[float, float, float], Sequence[float]]
-                    ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Bind ``law(t, w_tip, w_rate)`` into (t, x) -> rate of x = (q, q_rate).
+                    ) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+        """Bind ``law(t, w_tip, w_rate)`` into rate(t, x, out): the rate of
+        x = (q, q_rate), written into ``out`` and returned.
 
         The one definition of the dynamics, bound once per run; the law is
         called as given, and the cable tension u is the last item of its
@@ -456,15 +476,27 @@ class StructuralModel:
         and the part the tension multiplies, (0, M^-1 spreader_matrix q / dx).
         The law closes the loop with u, and the rate is unforced + u (tension
         part + (0, M^-1 h psi'(L)^T)), which is (q_rate, M^-1 (f(q, u) - K q)).
+
+        The kernel keeps R x and u in buffers of its own, so it serves one
+        caller at a time, and allocates no array per call: it writes the rate
+        into ``out``, a float64 array of x's shape, and returns it.
         """
         rate_op, input_rate = self._rate_operator
-        dot = rate_op.dot  # the same bits as @, at half its dispatch cost on operands this small
         split = 2 + 2 * self.mode_count
+        product = np.empty(rate_op.shape[0])
+        free, tension_part = product[2:split], product[split:]
+        # u * array costs 0.61 us with a Python float u and 0.37 us with a 0-d
+        # array u (numpy 2.4, six entries, 2-vCPU x86-64), with the same bits.
+        u = np.empty(())
+        dot = rate_op.dot  # the same bits as @, at half its dispatch cost on operands this small
+        add, multiply = np.add, np.multiply
 
-        def rate(t: float, x: np.ndarray) -> np.ndarray:
-            y = dot(x)
-            u = law(t, y.item(0), y.item(1))[-1]
-            return y[2:split] + u * (y[split:] + input_rate)
+        def rate(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            dot(x, out=product)
+            u[()] = law(t, product.item(0), product.item(1))[-1]
+            add(tension_part, input_rate, out=out)
+            multiply(u, out, out=out)
+            return add(free, out, out=out)
 
         return rate
 
@@ -503,14 +535,16 @@ def actuation_force(model: StructuralModel, q: np.ndarray, u: float) -> np.ndarr
 def state_rate(model: StructuralModel, x: np.ndarray,
                tension_law: Callable[[float, float], float]) -> np.ndarray:
     """Rate of x = (q, q_rate) under ``tension_law(w_tip, w_rate) -> u``: one
-    ``rate_kernel`` call, whose one lambda hands the kernel u as a one-tuple."""
-    return model.rate_kernel(lambda t, w_tip, w_rate: (tension_law(w_tip, w_rate),))(0.0, x)
+    ``rate_kernel`` call into a fresh array, whose one lambda hands the kernel u
+    as a one-tuple."""
+    return model.rate_kernel(lambda t, w_tip, w_rate: (tension_law(w_tip, w_rate),))(
+        0.0, x, np.empty(2 * model.mode_count))
 
 
 def dynamics_rhs(model: StructuralModel, state: State, u: float) -> State:
     """First-order dynamics: d/dt (q, q_rate) = (q_rate, M^-1 (f(q, u) - K q))."""
     return State.from_vector(model.rate_kernel(lambda t, w_tip, w_rate: (u,))(
-        0.0, state.as_vector()))
+        0.0, state.as_vector(), np.empty(2 * model.mode_count)))
 
 
 def tip_deflection(model: StructuralModel, q: np.ndarray) -> float:

@@ -286,7 +286,8 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     if perturbation == 0.0 or levels == 1:
         axis = np.array([1.0])
     else:
-        axis = np.linspace(1.0 - perturbation, 1.0 + perturbation, levels)
+        spread = float(perturbation)  # a float16 spread would build a float16 axis
+        axis = np.linspace(1.0 - spread, 1.0 + spread, levels)
 
     nominal = functools.cache(lambda: assemble_matrices(params, basis))
 

@@ -8,7 +8,13 @@ that ``state_rate`` and ``dynamics_rhs`` also call.  Each stage is one call of
 the bound kernel, which calls the controller itself (no wrapper) and takes u
 from the end of its ``ControlSample``; one stacked product gives the tip
 measurements and both parts of the state rate.  An unforced run binds a zero
-control law.  The loop records only the time and state of each logged step;
+control law.
+
+The step allocates no array: the kernel writes each stage rate into one of
+four arrays the run owns (it serves one caller at a time, and a run is its
+only caller), and the stage state, the weighted sum and the state itself are
+updated in place, with the same operations in the same order as textbook RK4.
+The loop records only the time and a copy of the state of each logged step;
 the rest of the log is derived from those states after it.
 Divergence is declared when the state norm exceeds 1e6 times its initial
 norm or any entry stops being finite; a diverged run is returned with
@@ -42,7 +48,7 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
-_MAX_STEPS = 10**9  # 6-12 h of RK4 at 22-45 us per three-mode step
+_MAX_STEPS = 10**9  # 4-6 h of RK4 at 14-20 us per three-mode step
 
 # The benchmark closed-loop scenarios, sharing k_p = 10 N/m (``scenario_suite``):
 # name -> (k_d in N s/m, ramped step, nonnegative-tension clamp).
@@ -152,29 +158,39 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
     rate = model.rate_kernel(law)
 
-    x = initial_state_from_deflection(model, scenario.w_init).as_vector()
-    norm0 = max(float(np.linalg.norm(x)), _NORM_FLOOR)
+    x0 = initial_state_from_deflection(model, scenario.w_init).as_vector()
+    norm0 = max(float(np.linalg.norm(x0)), _NORM_FLOOR)
     threshold_sq = (_DIVERGENCE_FACTOR * norm0) ** 2
-    times, states = [0.0], [x]
+    times, states = [0.0], [x0]
     diverged = False
 
     t = 0.0
     half = 0.5 * dt
-    sixth = dt / 6.0
+    # The step's constants as 0-d arrays: a 0-d array times a 6-entry array
+    # costs 0.37 us against 0.61 us for a Python float (numpy 2.4, 2-vCPU
+    # x86-64), with the same bits; the stage times stay Python floats.
+    half_, dt_, sixth_ = np.array(half), np.array(dt), np.array(dt / 6.0)
+    x, k1, k2, k3, k4, stage, acc = x0.copy(), *np.empty((6, x0.size))
+    add, multiply = np.add, np.multiply
     # Overflow is how a run diverges, and divergence is reported as a status.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = rate(t, x)
-            k2 = rate(t + half, x + half * k1)
-            k3 = rate(t + half, x + half * k2)
-            k4 = rate(t + dt, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            # Textbook order; 2.0 * (k2 + k3) is written s + s, the same bits.
+            rate(t, x, k1)
+            rate(t + half, add(x, multiply(half_, k1, out=stage), out=stage), k2)
+            rate(t + half, add(x, multiply(half_, k2, out=stage), out=stage), k3)
+            rate(t + dt, add(x, multiply(dt_, k3, out=stage), out=stage), k4)
+            add(k2, k3, out=acc)
+            add(acc, acc, out=acc)
+            add(k1, acc, out=acc)
+            add(acc, k4, out=acc)
+            add(x, multiply(sixth_, acc, out=acc), out=x)
             t = (k + 1) * dt
             # NaN fails the comparison too, so this catches non-finite states.
             diverged = not float(x.dot(x)) <= threshold_sq
             if diverged or (k + 1) % scenario.decimation == 0 or k + 1 == n_steps:
                 times.append(t)
-                states.append(x)
+                states.append(x.copy())
                 if diverged:
                     break
 

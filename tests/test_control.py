@@ -383,3 +383,25 @@ def test_bound_controller_at_the_ramp_edges(ref_name, clamp):
     for t, (t_des, w_des, w_rate_des, u_raw) in zip(EDGE_TIMES, EDGE_SAMPLES[ref_name]):
         expected = (t, t_des, w_des, w_rate_des, u_raw, 0.0 if clamp else u_raw)
         assert _bits(controller(t, 1.6, -0.01)) == _bits(expected), t
+
+
+@pytest.mark.parametrize("ramped", [False, True])
+def test_float16_config_acts_as_its_float64_twin(ramped):
+    """Gains, feedforward and reference given as float16 are kept as the float64
+    of their values, so the law computes in float64, bit for bit as the twin
+    built from those values does (the float16 law used to give u = 0.969)."""
+    def config(number):
+        if ramped:
+            feedforward = fb.FeedforwardProfile.quintic(number(0.4), number(1.0), number(3.0))
+            reference = fb.ReferenceTrajectory.quintic(number(0.9), number(1.0123), number(3.0))
+        else:
+            feedforward = fb.FeedforwardProfile.constant(number(1.0))
+            reference = fb.ReferenceTrajectory.constant(number(1.0123))
+        return fb.ControllerConfig(fb.PDGains(number(10.0), number(25.0)), feedforward, reference)
+
+    def twin(value):
+        return float(np.float16(value))
+
+    sample = fb.make_controller(config(np.float16))(0.1, 1.0123456789, 0.001234)
+    assert _bits(sample) == _bits(fb.make_controller(config(twin))(0.1, 1.0123456789, 0.001234))
+    assert all(type(value) is float for value in sample)

@@ -446,3 +446,17 @@ def test_params_refuse_a_fractional_spreader_count(count):
     # The route takes spreader_count nodes; 2.5 must not quietly mean three.
     with pytest.raises(ValueError, match="spreader_count must be an int >= 0"):
         fb.BoomParams(spreader_count=count)
+
+
+def test_rate_results_share_no_memory(model3):
+    """``dynamics_rhs`` and ``state_rate`` each hand back an array of their own."""
+    state = fb.State(np.ones(3), np.zeros(3))
+    first = fb.dynamics_rhs(model3, state, 0.5)
+    second = fb.dynamics_rhs(model3, state, 1.0)
+    assert not np.shares_memory(first.q_rate, second.q_rate)
+    assert not np.array_equal(first.q_rate, second.q_rate)
+    x = state.as_vector()
+    slack = fb.state_rate(model3, x, lambda w_tip, w_rate: 0.5)
+    taut = fb.state_rate(model3, x, lambda w_tip, w_rate: 1.0)
+    assert not np.shares_memory(slack, taut)
+    assert not np.array_equal(slack, taut)

@@ -179,3 +179,32 @@ def test_narrow_numpy_floats_stay_accepted(model3, plant, data, call, value):
     # 1.0 lies in every range of REALS.  Comparing a float32 or float16 with a
     # bound no such float holds overflows a cast: a RuntimeWarning, which -W error raises.
     call(value, {"model": model3, "plant": plant, "data": data})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_narrow_scales_and_spread_act_as_their_float64_twins(model3, dtype):
+    """``BoomParams.scaled`` and ``uncertainty_sweep``'s level axis take a narrow
+    float as the float64 of its value: a float16 modulus scale used to overflow
+    in the cast, a float32 one kept a float32 modulus, and a float16 spread
+    built a float16 axis (e = 0.7998046875 for a spread of 0.2)."""
+    def twin(value):
+        return float(dtype(value))
+
+    params, scales = model3.params, (0.8, 1.2, 0.9)
+    narrow = params.scaled(*map(dtype, scales))
+    assert narrow == params.scaled(*map(twin, scales))
+    assert all(type(value) is float for value in
+               (narrow.elastic_modulus, narrow.linear_density, narrow.second_moment))
+
+    def levels(spread):
+        return [report.metadata for report in fb.uncertainty_sweep(
+            params, model3.basis, 0.5, spread, 27, fb.default_grid(50))]
+
+    assert levels(dtype(0.2)) == levels(twin(0.2))
+
+
+@pytest.mark.parametrize("value", [True, "0.8"])
+def test_scale_that_is_not_a_real_number_is_refused_by_name(value):
+    for name in ("e_scale", "rho_scale", "i_scale"):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            fb.BoomParams().scaled(**{name: value})

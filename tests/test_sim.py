@@ -301,3 +301,20 @@ def test_forced_steps_are_rk4_at_the_stage_times(model3, monkeypatch, name):
     if cfg.clamp_nonnegative:  # the clamp must cut some stages and pass others
         raw = [law(*call).u_unclamped for call in expected_calls]
         assert 0 < sum(u < 0.0 for u in raw) < len(raw)
+
+
+def test_thinned_log_holds_the_every_step_states_bit_for_bit():
+    """A log thinned to every 7th step holds, bit for bit, the states that an
+    every-step run of the same forced scenario logs at those steps, the final
+    step (200, off the grid of 7) included.  Each logged row is an array of its
+    own: the every-step log changes from each row to the next.
+    """
+    scenario = next(s for s in fb.scenario_suite(duration=0.2) if s.name == "fig8-clamped")
+    thinned = fb.run_simulation(dataclasses.replace(scenario, decimation=7))
+    every = fb.run_simulation(dataclasses.replace(scenario, decimation=1))
+    rows = [*range(0, 200, 7), 200]
+    assert thinned.time.tolist() == every.time[rows].tolist()
+    assert np.array_equal(thinned.q, every.q[rows])
+    assert np.array_equal(thinned.q_rate, every.q_rate[rows])
+    states = np.hstack((every.q, every.q_rate))
+    assert (states[1:] != states[:-1]).any(axis=1).all()

@@ -49,6 +49,10 @@ as ``flexboom simulate`` builds from a fitted map) and for fig7a unforced,
 best of 5 runs, in microseconds per step.  The per-run setup (the initial
 equilibrium) and the log derived after the loop are included in that figure;
 all runs share one model, so its operator is built once, not per run.
+One row under them times a single call of a bound ``rate_kernel`` (the
+fig7a law at three modes, at the scenario's initial state, into one output
+array), best of 5 batches of 4000 calls, in microseconds per call: the
+right-hand-side evaluation each RK4 stage makes.
 Last, the cold start, each figure the median of 7 fresh interpreters, in
 seconds: the benchmark's set-up probe (``import flexboom.cli`` plus the first
 nominal three-mode ``assemble_matrices``, timed inside the interpreter, as
@@ -96,6 +100,7 @@ CURVE_T_MAX = 1.8  # N
 CURVE_SAMPLES = 2000
 REPEATS = 5
 CALLS = 40
+KERNEL_CALLS = 4000
 SWEEP_SAMPLES = 125
 SWEEP_PERTURBATION = 0.2
 SWEEP_MODES = (3, 4, 5, 6)
@@ -198,6 +203,15 @@ def rk4_step_times() -> dict[str, float]:
             for name, scenario in runs.items()}
 
 
+def kernel_call_time() -> float:
+    """Best-of-REPEATS microseconds per call of the fig7a law's bound ``rate_kernel``."""
+    fig7a = next(s for s in fb.scenario_suite(mode_count=SIM_MODES) if s.name == "fig7a")
+    kernel = fig7a.model.rate_kernel(fb.make_controller(fig7a.controller))
+    x = fb.initial_state_from_deflection(fig7a.model, fig7a.w_init).as_vector()
+    call = functools.partial(kernel, 0.5, x, np.empty_like(x))
+    return 1e6 * min(timeit.repeat(call, number=KERNEL_CALLS, repeat=REPEATS)) / KERNEL_CALLS
+
+
 def _fresh(code: str, *args: str) -> tuple[float, str]:
     """Wall seconds and stdout of ``code`` run in a fresh interpreter."""
     start = time.perf_counter()
@@ -240,6 +254,7 @@ def main() -> int:
     print(f"\nus per RK4 step, n={SIM_MODES}, best of {REPEATS} runs of {SIM_DURATION:g} s")
     for name, value in rk4_step_times().items():
         print(f"{'rk4 ' + name:<32}{value:>10.2f}")
+    print(f"{'rk4 kernel call (fig7a)':<32}{kernel_call_time():>10.2f}")
     print(f"\ns from a fresh interpreter, median of {COLD_RUNS}; commands on the default config")
     for name, value in cold_start_times().items():
         print(f"{'cold ' + name:<32}{value:>10.3f}")
