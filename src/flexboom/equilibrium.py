@@ -164,6 +164,7 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
 
     checked_real("t_max", t_max)
     checked_number("w_target", w_target)
+    w_target = float(w_target)  # a float16 target would narrow every miss and step with it
     if w_target == 0.0:
         return 0.0
     w_end = solve_equilibrium(model, t_max).tip_deflection

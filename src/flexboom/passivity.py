@@ -106,7 +106,8 @@ def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
                          f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
                          f"omega_max={omega_max!r}, n_points={n_points!r}")
-    return np.logspace(np.log10(omega_min), np.log10(omega_max), n_points)
+    # Float bounds: a narrow bound would narrow the grid with it.
+    return np.logspace(np.log10(float(omega_min)), np.log10(float(omega_max)), n_points)
 
 
 def _finite_square(w) -> bool:  # w * w overflows above about 1.3e154 rad/s
@@ -279,6 +280,7 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     ``i_scale``, and the first sample that fails raises SweepSampleError.
     """
     checked_number("t_eq", t_eq)
+    t_eq = float(t_eq)  # each report carries it: a float, never a narrow numpy float
     if not (is_number(perturbation) and 0.0 <= perturbation < 1.0):
         raise ValueError("perturbation must lie in [0, 1)")
     checked_count("samples", samples, 1)
@@ -315,6 +317,7 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
                      eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
     checked_number("t_eq", t_eq)
+    t_eq = float(t_eq)
     # Each plant is built while the generator stands at its n.
     return _certify("mode-count sample", t_eq, omega, eps_tol, (
         (n, {"mode_count": int(n)},

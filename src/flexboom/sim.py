@@ -7,8 +7,9 @@ binds its control law into ``StructuralModel.rate_kernel`` once, the kernel
 that ``state_rate`` and ``dynamics_rhs`` also call.  Each stage is one call of
 the bound kernel, which calls the controller itself (no wrapper) and takes u
 from the end of its ``ControlSample``; one stacked product gives the tip
-measurements and both parts of the state rate.  An unforced run binds a zero
-control law.
+measurements and the unforced and tension parts of the state rate, and one
+weighted product (1, u, u) of those parts and the input rate gives the stage
+rate.  An unforced run binds a zero control law.
 
 The step allocates no array: the kernel writes each stage rate into one of
 four arrays the run owns (it serves one caller at a time, and a run is its
@@ -48,7 +49,7 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e6
 _NORM_FLOOR = 1e-6  # so a zero initial state does not make the threshold zero
 _STEP_TOL = 1e-9  # relative miss of the duration a whole number of steps may make
-_MAX_STEPS = 10**9  # 4-6 h of RK4 at 14-20 us per three-mode step
+_MAX_STEPS = 10**9  # 3-4 h of RK4 at 11-15 us per three-mode step
 
 # The benchmark closed-loop scenarios, sharing k_p = 10 N/m (``scenario_suite``):
 # name -> (k_d in N s/m, ramped step, nonnegative-tension clamp).

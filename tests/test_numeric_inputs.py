@@ -208,3 +208,30 @@ def test_scale_that_is_not_a_real_number_is_refused_by_name(value):
     for name in ("e_scale", "rho_scale", "i_scale"):
         with pytest.raises(ValueError, match=f"{name} must be a real number"):
             fb.BoomParams().scaled(**{name: value})
+
+
+def test_float16_target_deflection_acts_as_its_float64_twin(model3):
+    """A float16 target is inverted in float64: its tension and the run's
+    initial state are its float64 twin's, bit for bit (0.59375 N against
+    0.5936192375942316 N used to start a run 4e-7 away in q)."""
+    narrow, twin = np.float16(0.5), 0.5
+    assert fb.tension_for_deflection(model3, narrow) == fb.tension_for_deflection(model3, twin)
+    assert np.array_equal(fb.initial_state_from_deflection(model3, narrow).as_vector(),
+                          fb.initial_state_from_deflection(model3, twin).as_vector())
+
+
+def test_float16_grid_bounds_give_their_float64_twins_grid():
+    narrow = fb.default_grid(5, np.float16(1e-2), np.float16(10.0))
+    twin = fb.default_grid(5, float(np.float16(1e-2)), float(np.float16(10.0)))
+    assert narrow.dtype == np.float64
+    assert np.array_equal(narrow, twin)
+
+
+def test_float16_sweep_tension_is_reported_as_its_float64_twin(model3):
+    """Both sweeps report a float16 tension as the Python float of its value."""
+    narrow, twin, grid = np.float16(0.77), float(np.float16(0.77)), fb.default_grid(50)
+    for sweep in (lambda t: fb.uncertainty_sweep(model3.params, model3.basis, t, 0.2, 8, grid),
+                  lambda t: fb.mode_count_sweep(model3.params, [3, 4], t, grid)):
+        reports, expected = sweep(narrow), sweep(twin)
+        assert reports == expected
+        assert all(type(report.metadata["t_eq"]) is float for report in reports)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -318,3 +319,58 @@ def test_thinned_log_holds_the_every_step_states_bit_for_bit():
     assert np.array_equal(thinned.q_rate, every.q_rate[rows])
     states = np.hstack((every.q, every.q_rate))
     assert (states[1:] != states[:-1]).any(axis=1).all()
+
+
+# The E*I law of the closed loop.  A sample (e, rho, i) of the box scales M by
+# rho and K by e*i, and the cable load f(q, u) is linear in u, so the sample's
+# run is the nominal run in the time tau = t sqrt(e*i/rho) with tension
+# u/(e*i): feedforward T/(e*i), gains k_p/(e*i) and k_d/sqrt(e*i*rho), the same
+# reference, step and ramp durations times sqrt(e*i/rho).  The clamp u >= 0 is
+# invariant under a positive scale.  The sample's velocities are the nominal's
+# times that time scale.
+EI_STEP, EI_STEPS, EI_START = 1e-3, 2000, 1.0  # s, steps, m
+
+
+def _ei_config(ramped, clamp, time_scale=1.0, tension_scale=1.0, rate_gain_scale=1.0):
+    """The law with tensions and k_p divided by ``tension_scale``, k_d by
+    ``rate_gain_scale`` and the ramp's 1 s stretched by ``time_scale``.  It
+    commands less deflection than the start holds, so u goes negative early."""
+    ramp = 1.0 * time_scale
+    return fb.ControllerConfig(
+        gains=fb.PDGains(k_p=10.0 / tension_scale, k_d=25.0 / rate_gain_scale),
+        feedforward=(fb.FeedforwardProfile.quintic(0.88 / tension_scale, 1.0 / tension_scale, ramp)
+                     if ramped else fb.FeedforwardProfile.constant(1.0 / tension_scale)),
+        reference=(fb.ReferenceTrajectory.quintic(EI_START, 0.8, ramp) if ramped
+                   else fb.ReferenceTrajectory.constant(0.8)),
+        clamp_nonnegative=clamp)
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["unclamped", "clamped"])
+@pytest.mark.parametrize("ramped", [False, True], ids=["constant", "quintic"])
+@pytest.mark.parametrize("sample, tolerance", [((1.0, 0.25, 1.0), 0.0),
+                                               ((0.8, 1.2, 0.8), 1e-11),
+                                               ((1.2, 0.8, 0.8), 1e-11)])
+def test_sample_run_is_the_nominal_run_under_the_ei_law(params, basis3, model3, sample,
+                                                        tolerance, ramped, clamp):
+    """A box sample's run on its own model against the nominal run under the
+    E*I substitutions, every step logged: bit for bit at (1, 0.25, 1), whose
+    time scale is 2, and within ``tolerance`` of each column's largest
+    magnitude elsewhere.  The law's output is compared before the clamp, which
+    only cuts it (u is 0 for much of a clamped run), and the clamp must cut
+    the same logged rows in both runs."""
+    e, rho, i = sample
+    ei, time_scale = e * i, math.sqrt(e * i / rho)
+    own = fb.run_simulation(fb.SimScenario(
+        fb.assemble_matrices(params.scaled(e, rho, i), basis3), _ei_config(ramped, clamp),
+        EI_START, EI_STEPS * EI_STEP, EI_STEP, decimation=1))
+    nominal = fb.run_simulation(fb.SimScenario(
+        model3, _ei_config(ramped, clamp, time_scale, ei, math.sqrt(ei * rho)), EI_START,
+        EI_STEPS * EI_STEP * time_scale, EI_STEP * time_scale, decimation=1))
+    assert own.status == nominal.status == "completed"
+    assert (own.u_unclamped < 0.0).any()
+    pairs = [(own.time, nominal.time / time_scale), (own.q, nominal.q),
+             (own.q_rate, nominal.q_rate * time_scale), (own.tip, nominal.tip),
+             (own.u_unclamped, nominal.u_unclamped * ei)]
+    for got, expected in pairs:
+        assert np.max(np.abs(got - expected)) <= tolerance * np.max(np.abs(expected))
+    assert np.array_equal(own.u > 0.0, nominal.u > 0.0)

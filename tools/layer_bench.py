@@ -52,7 +52,8 @@ all runs share one model, so its operator is built once, not per run.
 One row under them times a single call of a bound ``rate_kernel`` (the
 fig7a law at three modes, at the scenario's initial state, into one output
 array), best of 5 batches of 4000 calls, in microseconds per call: the
-right-hand-side evaluation each RK4 stage makes.
+right-hand-side evaluation each RK4 stage makes, that is the product R x, the
+law's call and the weighted product (1, u, u) that forms the rate.
 Last, the cold start, each figure the median of 7 fresh interpreters, in
 seconds: the benchmark's set-up probe (``import flexboom.cli`` plus the first
 nominal three-mode ``assemble_matrices``, timed inside the interpreter, as
