@@ -221,8 +221,7 @@ _Outcome = tuple[dict[str, Any], dict[str, str], str]
 
 def _verified_tension(label: str, tension: float, t_max: float) -> float:
     """``tension``; OutOfRange unless it lies in [0, t_max] for a valid t_max."""
-    checked_real("t_max", t_max)
-    if not 0.0 <= tension <= t_max:
+    if not 0.0 <= tension <= checked_real("t_max", t_max):
         raise OutOfRange(f"{label} {tension} N outside the verified range [0, {t_max}] N")
     return tension
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import checked_number, checked_real, store_float64
+from .model import checked_number, checked_real
 
 __all__ = [
     "PDGains",
@@ -61,8 +61,7 @@ class PDGains:
 
     def __post_init__(self) -> None:
         for name in ("k_p", "k_d"):
-            checked_real(name, getattr(self, name))
-        store_float64(self, "k_p", "k_d")
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,12 @@ class FeedforwardProfile:
         if self.mode not in ("constant", "quintic"):
             raise ValueError(f"unknown feedforward mode {self.mode!r}")
         for name in ("tension_final", "tension_initial"):
-            checked_number(name, getattr(self, name))
+            object.__setattr__(self, name, checked_number(name, getattr(self, name)))
         if not (np.isfinite(self.tension_final) and np.isfinite(self.tension_initial)):
             raise ValueError("feedforward tensions must be finite")
-        store_float64(self, "tension_final", "tension_initial")
         if self.mode == "quintic":
-            checked_real("quintic feedforward duration", self.duration)
-            store_float64(self, "duration")
+            object.__setattr__(self, "duration",
+                               checked_real("quintic feedforward duration", self.duration))
 
     @classmethod
     def constant(cls, tension: float) -> "FeedforwardProfile":
@@ -122,22 +120,19 @@ class ReferenceTrajectory:
         if self.mode not in ("constant", "quintic-deflection", "map-composed"):
             raise ValueError(f"unknown reference mode {self.mode!r}")
         for name in ("w_final", "w_initial"):
-            checked_number(name, getattr(self, name))
+            object.__setattr__(self, name, checked_number(name, getattr(self, name)))
         if self.mode == "quintic-deflection":
-            checked_real("quintic-deflection reference duration", self.duration)
+            object.__setattr__(self, "duration", checked_real(
+                "quintic-deflection reference duration", self.duration))
         if self.mode == "map-composed" and not self.map_coefficients:
             raise ValueError("map-composed reference needs map coefficients")
         if self.map_coefficients is not None:
-            for i, c in enumerate(self.map_coefficients):
+            object.__setattr__(self, "map_coefficients", tuple(
                 checked_number(f"map_coefficients[{i}]", c)
-            object.__setattr__(self, "map_coefficients",
-                               tuple(float(c) for c in self.map_coefficients))
+                for i, c in enumerate(self.map_coefficients)))
         if not np.all(np.isfinite([self.w_final, self.w_initial,
                                    *(self.map_coefficients or ())])):
             raise ValueError("reference deflections and map coefficients must be finite")
-        store_float64(self, "w_final", "w_initial")
-        if self.mode == "quintic-deflection":
-            store_float64(self, "duration")
 
     @classmethod
     def constant(cls, w: float) -> "ReferenceTrajectory":

@@ -114,8 +114,8 @@ def solve_equilibrium(model: StructuralModel, tension: float) -> EquilibriumPoin
     (relative) is a RuntimeError.  Every tension, 0 N included, is a batch of
     one, so the point's tension is a float and its zeros are +0.0.
     """
-    checked_real("tension", tension, zero=True)
-    return _equilibria(model, np.array([tension], dtype=float))[0]
+    tension = checked_real("tension", tension, zero=True)
+    return _equilibria(model, np.array([tension]))[0]
 
 
 def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
@@ -127,9 +127,9 @@ def deflection_curve(model: StructuralModel, t_max: float = DEFAULT_TENSION_MAX,
     curve that reaches the first critical tension raises the
     NearSingularStiffness of t_max, and no partial curve is returned.
     """
-    checked_real("t_max", t_max)
-    checked_count("samples", samples, 2)
-    tensions = np.linspace(0.0, float(t_max), samples)  # float64 from a narrower t_max
+    t_max = checked_real("t_max", t_max)
+    samples = checked_count("samples", samples, 2)
+    tensions = np.linspace(0.0, t_max, samples)
     return [solve_equilibrium(model, 0.0), *_equilibria(model, tensions[1:])]
 
 
@@ -162,14 +162,13 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
     # package loads no scipy, and only a process that inverts the map pays for it.
     from scipy.optimize import brentq
 
-    checked_real("t_max", t_max)
-    checked_number("w_target", w_target)
-    w_target = float(w_target)  # a float16 target would narrow every miss and step with it
+    t_end = checked_real("t_max", t_max)  # the refusal below names t_max as given
+    w_target = checked_number("w_target", w_target)
     if w_target == 0.0:
         return 0.0
-    w_end = solve_equilibrium(model, t_max).tip_deflection
+    w_end = solve_equilibrium(model, t_end).tip_deflection
     closed_form = model.deflection_map
-    knots = [t for t in closed_form.stationary if t < t_max] + [t_max]
+    knots = [t for t in closed_form.stationary if t < t_end] + [t_end]
     w_max = max([w_end, *map(closed_form.deflection, knots[:-1])])
     if not 0.0 <= w_target <= w_max:
         raise OutOfRange(
@@ -185,7 +184,7 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
             tension = brentq(miss, low, high, xtol=1e-12, rtol=8.9e-16)
             break
     else:  # only the direct w(t_max) reaches the target: polish from t_max
-        tension = t_max
+        tension = t_end
     achieved = solve_equilibrium(model, tension).tip_deflection
     for _ in range(_POLISH_STEPS):
         slope = closed_form.slope(tension)
@@ -199,4 +198,4 @@ def tension_for_deflection(model: StructuralModel, w_target: float,
         raise RuntimeError(
             f"inverse map did not converge: |{achieved} - {w_target}| > 1e-6 m"
         )
-    return float(tension)
+    return tension

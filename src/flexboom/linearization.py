@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equilibrium import EquilibriumPoint
-from .model import StructuralModel, actuation_force, checked_real
+from .model import StructuralModel, actuation_force, checked_number, checked_real
 
 __all__ = ["StateSpaceModel", "linearize"]
 
@@ -53,6 +53,8 @@ class StateSpaceModel:
     define the plant; ``rate_schur``, the one factorisation of its rate block,
     is derived from them on first read (``dataclasses.replace`` makes a plant
     that derives its own, and ``rate_scaled`` hands its plant one ready made).
+    ``d`` and ``t_eq`` must be real numbers (a bool or a string is a ValueError
+    naming the field), kept as Python floats.
     """
 
     a: np.ndarray = field(repr=False)
@@ -63,6 +65,8 @@ class StateSpaceModel:
     x_bar: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("d", "t_eq"):
+            object.__setattr__(self, name, checked_number(name, getattr(self, name)))
         a = np.array(self.a, dtype=float)
         two_n = a.shape[0]
         if a.shape != (two_n, two_n) or two_n % 2 != 0:
@@ -125,7 +129,7 @@ class StateSpaceModel:
         of it.  ``factor`` must be finite and positive, so that the norm scales
         by it too.
         """
-        checked_real("rate factor", factor)
+        factor = checked_real("rate factor", factor)
         n = self.mode_count
         a = self.a.copy()
         a[n:, :n] *= factor

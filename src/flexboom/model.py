@@ -27,8 +27,10 @@ models and maps equilibria, as ``flexboom equilibrium`` and ``flexboom fit``
 do, never pays for it.
 
 ``is_number`` is the library's one type test for a numeric input, and
-``checked_real`` and ``checked_count`` its one rule: every module refuses a
-value that is not a real number, or a bad real number or count, through them.
+``checked_number``, ``checked_real`` and ``checked_count`` its one rule: each
+refuses a value that is not a real number, or a bad real number or count, and
+returns the value it accepts as a Python float (an int for a count), which
+the caller binds.  So no narrow numpy float carries its width past the check.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ __all__ = [
 # Relative tolerance for "a spreader node sits at the tip attachment".
 _TIP_TOL = 1e-9
 
-# The largest float: an int no float can hold fails ``abs(value) <= _FLOAT_MAX``.
+# The largest float: ``is_number`` refuses an int past it, which no float holds.
 _FLOAT_MAX = float(np.finfo(float).max)
 
 # Most modes a basis may have, refused before any n x n array (8 MB each here) is
@@ -70,47 +72,36 @@ _MODE_CEILING = 1000
 
 def is_number(value: object, *, integral: bool = False) -> bool:
     """True if ``value`` is a real number: a Python or numpy float or int, only
-    an int with ``integral``, and never a bool (it equals 0 or 1 but is no number)."""
+    an int with ``integral``, never a bool (it equals 0 or 1 but is no number),
+    and, unless ``integral``, never an int no float can hold."""
     kinds = (int, np.integer) if integral else (float, int, np.floating, np.integer)
-    return type(value) is not bool and isinstance(value, kinds)
+    return (type(value) is not bool and isinstance(value, kinds)
+            and (integral or not isinstance(value, int) or abs(value) <= _FLOAT_MAX))
 
 
-def _is_finite(value: float) -> bool:
-    """True unless a real number ``value`` is NaN, +-inf or an int no float can hold.
-
-    A numpy float is tested in its own type: comparing a float32 with the
-    largest float64 casts that bound to float32, which overflows.
-    """
-    return abs(value) <= _FLOAT_MAX if isinstance(value, int) else math.isfinite(value)
-
-
-def checked_number(name: str, value: float) -> None:
-    """ValueError naming ``name`` unless ``value`` is a real number (any range)."""
+def checked_number(name: str, value: float) -> float:
+    """``value`` as a Python float; ValueError naming ``name`` unless it is a
+    real number (any range)."""
     if not is_number(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
-def checked_real(name: str, value: float, *, zero: bool = False) -> None:
-    """ValueError naming ``name`` unless ``value`` is a real number that is
-    finite and > 0, or >= 0 with ``zero``."""
-    if not (is_number(value) and (0.0 <= value if zero else 0.0 < value) and _is_finite(value)):
+def checked_real(name: str, value: float, *, zero: bool = False) -> float:
+    """``value`` as a Python float; ValueError naming ``name`` unless it is a
+    real number whose float64 value is finite and > 0, or >= 0 with ``zero``."""
+    number = float(value) if is_number(value) else math.nan
+    if not (math.isfinite(number) and (0.0 <= number if zero else 0.0 < number)):
         raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
+    return number
 
 
-def checked_count(name: str, value: int, minimum: int) -> None:
-    """ValueError naming ``name`` unless ``value`` is an int (a Python or numpy
-    int, not a bool) that is >= ``minimum``."""
+def checked_count(name: str, value: int, minimum: int) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an int
+    (a Python or numpy int, not a bool) that is >= ``minimum``."""
     if not (is_number(value, integral=True) and value >= minimum):
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-
-
-def store_float64(instance: object, *names: str) -> None:
-    """Set each named field of the frozen dataclass ``instance``, already checked,
-    to its value as a Python float: a float32 or float16 would carry its width
-    into every product with it (numpy keeps a narrow scalar's type against a
-    Python float)."""
-    for name in names:
-        object.__setattr__(instance, name, float(getattr(instance, name)))
+    return int(value)
 
 
 def _check_mode_ceiling(count: int) -> None:
@@ -142,9 +133,9 @@ class BoomParams:
         names = ("length", "linear_density", "elastic_modulus",
                  "second_moment", "cable_offset", "node_spacing")
         for name in names:
-            checked_real(name, getattr(self, name))
-        store_float64(self, *names)
-        checked_count("spreader_count", self.spreader_count, 0)
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
+        object.__setattr__(self, "spreader_count",
+                           checked_count("spreader_count", self.spreader_count, 0))
         if self.spreader_count * self.node_spacing > self.length * (1.0 + _TIP_TOL):
             raise ValueError(
                 "spreader nodes must lie on the boom: "
@@ -164,12 +155,12 @@ class BoomParams:
         Each scale must be a real number (a bool or a string is a ValueError
         naming it) and is applied as a float64.
         """
-        for name, scale in (("e_scale", e_scale), ("rho_scale", rho_scale),
-                            ("i_scale", i_scale)):
-            checked_number(name, scale)
-        return replace(self, linear_density=self.linear_density * float(rho_scale),
-                       elastic_modulus=self.elastic_modulus * float(e_scale),
-                       second_moment=self.second_moment * float(i_scale))
+        e_scale = checked_number("e_scale", e_scale)
+        rho_scale = checked_number("rho_scale", rho_scale)
+        i_scale = checked_number("i_scale", i_scale)
+        return replace(self, linear_density=self.linear_density * rho_scale,
+                       elastic_modulus=self.elastic_modulus * e_scale,
+                       second_moment=self.second_moment * i_scale)
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,7 @@ class BasisSet:
             raise ValueError("basis needs at least one exponent")
         _check_mode_ceiling(len(self.exponents))
         for i, p in enumerate(self.exponents):
-            if not (is_number(p) and _is_finite(p)):
+            if not (is_number(p) and math.isfinite(p)):
                 raise ValueError(f"exponents[{i}] must be a finite real number, got {p!r}")
         if min(self.exponents) < 2:
             raise ValueError(f"minimum exponent is 2, got {min(self.exponents)}")
@@ -200,7 +191,7 @@ class BasisSet:
     @classmethod
     def with_mode_count(cls, n: int) -> "BasisSet":
         """Default basis for n modes: consecutive monomials x^2 .. x^(n+1), n <= 1000."""
-        checked_count("mode count", n, 1)
+        n = checked_count("mode count", n, 1)
         _check_mode_ceiling(n)
         return cls(exponents=tuple(range(2, n + 2)))
 

@@ -214,7 +214,7 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
 
     The worst principal phase and its frequency are reported, not tested.
     """
-    checked_real("eps_tol", eps_tol, zero=True)
+    eps_tol = checked_real("eps_tol", eps_tol, zero=True)
     fr = frequency_response(ss, omega)
 
     principal = fr.phase_principal_deg
@@ -279,11 +279,10 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     report's metadata carries its own ``e_scale``, ``rho_scale`` and
     ``i_scale``, and the first sample that fails raises SweepSampleError.
     """
-    checked_number("t_eq", t_eq)
-    t_eq = float(t_eq)  # each report carries it: a float, never a narrow numpy float
+    t_eq = checked_number("t_eq", t_eq)
     if not (is_number(perturbation) and 0.0 <= perturbation < 1.0):
         raise ValueError("perturbation must lie in [0, 1)")
-    checked_count("samples", samples, 1)
+    samples = checked_count("samples", samples, 1)
     levels = round(samples ** (1.0 / 3.0))
     if perturbation == 0.0 or levels == 1:
         axis = np.array([1.0])
@@ -316,8 +315,7 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
                      omega: Sequence[float] | None = None,
                      eps_tol: float = DEFAULT_EPS_TOL) -> list[PassivityReport]:
     """Passivity reports for models of increasing assumed-mode count."""
-    checked_number("t_eq", t_eq)
-    t_eq = float(t_eq)
+    t_eq = checked_number("t_eq", t_eq)
     # Each plant is built while the generator stands at its n.
     return _certify("mode-count sample", t_eq, omega, eps_tol, (
         (n, {"mode_count": int(n)},

@@ -74,8 +74,9 @@ class SimScenario:
     final step whenever the step count is not a multiple of it.  ``dt`` must
     be a real number, finite and > 0, ``decimation`` an int >= 1, and
     ``duration`` and ``w_init`` real numbers (a bool, a string or a value that
-    is not a real number is a ValueError naming the field); a run of more
-    than 10**9 steps (hours of integration) is refused.
+    is not a real number is a ValueError naming the field), each kept as a
+    Python float or int; a run of more than 10**9 steps (hours of
+    integration) is refused.
     """
 
     model: StructuralModel
@@ -87,20 +88,22 @@ class SimScenario:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        checked_real("dt", self.dt)
-        checked_number("w_init", self.w_init)
-        steps = self.step_count if is_number(self.duration) else 0
-        if steps < 1 or abs(steps * float(self.dt) - self.duration) > _STEP_TOL * self.duration:
+        dt, duration = self.dt, self.duration  # as given, for the refusal's text
+        object.__setattr__(self, "dt", checked_real("dt", dt))
+        object.__setattr__(self, "w_init", checked_number("w_init", self.w_init))
+        object.__setattr__(self, "duration", float(duration) if is_number(duration) else 0.0)
+        steps = self.step_count
+        if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
-                             f"one, of steps dt = {self.dt!r} s, got {self.duration!r}")
-        checked_count("decimation", self.decimation, 1)
+                             f"one, of steps dt = {dt!r} s, got {duration!r}")
+        object.__setattr__(self, "decimation", checked_count("decimation", self.decimation, 1))
         if steps > _MAX_STEPS:
             raise ValueError(f"a run of {steps} steps exceeds the ceiling of {_MAX_STEPS} steps")
 
     @property
     def step_count(self) -> int:
         """Nearest whole number of steps dt in duration; 0 when there is none to run."""
-        ratio = float(self.duration) / float(self.dt)  # inf on overflow; 2**63 steps never finish
+        ratio = self.duration / self.dt  # inf on overflow; 2**63 steps never finish
         return round(ratio) if 0.0 < ratio < 2.0 ** 63 else 0
 
 
@@ -154,7 +157,7 @@ def run_simulation(scenario: SimScenario) -> SimResult:
     """Integrate the closed loop with fixed-step RK4, then derive the log's columns."""
     model = scenario.model
     n = model.mode_count
-    dt = float(scenario.dt)
+    dt = scenario.dt
     n_steps = scenario.step_count
     law = _zero_law if scenario.controller is None else make_controller(scenario.controller)
     rate = model.rate_kernel(law)

@@ -8,6 +8,10 @@ bool is not a number here, even where it equals one in range, and a string
 must not reach numpy.
 """
 
+import functools
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +116,11 @@ def test_numpy_scalars_stay_accepted(model3, data):
     assert fb.BasisSet.with_mode_count(np.int64(4)).mode_count == 4
 
 
+@functools.cache
+def _plant_of(model):
+    return fb.linearize(model, fb.solve_equilibrium(model, 1.0))
+
+
 # Inputs of any sign or range whose type alone is checked here: (label, call(value, ctx),
 # fragment, a bool the range checks would let through, a numpy scalar that stays accepted)
 TYPED = [
@@ -151,13 +160,17 @@ TYPED = [
     ("ReferenceTrajectory.map_composed",
      lambda v, ctx: fb.ReferenceTrajectory.map_composed([v, 0.5]),
      "map_coefficients[0] must be", True, np.float64(0.6)),
+    ("StateSpaceModel.d", lambda v, ctx: replace(_plant_of(ctx["model"]), d=v),
+     "d must be a real number", True, np.float64(0.0)),
+    ("StateSpaceModel.t_eq", lambda v, ctx: replace(_plant_of(ctx["model"]), t_eq=v),
+     "t_eq must be", True, np.float64(1.0)),
 ]
 
 
 @pytest.mark.parametrize("call, fragment, value", [
     pytest.param(call, fragment, value, id=f"{label}-{tag}")
     for label, call, fragment, refused_bool, _ in TYPED
-    for value, tag in [(refused_bool, "bool"), ("1", "string")]])
+    for value, tag in [(refused_bool, "bool"), ("1", "string"), (10**400, "huge_int")]])
 def test_type_refusal_names_the_field(model3, call, fragment, value):
     with pytest.raises(ValueError) as refused:
         call(value, {"model": model3})
@@ -235,3 +248,68 @@ def test_float16_sweep_tension_is_reported_as_its_float64_twin(model3):
         reports, expected = sweep(narrow), sweep(twin)
         assert reports == expected
         assert all(type(report.metadata["t_eq"]) is float for report in reports)
+
+
+@pytest.mark.parametrize("d", [1e6, -1e6])
+def test_float16_eps_tol_acts_as_its_float64_twin_on_a_feedthrough_plant(plant, d):
+    """``passivity_check`` compares min Re G with eps_tol in float64: a float16
+    eps_tol used to cast a |min Re G| above 65504 to float16, which overflows."""
+    feedthrough, grid = replace(plant, d=d), fb.default_grid(50)
+    narrow, twin = np.float16(1e-3), float(np.float16(1e-3))
+    assert (fb.passivity_check(feedthrough, grid, narrow)
+            == fb.passivity_check(feedthrough, grid, twin))
+
+
+# (label, build(ctx, **fields), fields given as float16 reals and numpy int counts)
+STORED = [
+    ("BoomParams", lambda ctx, **f: fb.BoomParams(**f),
+     dict(length=np.float16(30.0), linear_density=np.float16(0.1),
+          elastic_modulus=np.float16(2e4), second_moment=np.float16(0.3),
+          cable_offset=np.float16(0.1), node_spacing=np.float16(2.9),
+          spreader_count=np.int64(10))),
+    ("PDGains", lambda ctx, **f: fb.PDGains(**f), dict(k_p=np.float16(9.9), k_d=np.float16(0.3))),
+    ("FeedforwardProfile", lambda ctx, **f: fb.FeedforwardProfile(mode="quintic", **f),
+     dict(tension_final=np.float16(1.1), tension_initial=np.float16(0.3),
+          duration=np.float16(7.7))),
+    ("ReferenceTrajectory",
+     lambda ctx, **f: fb.ReferenceTrajectory(mode="quintic-deflection", **f),
+     dict(w_final=np.float16(1.3), w_initial=np.float16(0.7), duration=np.float16(7.7))),
+    ("SimScenario", lambda ctx, **f: fb.SimScenario(ctx["model"], None, **f),
+     dict(w_init=np.float16(0.3), dt=np.float16(0.1), duration=np.float16(0.2),
+          decimation=np.int64(10))),
+    ("StateSpaceModel", lambda ctx, **f: replace(ctx["plant"], **f),
+     dict(d=np.float16(0.1), t_eq=np.float16(0.9))),
+]
+
+
+@pytest.mark.parametrize("build, fields", [pytest.param(build, fields, id=label)
+                                           for label, build, fields in STORED])
+def test_checked_fields_are_stored_as_python_numbers(model3, plant, build, fields):
+    """Every checked dataclass stores a float16 input as the Python float of its
+    value and a numpy int count as an int: a float16 ``w_init`` and an int64
+    ``decimation`` were stored as given, so the run loop's ``(k + 1) % decimation``
+    was a numpy op on every step."""
+    built = build({"model": model3, "plant": plant}, **fields)
+    for name, value in fields.items():
+        expected = int(value) if isinstance(value, np.integer) else float(value)
+        stored = getattr(built, name)
+        assert type(stored) is type(expected) and stored == expected, name
+
+
+def test_map_coefficients_and_plant_tension_are_stored_as_floats(plant):
+    """Narrow map coefficients are kept as Python floats, and a plant's float32
+    tension reaches its passivity report as a float that ``json.dumps`` writes."""
+    reference = fb.ReferenceTrajectory.map_composed([np.float16(0.6), np.int64(2)])
+    assert [type(c) for c in reference.map_coefficients] == [float, float]
+    assert reference.map_coefficients == (float(np.float16(0.6)), 2.0)
+    report = fb.passivity_check(replace(plant, t_eq=np.float32(1.1)), fb.default_grid(50))
+    assert json.loads(json.dumps(report.metadata))["t_eq"] == float(np.float32(1.1))
+
+
+def test_float32_duration_is_tested_as_its_float64_twin(model3):
+    """The whole-step test runs in float64: a float32 1.1 s is 1.100000023841858 s,
+    2.2e-8 off 1100 steps of 1 ms, and is refused as its float64 twin is (the test
+    ran in float32 and accepted it)."""
+    for duration in (np.float32(1.1), float(np.float32(1.1))):
+        with pytest.raises(ValueError, match="whole number, at least one, of steps"):
+            fb.SimScenario(model3, None, 0.0, duration=duration)
