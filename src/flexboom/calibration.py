@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import is_number
+from .model import is_number, shown
 
 __all__ = [
     "RankDeficient",
@@ -128,7 +128,7 @@ def fit_map(data: MeasurementSet, degree: int) -> TorqueDeflectionMap:
     """Ordinary least-squares polynomial fit of deflection against torque."""
     # 1.0 and True equal 1, but only an int is a degree.
     if not is_number(degree, integral=True) or degree not in (1, 2, 3):
-        raise ValueError(f"degree must be 1, 2, or 3, got {degree}")
+        raise ValueError(f"degree must be 1, 2, or 3, got {shown(degree, str)}")
     if data.distinct_torques <= degree:
         raise RankDeficient(
             f"degree-{degree} fit needs more than {degree} distinct torques, "

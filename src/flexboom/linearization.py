@@ -11,6 +11,13 @@ K_eff is ``StructuralModel.effective_stiffness`` and f is the cable load
 ``actuation_force``; f is linear in u, so df/du(q_eq) = f(q_eq, 1).
 The structure is undamped, so every pole sits on the imaginary axis.
 
+``linearize`` takes one equilibrium or a sequence of them, and linearizes a
+sequence as one stack: one mass solve of the K_eff(T) blocks side by side,
+one of the input loads, and one batched eigensolve of the A matrices for the
+refusal, which names the first point whose A drifts off the imaginary axis.
+A single point is the stack of one, and each column of a stacked solve carries
+the bits of its point's own solve, so a plant does not depend on its stack.
+
 scipy is not imported with this module, so that importing the package stays
 on numpy alone (see the ``model`` module): ``linearize`` loads ``scipy.linalg``
 through ``StructuralModel.mass_solve``, and a plant's ``rate_schur`` calls it
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -146,37 +154,47 @@ class StateSpaceModel:
         return np.linalg.eigvals(self.a)
 
 
-def linearize(model: StructuralModel, eq: EquilibriumPoint) -> StateSpaceModel:
-    """Linearize the boom dynamics about a forced equilibrium.
+def linearize(model: StructuralModel, eq: EquilibriumPoint | Sequence[EquilibriumPoint]
+              ) -> StateSpaceModel | list[StateSpaceModel]:
+    """Linearize the boom dynamics about a forced equilibrium, or about each
+    point of a sequence of them, returning their plants in order (a list).
 
-    Raises RuntimeError if an eigenvalue of A strays off the imaginary axis
-    by more than 1e-6 (absolute): flutter, where M^-1 K_eff(T) has complex
-    eigenvalues (two modes: from about 25.86 N), or a broken spreader-matrix
-    convention.
+    A sequence is one stack (module docstring), and each of its plants is bit
+    for bit the plant of its point's own call.  Raises RuntimeError if an
+    eigenvalue of A strays off the imaginary axis by more than 1e-6
+    (absolute), naming the first point of the stack where one does: flutter,
+    where M^-1 K_eff(T) has complex eigenvalues (two modes: from about
+    25.86 N), or a broken spreader-matrix convention.
     """
-    n = model.mode_count
-    t_eq = eq.tension
-    q_eq = np.asarray(eq.modal_coords, dtype=float)
+    single = isinstance(eq, EquilibriumPoint)
+    points = [eq] if single else list(eq)
+    n, m = model.mode_count, len(points)
+    q_eq = np.array([p.modal_coords for p in points], dtype=float).reshape(m, n)
+    k_eff = model.effective_stiffness(np.array([p.tension for p in points])[:, None, None])
 
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
+    a = np.zeros((m, 2 * n, 2 * n))
+    a[:, :n, n:] = np.eye(n)
     # K_eff(T) before the mass solve: -M^-1 K + T M^-1 S/dx cancels next to a pole.
-    a[n:, :n] = -model.mass_solve(model.effective_stiffness(t_eq))
+    rhs = k_eff.transpose(1, 0, 2).reshape(n, m * n)
+    a[:, n:, :n] = -model.mass_solve(rhs).reshape(n, m, n).transpose(1, 0, 2)
+    inputs = model.mass_solve(actuation_force(model, q_eq, 1.0).T).T
 
-    b = np.concatenate((np.zeros(n), model.mass_solve(actuation_force(model, q_eq, 1.0))))
-    c = np.concatenate((np.zeros(n), model.tip_row))
-    x_bar = np.concatenate([q_eq, np.zeros(n)])
-    ss = StateSpaceModel(a=a, b=b, c=c, d=0.0, t_eq=t_eq, x_bar=x_bar)
+    zeros = np.zeros(n)
+    c = np.concatenate((zeros, model.tip_row))
+    plants = [StateSpaceModel(a=a_k, b=np.concatenate((zeros, b_k)), c=c, d=0.0,
+                              t_eq=p.tension, x_bar=np.concatenate((q_k, zeros)))
+              for a_k, b_k, q_k, p in zip(a, inputs, q_eq, points)]
 
     # The refusal reads eig of the whole A, not sqrt(eig S) off ``rate_schur``:
     # against 50-digit eigenvalues of the float S, from 11 modes the balanced Schur
     # form of S accepts plants that flutter (11 modes at 5.75 N: drift 1.3e-2), while
     # eig(A) refuses some stable 12-mode plants and accepts no fluttering one.
-    real_drift = float(np.max(np.abs(ss.eigenvalues().real)))
-    if real_drift > _EIG_AXIS_TOL:
-        raise RuntimeError(
-            f"eigenvalues of A drift off the imaginary axis by {real_drift:.3e} "
-            f"at tension {t_eq} N: M^-1 K_eff has complex eigenvalues there (flutter "
-            "under the cable load), or the spreader-matrix convention is broken"
-        )
-    return ss
+    drifts = np.abs(np.linalg.eigvals(a).real).max(axis=1)
+    for real_drift, p in zip(drifts.tolist(), points):
+        if real_drift > _EIG_AXIS_TOL:
+            raise RuntimeError(
+                f"eigenvalues of A drift off the imaginary axis by {real_drift:.3e} "
+                f"at tension {p.tension} N: M^-1 K_eff has complex eigenvalues there "
+                "(flutter under the cable load), or the spreader-matrix convention is broken"
+            )
+    return plants[0] if single else plants

@@ -31,6 +31,10 @@ do, never pays for it.
 refuses a value that is not a real number, or a bad real number or count, and
 returns the value it accepts as a Python float (an int for a count), which
 the caller binds.  So no narrow numpy float carries its width past the check.
+A count also has a ceiling, by default the most elements of a float64 array
+numpy builds, so a huge int meets its field's refusal, not an overflow.  Every
+refusal shows the refused value through ``shown``, which names an int too long
+for Python to print by its digit count.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # built; the mass matrix of a 1, 29.4 or 100 m boom already refuses 11, 13 or 11.
 _MODE_CEILING = 1000
 
+# The default ceiling of a count: every count sizes or indexes an array, and numpy
+# builds no float64 array of more elements (its size in bytes is an index too).
+_COUNT_MAX = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
+
 
 def is_number(value: object, *, integral: bool = False) -> bool:
     """True if ``value`` is a real number: a Python or numpy float or int, only
@@ -79,11 +87,27 @@ def is_number(value: object, *, integral: bool = False) -> bool:
             and (integral or not isinstance(value, int) or abs(value) <= _FLOAT_MAX))
 
 
+def shown(value: object, form: Callable[[object], str] = repr) -> str:
+    """``form(value)`` for a refusal's text, or, for an int with more digits than
+    Python prints (``sys.get_int_max_str_digits()``), its digit count: so a
+    refusal names its field whatever value it refuses."""
+    try:
+        return form(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        size = abs(value)
+        digits = max(0, int((size.bit_length() - 1) * math.log10(2.0)) - 1)  # <= log10(size)
+        while 10 ** digits <= size:
+            digits += 1
+        return f"an int of {digits} digits"
+
+
 def checked_number(name: str, value: float) -> float:
     """``value`` as a Python float; ValueError naming ``name`` unless it is a
     real number (any range)."""
     if not is_number(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {shown(value)}")
     return float(value)
 
 
@@ -92,21 +116,20 @@ def checked_real(name: str, value: float, *, zero: bool = False) -> float:
     real number whose float64 value is finite and > 0, or >= 0 with ``zero``."""
     number = float(value) if is_number(value) else math.nan
     if not (math.isfinite(number) and (0.0 <= number if zero else 0.0 < number)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
+        raise ValueError(
+            f"{name} must be finite and {'>=' if zero else '>'} 0, got {shown(value)}")
     return number
 
 
-def checked_count(name: str, value: int, minimum: int) -> int:
+def checked_count(name: str, value: int, minimum: int, maximum: int = _COUNT_MAX) -> int:
     """``value`` as a Python int; ValueError naming ``name`` unless it is an int
-    (a Python or numpy int, not a bool) that is >= ``minimum``."""
+    (a Python or numpy int, not a bool) in [``minimum``, ``maximum``]."""
     if not (is_number(value, integral=True) and value >= minimum):
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _check_mode_ceiling(count: int) -> None:
-    if count > _MODE_CEILING:
-        raise ValueError(f"mode count must be <= {_MODE_CEILING}, got {count}")
+        raise ValueError(f"{name} must be an int >= {minimum}, got {shown(value)}")
+    count = int(value)
+    if count > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {shown(count)}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -179,10 +202,10 @@ class BasisSet:
         object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.exponents) < 1:
             raise ValueError("basis needs at least one exponent")
-        _check_mode_ceiling(len(self.exponents))
+        checked_count("mode count", len(self.exponents), 1, _MODE_CEILING)
         for i, p in enumerate(self.exponents):
             if not (is_number(p) and math.isfinite(p)):
-                raise ValueError(f"exponents[{i}] must be a finite real number, got {p!r}")
+                raise ValueError(f"exponents[{i}] must be a finite real number, got {shown(p)}")
         if min(self.exponents) < 2:
             raise ValueError(f"minimum exponent is 2, got {min(self.exponents)}")
         if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
@@ -191,8 +214,7 @@ class BasisSet:
     @classmethod
     def with_mode_count(cls, n: int) -> "BasisSet":
         """Default basis for n modes: consecutive monomials x^2 .. x^(n+1), n <= 1000."""
-        n = checked_count("mode count", n, 1)
-        _check_mode_ceiling(n)
+        n = checked_count("mode count", n, 1, _MODE_CEILING)
         return cls(exponents=tuple(range(2, n + 2)))
 
     @property

@@ -33,18 +33,20 @@ The (E, rho, I) uncertainty box is a one-parameter family: M scales with rho
 and K with E*I, and the cable terms with neither, so a sample at tension T is
 the nominal boom at T / (e*i) with its rate block times e*i / rho and its
 input vector over rho.  The sweep therefore assembles the nominal model when
-the first sample needs it, solves and linearizes it once per distinct product
-e*i, and rescales that plant for each sample.  Only each chain's plant
-balances and Schur-factorises its rate block; each rescaled plant inherits
+the first sample needs it, solves it once per distinct product e*i, linearizes
+every solved class in one ``linearize`` call (should that call refuse, as when
+a class flutters, each class is linearized on its own), and rescales each
+class's plant for each sample.  Only each class's plant balances and
+Schur-factorises its rate block; each rescaled plant inherits
 the factorisation times e*i / rho (``StateSpaceModel.rate_scaled``: the
 balancing scale holds powers of 2, so the scaled block stays exactly
 balanced), and a 5-level box runs 15 factorisations for its 75 plants.
 Each plant is still checked on the caller's grid with its own nudging and
 refinement, against its own balanced block.
-Where the nominal boom is refused (its assembly, or its chain at T / (e*i):
-the critical tension, a residual, flutter), the sample's own model is built
-and solved at T instead, so the refusal names the sample's own tension and
-critical tension, and that sample factorises its own plant.
+Where the nominal boom is refused (its assembly, or its class's chain at
+T / (e*i): the critical tension, a residual, flutter), the sample's own model
+is built and solved at T instead, so the refusal names the sample's own
+tension and critical tension, and that sample factorises its own plant.
 Both sweeps run one loop over (key, sample, plant) triples: the first sample
 of a key builds and certifies its plant, and every sample of that key gets
 that report under its own metadata.  The mode-count sweep keys by the mode
@@ -59,14 +61,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .equilibrium import solve_equilibrium
+from .equilibrium import EquilibriumPoint, solve_equilibrium
 from .linearization import StateSpaceModel, linearize
 from .model import (BasisSet, BoomParams, StructuralModel, assemble_matrices, checked_count,
-                    checked_number, checked_real, is_number)
+                    checked_number, checked_real, is_number, shown)
 
 __all__ = [
     "PoleOnGrid",
@@ -87,6 +89,10 @@ _COND_NUDGE = 1e12
 _COND_FAIL = 1e14
 _COND_EXTENDED = 1e6
 DEFAULT_EPS_TOL = 1e-9
+# Most samples a box may ask for, refused before its axis is built: 6-25 min of
+# sweep at 0.35-1.5 ms per 3- to 6-mode sample on the default grid, and 0.6 GB of reports.
+_MAX_SAMPLES = 10**6
+_T = TypeVar("_T")
 
 
 class PoleOnGrid(RuntimeError):
@@ -104,8 +110,8 @@ def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
             and is_number(omega_max) and 0.0 < omega_min < omega_max
             and _finite_square(omega_max)):
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
-                         f"omega_max**2 and n_points >= 1, got omega_min={omega_min!r}, "
-                         f"omega_max={omega_max!r}, n_points={n_points!r}")
+                         f"omega_max**2 and n_points >= 1, got omega_min={shown(omega_min)}, "
+                         f"omega_max={shown(omega_max)}, n_points={shown(n_points)}")
     # Float bounds: a narrow bound would narrow the grid with it.
     return np.logspace(np.log10(float(omega_min)), np.log10(float(omega_max)), n_points)
 
@@ -237,9 +243,24 @@ def passivity_check(ss: StateSpaceModel, omega: Sequence[float] | None = None,
     )
 
 
-def _chain(model: StructuralModel, t_eq: float) -> StateSpaceModel:
+def _chain(model: StructuralModel, t_eq: float) -> EquilibriumPoint:
+    """The equilibrium of ``model`` at t_eq, the first link of its chain to a plant
+    (``linearize`` is the second): a box class whose nominal chain is refused at
+    either link is certified on its samples' own models."""
+    return solve_equilibrium(model, t_eq)
+
+
+def _plant(model: StructuralModel, t_eq: float) -> StateSpaceModel:
     """The plant of ``model`` linearized about its equilibrium at t_eq."""
-    return linearize(model, solve_equilibrium(model, t_eq))
+    return linearize(model, _chain(model, t_eq))
+
+
+def _unless_refused(call: Callable[..., _T], *args) -> _T | None:
+    """``call(*args)``, or None where it refuses: a box sample's own chain then says why."""
+    try:
+        return call(*args)
+    except (RuntimeError, ValueError):
+        return None
 
 
 def _certify(label: str, t_eq: float, omega: Sequence[float] | None, eps_tol: float,
@@ -275,14 +296,17 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
     ``samples`` is rounded to the nearest full cube (k levels per axis give
     k^3 samples); the default 125 uses five levels spanning +-perturbation.
     Sample order is deterministic (E outermost, I innermost).  Samples share
-    solves, plants and reports by the module docstring's box rules; each
+    solves, plants and reports by the module docstring's box rules: the E*I
+    classes are linearized in one call, or each on its own where that call
+    refuses, so every refusal reads as a per-class chain's.  ``samples`` may
+    be at most 10**6, refused before any axis is built; each
     report's metadata carries its own ``e_scale``, ``rho_scale`` and
     ``i_scale``, and the first sample that fails raises SweepSampleError.
     """
     t_eq = checked_number("t_eq", t_eq)
     if not (is_number(perturbation) and 0.0 <= perturbation < 1.0):
         raise ValueError("perturbation must lie in [0, 1)")
-    samples = checked_count("samples", samples, 1)
+    samples = checked_count("samples", samples, 1, _MAX_SAMPLES)
     levels = round(samples ** (1.0 / 3.0))
     if perturbation == 0.0 or levels == 1:
         axis = np.array([1.0])
@@ -290,20 +314,25 @@ def uncertainty_sweep(params: BoomParams, basis: BasisSet, t_eq: float,
         spread = float(perturbation)  # a float16 spread would build a float16 axis
         axis = np.linspace(1.0 - spread, 1.0 + spread, levels)
 
-    nominal = functools.cache(lambda: assemble_matrices(params, basis))
+    classes = dict.fromkeys(e * i for e, i in itertools.product(axis, repeat=2))
 
     @functools.cache
-    def chain(k: float) -> StateSpaceModel | None:
-        """The nominal plant of class e*i = k, or None where the nominal boom is refused."""
-        try:
-            return _chain(nominal(), t_eq / k)
-        except (RuntimeError, ValueError):  # refused: the sample's own chain says why
-            return None
+    def chains() -> dict[float, StateSpaceModel | None]:
+        """The nominal plant of each class e*i, None or absent where the nominal boom is refused."""
+        model = _unless_refused(assemble_matrices, params, basis)
+        if model is None:
+            return {}
+        points = {k: _unless_refused(_chain, model, t_eq / k) for k in classes}
+        solved = {k: eq for k, eq in points.items() if eq is not None}
+        plants = _unless_refused(linearize, model, list(solved.values()))
+        if plants is None:  # a class is refused (flutter): linearize each on its own
+            plants = [_unless_refused(linearize, model, eq) for eq in solved.values()]
+        return dict(zip(solved, plants))
 
     def plant(e: float, rho: float, i: float) -> StateSpaceModel:
-        parent = chain(e * i)
+        parent = chains().get(e * i)
         if parent is None:
-            return _chain(assemble_matrices(params.scaled(e, rho, i), basis), t_eq)
+            return _plant(assemble_matrices(params.scaled(e, rho, i), basis), t_eq)
         return parent.rate_scaled(e * i / rho, parent.b / rho, t_eq)  # module docstring
 
     return _certify("sweep sample", t_eq, omega, eps_tol, (
@@ -319,5 +348,5 @@ def mode_count_sweep(params: BoomParams, mode_counts: Sequence[int], t_eq: float
     # Each plant is built while the generator stands at its n.
     return _certify("mode-count sample", t_eq, omega, eps_tol, (
         (n, {"mode_count": int(n)},
-         lambda: _chain(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq))
+         lambda: _plant(assemble_matrices(params, BasisSet.with_mode_count(n)), t_eq))
         for n in mode_counts))

@@ -33,7 +33,7 @@ from .control import (ControllerConfig, ControlSample, FeedforwardProfile,
                       PDGains, ReferenceTrajectory, make_controller)
 from .equilibrium import solve_equilibrium, tension_for_deflection
 from .model import (BasisSet, BoomParams, State, StructuralModel, assemble_matrices,
-                    checked_count, checked_number, checked_real, is_number, total_energy)
+                    checked_count, checked_number, checked_real, is_number, shown, total_energy)
 
 __all__ = [
     "SimScenario",
@@ -95,7 +95,7 @@ class SimScenario:
         steps = self.step_count
         if steps < 1 or abs(steps * self.dt - self.duration) > _STEP_TOL * self.duration:
             raise ValueError("duration must be finite and a whole number, at least "
-                             f"one, of steps dt = {dt!r} s, got {duration!r}")
+                             f"one, of steps dt = {shown(dt)} s, got {shown(duration)}")
         object.__setattr__(self, "decimation", checked_count("decimation", self.decimation, 1))
         if steps > _MAX_STEPS:
             raise ValueError(f"a run of {steps} steps exceeds the ceiling of {_MAX_STEPS} steps")

@@ -872,3 +872,15 @@ def test_csv_formats_a_float_table_as_the_per_value_formatter():
         narrow = table.astype(np.float32)
     for other in (narrow, np.arange(12).reshape(4, 3)):
         assert cli._csv(header, other) == _reference_csv(header, other)
+
+
+def test_sweep_samples_past_the_ceiling_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the box's axis was built")
+
+    monkeypatch.setattr(np, "linspace", build)  # a refused count never gets this far
+    code = main(["bode", "--teq", "0.5", "--sweep", "uncertainty", "--samples", str(2 ** 70),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: samples must be <= 1000000, got 1180591620717411303424\n")

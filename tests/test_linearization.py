@@ -278,3 +278,36 @@ def test_rate_scaled_refuses_what_scaling_or_a_new_b_can_break(ss_at_1n, case):
         b, message = b[1:], "cannot reshape"
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
         ss_at_1n.rate_scaled(factor, b, 1.0)
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.8, 1.2, 0.8), (1.2, 0.8, 1.2)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_linearize_is_the_single_calls_bit_for_bit(params, n, scales):
+    # Each column of the stacked mass solves must carry the single solve's bits; if
+    # a BLAS build breaks that, the stacking in ``linearize`` is what must change.
+    model = fb.assemble_matrices(params.scaled(*scales), fb.BasisSet.with_mode_count(n))
+    points = [fb.solve_equilibrium(model, t)
+              for t in np.linspace(0.0, 0.9 * min(model.critical_tension, 10.0), 6)]
+    for stack in (points, points[2:3], tuple(reversed(points))):
+        plants = fb.linearize(model, stack)
+        assert isinstance(plants, list) and len(plants) == len(stack)
+        for plant, point in zip(plants, stack):
+            single = fb.linearize(model, point)
+            for name in ("a", "b", "c", "x_bar"):
+                assert np.array_equal(getattr(plant, name), getattr(single, name)), name
+            assert plant.t_eq == single.t_eq == point.tension and plant.d == single.d
+    assert fb.linearize(model, ()) == []
+
+
+def test_stack_refuses_with_its_first_fluttering_point(params):
+    # Two modes flutter from about 25.86 N: the stack's refusal is the single call's
+    # at its first fluttering point, whatever stands before or after it.
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(2))
+    steady, flutter, later = (fb.solve_equilibrium(model, t) for t in (1.0, 26.0, 30.0))
+    with pytest.raises(RuntimeError) as single:
+        fb.linearize(model, flutter)
+    assert "drift off the imaginary axis" in str(single.value)
+    for stack in ([flutter], [steady, flutter, later], (steady, flutter, steady)):
+        with pytest.raises(RuntimeError) as refused:
+            fb.linearize(model, stack)
+        assert str(refused.value) == str(single.value)

@@ -313,3 +313,67 @@ def test_float32_duration_is_tested_as_its_float64_twin(model3):
     for duration in (np.float32(1.1), float(np.float32(1.1))):
         with pytest.raises(ValueError, match="whole number, at least one, of steps"):
             fb.SimScenario(model3, None, 0.0, duration=duration)
+
+
+# More digits than Python prints (sys.get_int_max_str_digits(), 4300 by default).
+HUGE = 10 ** 5000
+NOT_PRINTED = "got an int of 5001 digits"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda ctx: fb.model.checked_real("t_max", HUGE),
+     f"t_max must be finite and > 0, {NOT_PRINTED}"),
+    (lambda ctx: fb.model.checked_number("t_eq", -HUGE),
+     f"t_eq must be a real number, {NOT_PRINTED}"),
+    (lambda ctx: fb.model.checked_count("samples", HUGE, 1), "samples must be <= "),
+    (lambda ctx: fb.model.checked_count("samples", -HUGE, 1), "samples must be an int >= 1, "),
+    (lambda ctx: fb.SimScenario(ctx["model"], None, 0.0, duration=HUGE),
+     "duration must be finite and a whole number"),
+    (lambda ctx: fb.default_grid(5, 1e-3, HUGE), "omega_max=an int of 5001 digits, "),
+    (lambda ctx: fb.BasisSet((2, HUGE)),
+     f"exponents[1] must be a finite real number, {NOT_PRINTED}"),
+    (lambda ctx: fb.fit_map(ctx["data"], HUGE), f"degree must be 1, 2, or 3, {NOT_PRINTED}"),
+], ids=["checked_real", "checked_number", "checked_count", "checked_count_below",
+        "SimScenario.duration", "default_grid", "BasisSet.exponents", "fit_map.degree"])
+def test_refusal_of_an_unprintable_int_names_the_field_and_its_digits(model3, data, call, text):
+    with pytest.raises(ValueError) as refused:
+        call({"model": model3, "data": data})
+    assert text in str(refused.value) and "5001 digits" in str(refused.value)
+
+
+def test_refused_value_is_its_repr_or_its_digit_count():
+    shown = fb.model.shown
+    assert shown(10 ** 4299) == repr(10 ** 4299)  # 4300 digits print
+    assert shown(10 ** 4300) == shown(10 ** 4301 - 1) == "an int of 4301 digits"
+    assert shown(-10 ** 4301) == "an int of 4302 digits"
+    assert shown(np.int64(3)) == "np.int64(3)" and shown("1") == "'1'" and shown(3, str) == "3"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda ctx: fb.BoomParams(spreader_count=10 ** 400), "spreader_count must be <= "),
+    (lambda ctx: fb.deflection_curve(ctx["model"], 1.0, 10 ** 400), "samples must be <= "),
+    (lambda ctx: fb.uncertainty_sweep(ctx["model"].params, ctx["model"].basis, 0.5, 0.1,
+                                      10 ** 400, fb.default_grid(50)),
+     "samples must be <= 1000000, got 1"),
+], ids=["BoomParams.spreader_count", "deflection_curve.samples", "uncertainty_sweep.samples"])
+def test_count_too_large_for_a_float_is_refused_by_name(model3, call, text):
+    with pytest.raises(ValueError) as refused:
+        call({"model": model3})
+    assert str(refused.value).startswith(text)
+
+
+def test_sweep_sample_ceiling_is_checked_before_the_axis_is_built(monkeypatch, model3):
+    grid = fb.default_grid(50)
+
+    class AxisBuilt(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise AxisBuilt
+
+    monkeypatch.setattr(np, "linspace", build)  # a refused count never gets this far
+    for samples in (10 ** 6 + 1, 2 ** 70):
+        with pytest.raises(ValueError, match=f"^samples must be <= 1000000, got {samples}$"):
+            fb.uncertainty_sweep(model3.params, model3.basis, 0.5, 0.1, samples, grid)
+    with pytest.raises(AxisBuilt):  # the ceiling itself is a valid count
+        fb.uncertainty_sweep(model3.params, model3.basis, 0.5, 0.1, 10 ** 6, grid)

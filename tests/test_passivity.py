@@ -9,6 +9,7 @@ from scipy.linalg import matrix_balance
 
 import flexboom as fb
 from flexboom import passivity
+from flexboom.equilibrium import EquilibriumPoint
 import oracles
 
 
@@ -757,3 +758,41 @@ def test_bad_grid_is_refused_without_warnings(ss_nominal, grid):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="strictly increasing with finite squares"):
             fb.frequency_response(ss_nominal, np.array(grid))
+
+
+def test_box_linearizes_its_classes_in_one_call(monkeypatch, params, basis3):
+    linearize, stacks = passivity.linearize, []
+    monkeypatch.setattr(passivity, "linearize", lambda model, points: (
+        stacks.append(len(points)) or linearize(model, points)))
+    fb.uncertainty_sweep(params, basis3, 0.77, 0.2, 125, fb.default_grid(300))
+    assert stacks == [15]
+
+
+@pytest.mark.parametrize("modes, t_eq", [
+    (3, 0.77),  # no class refused
+    (2, 17.5),  # class e*i = 0.64 flutters at 17.5 N / 0.64 (two modes: from 25.86 N)
+    (3, 5.5),   # class e*i = 0.64 lies past T_c = 8.0 N at 5.5 N / 0.64
+])
+def test_box_answers_as_the_per_class_chain(monkeypatch, params, modes, t_eq):
+    basis, grid = fb.BasisSet.with_mode_count(modes), fb.default_grid(300)
+
+    def outcome():
+        try:
+            return fb.uncertainty_sweep(params, basis, t_eq, 0.2, 125, grid)
+        except fb.SweepSampleError as exc:
+            return str(exc), type(exc.__cause__), str(exc.__cause__)
+
+    stacked = outcome()
+    linearize = passivity.linearize
+
+    def single(model, eq):  # refuses every stack, so the box takes its per-class chain
+        if not isinstance(eq, EquilibriumPoint):
+            raise RuntimeError("no stack")
+        return linearize(model, eq)
+
+    monkeypatch.setattr(passivity, "linearize", single)
+    assert stacked == outcome()
+    if modes == 3 and t_eq == 0.77:
+        assert len(stacked) == 125
+    else:
+        assert stacked[0].startswith("sweep sample {'e_scale': 0.8, 'rho_scale': 0.8, ")

@@ -28,6 +28,10 @@ sample (1.2, 0.8, 1.2) from the nominal plant through the same constructor
 (24-29 us per call on that host, its copies and checks included) and hands it
 the nominal factorisation, scaled, and that plant's ``passivity_check``, which
 factorises nothing.
+Two rows time the linearizations of the 15 E*I classes of the +-20 % box below (each
+class's equilibrium at 0.77 N / (e*i), solved beforehand), once as one ``linearize``
+call on the sequence of points and once as 15 single calls, in microseconds
+per box.
 The last layer row times a whole 125-sample ``uncertainty_sweep`` (+-20 %) at
 0.77 N on the default grid, best of 5 sweeps, in microseconds per sample.
 In that box only the 15 E*I classes factorise their rate blocks; each rho
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import os
 import statistics
 import subprocess
@@ -164,6 +169,12 @@ def layer_times(modes: int) -> dict[str, float]:
     layers["rate_scaled"] = rho_plant
     layers["passivity_check/rho plant"] = functools.partial(fb.passivity_check, rho_plant(),
                                                             grid)
+    axis = np.linspace(1.0 - SWEEP_PERTURBATION, 1.0 + SWEEP_PERTURBATION,
+                       round(SWEEP_SAMPLES ** (1.0 / 3.0)))
+    box = [fb.solve_equilibrium(model, TENSION / k)
+           for k in dict.fromkeys(e * i for e, i in itertools.product(axis, repeat=2))]
+    layers[f"linearize/box of {len(box)} stacked"] = functools.partial(fb.linearize, model, box)
+    layers[f"linearize/box of {len(box)} single"] = lambda: [fb.linearize(model, p) for p in box]
     times = {name: 1e6 * min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS
              for name, call in layers.items()}
     sweep = functools.partial(fb.uncertainty_sweep, params, basis, TENSION,
