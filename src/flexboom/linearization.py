@@ -20,14 +20,15 @@ the bits of its point's own solve, so a plant does not depend on its stack.
 
 scipy is not imported with this module, so that importing the package stays
 on numpy alone (see the ``model`` module): ``linearize`` loads ``scipy.linalg``
-through ``StructuralModel.mass_solve``, and a plant's ``rate_schur`` calls it
-through the module-level ``schur``, which a test can replace.
+through ``StructuralModel.mass_solve``, and a plant's ``rate_schur`` calls
+scipy's LAPACK wrappers directly on its first read: ``dgebal`` to balance, and
+``dgees`` through the module-level ``schur``, which a test can replace.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +42,35 @@ _EIG_AXIS_TOL = 1e-6  # absolute bound on |Re(eig(A))| for produced models
 
 
 def schur(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.schur(matrix)``, with scipy loaded on the first call."""
-    from scipy.linalg import schur as real_schur
+    """The real Schur form (T, Z) of a finite square ``matrix``, from LAPACK's
+    ``dgees`` as ``scipy.linalg.schur(matrix)`` calls it (a workspace query,
+    then the call), with scipy loaded on the first call; LinAlgError where it
+    fails."""
+    from scipy.linalg.lapack import dgees
 
-    return real_schur(matrix)
+    lwork = int(dgees(_unsorted, matrix, lwork=-1)[-2][0])
+    tri, _, _, _, unitary, _, info = dgees(_unsorted, matrix, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Schur form not found (dgees info {info})")
+    return tri, unitary
+
+
+def _unsorted(real: float, imag: float) -> None:
+    """``dgees``'s eigenvalue selector, never called: the Schur form is not reordered."""
+
+
+def _rate_input(b: np.ndarray, two_n: int) -> np.ndarray:
+    """``b`` as a float vector of ``two_n`` entries; ValueError unless it drives only
+    the rate block."""
+    b = np.array(b, dtype=float).reshape(two_n)
+    if b[:two_n // 2].any():
+        raise ValueError("B must drive only the rate block")
+    return b
+
+
+def _check_finite(*arrays: np.ndarray | float) -> None:
+    if not np.isfinite(np.concatenate(arrays, axis=None)).all():
+        raise ValueError("state-space matrices must be finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +82,10 @@ class StateSpaceModel:
     (zero top-left, identity top-right, zero bottom-right) and B drives only
     the rate block; the frequency-response code relies on it.  ``a``, ``b``,
     ``c`` and ``x_bar`` are read-only copies of the constructor's arrays, so
-    the checks below hold for the plant's lifetime; every plant, a box
-    sample's from ``rate_scaled`` too, is built through them.  The six fields
+    the checks below hold for the plant's lifetime.  A box sample's plant
+    from ``rate_scaled`` skips the constructor: it reruns the checks that its
+    new rate block, ``b`` and ``t_eq`` can fail, and shares the parent's
+    checked ``c``, ``x_bar`` and ``d``.  The six fields
     define the plant; ``rate_schur``, the one factorisation of its rate block,
     is derived from them on first read (``dataclasses.replace`` makes a plant
     that derives its own, and ``rate_scaled`` hands its plant one ready made).
@@ -85,13 +113,10 @@ class StateSpaceModel:
             raise ValueError("A must have zero diagonal blocks")
         if (a[:n, n:] != np.eye(n)).any():
             raise ValueError("top-right block of A must be the identity")
-        b = np.array(self.b, dtype=float).reshape(two_n)
-        if b[:n].any():
-            raise ValueError("B must drive only the rate block")
+        b = _rate_input(self.b, two_n)
         c = np.array(self.c, dtype=float).reshape(two_n)
         x_bar = np.array(self.x_bar, dtype=float).reshape(two_n)
-        if not np.isfinite(np.concatenate((a.ravel(), b, c, (self.d,)))).all():
-            raise ValueError("state-space matrices must be finite")
+        _check_finite(a, b, c, self.d)
         for name, value in (("a", a), ("b", b), ("c", c), ("x_bar", x_bar)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -110,44 +135,60 @@ class StateSpaceModel:
     def rate_schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
         """(S_bal, scale, T, Z, ||S_bal||_2): the rate block balanced,
         S_bal = S with row i divided and column i multiplied by scale[i], and
-        its Schur form S_bal = Z T Z^H with T upper triangular."""
-        from scipy.linalg import matrix_balance, rsf2csf
+        its Schur form S_bal = Z T Z^H with T upper triangular.
+
+        Its bits are those of ``scipy.linalg.matrix_balance(S, permute=False)``,
+        ``scipy.linalg.schur`` and ``numpy.linalg.norm(S_bal, 2)``: it calls the
+        LAPACK routines behind them (``dgebal``, ``dgees``) and the singular
+        values directly, since their wrappers cost more than a small block's
+        factorisation.
+        """
+        from scipy.linalg import rsf2csf
+        from scipy.linalg.lapack import dgebal
 
         # Balanced similarity scaling: the monomial coordinates are badly scaled.
-        s_bal, t_diag = matrix_balance(self.rate_block, permute=False)
-        t_scale = np.diag(t_diag)
+        s_bal, _, _, t_scale, _ = dgebal(self.rate_block, scale=1, permute=0)
         # With real eigenvalues the real Schur form is triangular, a complex Schur
         # form in real arithmetic; complex pairs leave 2x2 blocks to convert.
         tri, unitary = schur(s_bal)
         if np.any(np.diag(tri, -1)):
             tri, unitary = rsf2csf(tri, unitary)
-        for array in (s_bal, tri, unitary):  # t_scale, a diagonal view, is read-only
+        for array in (s_bal, t_scale, tri, unitary):
             array.setflags(write=False)
-        return s_bal, t_scale, tri, unitary, np.linalg.norm(s_bal, 2)
+        return s_bal, t_scale, tri, unitary, np.linalg.svd(s_bal, compute_uv=False).max()
 
     def rate_scaled(self, factor: float, b: np.ndarray, t_eq: float) -> StateSpaceModel:
         """This plant with its rate block times ``factor``, input vector ``b``
-        and anchor tension ``t_eq``, built and checked by the constructor like
-        any plant, carrying this plant's ``rate_schur`` scaled:
-        (factor S_bal, scale, factor T, Z, factor ||S_bal||_2).
+        and anchor tension ``t_eq``, carrying this plant's ``rate_schur``
+        scaled: (factor S_bal, scale, factor T, Z, factor ||S_bal||_2).
 
-        ``scale`` holds powers of 2, so balancing the scaled block by it is
-        exact short of overflow or underflow: the inherited S_bal is the new
-        rate block balanced, bit for bit, and Z (factor T) Z^H is a Schur form
-        of it.  ``factor`` must be finite and positive, so that the norm scales
-        by it too.
+        The new plant is the one the constructor builds from those arrays, made
+        without it: it runs only the checks a factor, a new ``b`` and ``t_eq``
+        can fail, with the constructor's messages (``factor`` finite and > 0,
+        so that the norm scales by it too; ``b`` driving only the rate block;
+        the scaled block and ``b`` finite; ``t_eq`` a real number), and shares
+        this plant's read-only ``c``, ``x_bar`` and ``d``.  ``scale`` holds
+        powers of 2, so balancing the
+        scaled block by it is exact short of overflow or underflow: the
+        inherited S_bal is the new rate block balanced, bit for bit, and
+        Z (factor T) Z^H is a Schur form of it.
         """
         factor = checked_real("rate factor", factor)
+        t_eq = checked_number("t_eq", t_eq)
         n = self.mode_count
+        b = _rate_input(b, 2 * n)
         a = self.a.copy()
         a[n:, :n] *= factor
-        plant = replace(self, a=a, b=b, t_eq=t_eq)
+        _check_finite(a[n:, :n], b)
         s_bal, t_scale, tri, unitary, s_norm = self.rate_schur
         s_bal, tri = s_bal * factor, tri * factor
-        for array in (s_bal, tri):
+        for array in (a, b, s_bal, tri):
             array.setflags(write=False)
-        # Stored in the cached_property's slot before the plant is shared, so it is never computed.
-        vars(plant)["rate_schur"] = (s_bal, t_scale, tri, unitary, s_norm * factor)
+        plant = object.__new__(StateSpaceModel)
+        # The fields in the constructor's order, then the factorisation in the
+        # cached_property's slot, so it is never computed.
+        vars(plant).update(a=a, b=b, c=self.c, d=self.d, t_eq=t_eq, x_bar=self.x_bar,
+                           rate_schur=(s_bal, t_scale, tri, unitary, s_norm * factor))
         return plant
 
     def eigenvalues(self) -> np.ndarray:

@@ -75,7 +75,7 @@ _MODE_CEILING = 1000
 
 # The default ceiling of a count: every count sizes or indexes an array, and numpy
 # builds no float64 array of more elements (its size in bytes is an index too).
-_COUNT_MAX = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
+COUNT_MAX = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
 
 
 def is_number(value: object, *, integral: bool = False) -> bool:
@@ -121,7 +121,7 @@ def checked_real(name: str, value: float, *, zero: bool = False) -> float:
     return number
 
 
-def checked_count(name: str, value: int, minimum: int, maximum: int = _COUNT_MAX) -> int:
+def checked_count(name: str, value: int, minimum: int, maximum: int = COUNT_MAX) -> int:
     """``value`` as a Python int; ValueError naming ``name`` unless it is an int
     (a Python or numpy int, not a bool) in [``minimum``, ``maximum``]."""
     if not (is_number(value, integral=True) and value >= minimum):

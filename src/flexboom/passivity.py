@@ -41,6 +41,9 @@ Schur-factorises its rate block; each rescaled plant inherits
 the factorisation times e*i / rho (``StateSpaceModel.rate_scaled``: the
 balancing scale holds powers of 2, so the scaled block stays exactly
 balanced), and a 5-level box runs 15 factorisations for its 75 plants.
+A rescaled plant skips the constructor: it rechecks only its scaled block,
+its input vector and its tension, and shares the class plant's output row
+and anchor state.
 Each plant is still checked on the caller's grid with its own nudging and
 refinement, against its own balanced block.
 Where the nominal boom is refused (its assembly, or its class's chain at
@@ -60,15 +63,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .equilibrium import EquilibriumPoint, solve_equilibrium
 from .linearization import StateSpaceModel, linearize
-from .model import (BasisSet, BoomParams, StructuralModel, assemble_matrices, checked_count,
-                    checked_number, checked_real, is_number, shown)
+from .model import (COUNT_MAX, BasisSet, BoomParams, StructuralModel, assemble_matrices,
+                    checked_count, checked_number, checked_real, is_number, shown)
 
 __all__ = [
     "PoleOnGrid",
@@ -105,12 +108,17 @@ class SweepSampleError(RuntimeError):
 
 def default_grid(n_points: int = 2000, omega_min: float = 1e-3,
                  omega_max: float = 1e3) -> np.ndarray:
-    """Log-spaced frequency grid (rad/s) bracketing the boom's modes."""
-    if not (is_number(n_points, integral=True) and n_points >= 1 and is_number(omega_min)
-            and is_number(omega_max) and 0.0 < omega_min < omega_max
-            and _finite_square(omega_max)):
+    """Log-spaced frequency grid (rad/s) bracketing the boom's modes.
+
+    ``n_points`` is a count with ``checked_count``'s default ceiling, the most
+    elements of a float64 array numpy builds."""
+    count = is_number(n_points, integral=True) and n_points >= 1
+    if not (count and n_points <= COUNT_MAX and is_number(omega_min) and is_number(omega_max)
+            and 0.0 < omega_min < omega_max and _finite_square(omega_max)):
+        # The ceiling is named only when it refuses, so other refusals read as before.
+        points = f"n_points <= {COUNT_MAX}" if count and n_points > COUNT_MAX else "n_points >= 1"
         raise ValueError("frequency grid needs 0 < omega_min < omega_max < inf, a finite "
-                         f"omega_max**2 and n_points >= 1, got omega_min={shown(omega_min)}, "
+                         f"omega_max**2 and {points}, got omega_min={shown(omega_min)}, "
                          f"omega_max={shown(omega_max)}, n_points={shown(n_points)}")
     # Float bounds: a narrow bound would narrow the grid with it.
     return np.logspace(np.log10(float(omega_min)), np.log10(float(omega_max)), n_points)
@@ -281,7 +289,10 @@ def _certify(label: str, t_eq: float, omega: Sequence[float] | None, eps_tol: fl
             except Exception as exc:
                 raise SweepSampleError(
                     f"{label} {sample} at tension {t_eq} N failed: {exc}") from exc
-        out.append(replace(reports[key], metadata={**reports[key].metadata, **sample}))
+        report = reports[key]
+        out.append(PassivityReport(report.passive, report.worst_phase_deg,
+                                   report.worst_phase_omega, report.min_real,
+                                   report.min_real_omega, {**report.metadata, **sample}))
     return out
 
 

@@ -189,6 +189,54 @@ def _toy_plant(rate_block):
     return fb.StateSpaceModel(a=a, b=ones, c=ones, d=0.0, t_eq=0.0, x_bar=np.zeros(2 * n))
 
 
+def _assert_scipy_rate_schur(plant):
+    """``plant.rate_schur`` holds the bits of scipy's balancing and Schur form
+    and of numpy's 2-norm, read-only."""
+    s_bal, scale, tri, unitary, s_norm = plant.rate_schur
+    expected_bal, expected_scale = sla.matrix_balance(plant.rate_block, permute=False)
+    expected_tri, expected_unitary = sla.schur(expected_bal)
+    if np.any(np.diag(expected_tri, -1)):
+        expected_tri, expected_unitary = sla.rsf2csf(expected_tri, expected_unitary)
+    assert np.array_equal(s_bal, expected_bal)
+    assert np.array_equal(scale, np.diag(expected_scale))
+    assert np.array_equal(tri, expected_tri) and tri.dtype == expected_tri.dtype
+    assert np.array_equal(unitary, expected_unitary)
+    assert s_norm == np.linalg.norm(expected_bal, 2)
+    assert not any(array.flags.writeable for array in (s_bal, scale, tri, unitary))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rate_schur_is_scipys_balanced_schur_form_bit_for_bit(params, n):
+    model = fb.assemble_matrices(params, fb.BasisSet.with_mode_count(n))
+    tensions = np.linspace(0.0, 0.9 * min(model.critical_tension, 10.0), 4)
+    for plant in fb.linearize(model, [fb.solve_equilibrium(model, t) for t in tensions]):
+        _assert_scipy_rate_schur(plant)
+
+
+def test_rate_schur_of_a_complex_pair_is_scipys_complex_schur_form_bit_for_bit():
+    # Eigenvalues -2 +- j sqrt(3): the real Schur form keeps a 2x2 block, which
+    # rsf2csf converts.
+    plant = _toy_plant(np.array([[-2.0, 3.0], [-1.0, -2.0]]))
+    assert np.iscomplexobj(plant.rate_schur[2])
+    _assert_scipy_rate_schur(plant)
+
+
+def test_schur_refuses_with_linalg_error_where_dgees_fails(monkeypatch):
+    # No small finite matrix is known to stop dgees's QR iteration, so a stand-in
+    # reports the failure (info > 0) that LAPACK returns when it does not converge.
+    import scipy.linalg.lapack
+
+    dgees = scipy.linalg.lapack.dgees
+
+    def failing(select, matrix, lwork):
+        result = dgees(select, matrix, lwork=lwork)
+        return result if lwork == -1 else (*result[:-1], 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="Schur form not found"):
+        fb.linearization.schur(np.eye(2))
+
+
 def _assert_inherits_scaled_factorisation(plant, parent, factor):
     """``plant``'s rate_schur is ``parent``'s times ``factor``, an exact
     balancing and Schur form of its own rate block, read-only."""
@@ -249,6 +297,28 @@ def test_rate_scaled_plant_carries_only_its_fields_and_factorisation(ss_at_1n):
     scaled = parent.rate_scaled(1.1, parent.b / 1.2, 0.5)
     fields = {field.name for field in dataclasses.fields(fb.StateSpaceModel)}
     assert set(vars(scaled)) == fields | {"rate_schur"}
+
+
+@pytest.mark.parametrize("plant", ["three_modes", "complex_pair"])
+def test_rate_scaled_plant_is_the_plant_the_constructor_builds(ss_at_1n, plant):
+    parent = ss_at_1n if plant == "three_modes" else _toy_plant(
+        np.array([[-2.0, 3.0], [-1.0, -2.0]]))
+    n, factor, b = parent.mode_count, 1.1, parent.b / 1.2
+    a = parent.a.copy()
+    a[n:, :n] *= factor
+    scaled = parent.rate_scaled(factor, b, np.float32(0.5))
+    built = fb.StateSpaceModel(a=a, b=b, c=parent.c, d=parent.d, t_eq=np.float32(0.5),
+                               x_bar=parent.x_bar)
+    assert type(scaled) is fb.StateSpaceModel
+    assert list(vars(scaled)) == [*vars(built), "rate_schur"]
+    for name in ("a", "b", "c", "x_bar"):
+        value, expected = getattr(scaled, name), getattr(built, name)
+        assert np.array_equal(value, expected) and value.dtype == expected.dtype, name
+        assert value.shape == expected.shape and not value.flags.writeable, name
+    assert (scaled.d, scaled.t_eq) == (built.d, built.t_eq) == (parent.d, 0.5)
+    assert type(scaled.d) is type(scaled.t_eq) is float
+    # The caller's b is copied, not kept.
+    assert not np.shares_memory(scaled.b, b)
 
 
 @pytest.mark.parametrize("factor", [0.0, -0.5, np.nan, np.inf, -np.inf])

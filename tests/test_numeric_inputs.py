@@ -164,6 +164,9 @@ TYPED = [
      "d must be a real number", True, np.float64(0.0)),
     ("StateSpaceModel.t_eq", lambda v, ctx: replace(_plant_of(ctx["model"]), t_eq=v),
      "t_eq must be", True, np.float64(1.0)),
+    ("rate_scaled.t_eq",
+     lambda v, ctx: _plant_of(ctx["model"]).rate_scaled(1.0, _plant_of(ctx["model"]).b, v),
+     "t_eq must be a real number", True, np.float64(1.0)),
 ]
 
 

@@ -748,6 +748,18 @@ def test_default_grid_refuses_an_int_whose_square_overflows_without_warnings():
             fb.default_grid(5, 1e-3, 10**200)
 
 
+@pytest.mark.parametrize("n_points", [2**64, 10**400], ids=["2**64", "10**400"])
+def test_default_grid_refuses_more_points_than_numpy_builds(n_points):
+    # Above checked_count's default ceiling, numpy's logspace would refuse the
+    # size without naming the field.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequency grid needs 0 < omega_min") as refused:
+            fb.default_grid(n_points)
+    assert f"n_points <= {fb.model.COUNT_MAX}" in str(refused.value)
+    assert "n_points=" in str(refused.value)
+
+
 @pytest.mark.parametrize("grid", [
     [1.0, float("nan"), 2.0],     # NaN mid-grid fails the order test
     [-1e200, 1.0, 2.0],           # increasing, but the first point's square overflows

@@ -21,11 +21,14 @@ A plant keeps its rate block's factorisation (``StateSpaceModel.rate_schur``)
 after its first response, so each ``frequency_response`` and
 ``passivity_check`` call runs on a fresh copy of the plant
 (``dataclasses.replace``) and pays for the factorisation as a new plant does;
-the copy, the constructor's copies and checks, adds 22-27 us per call at 3 to 6
-modes on a 2-vCPU x86-64 host.
+the copy, the constructor's copies and checks, is the ``replace`` row (23-39 us
+per call at 3 to 6 modes in one run on a 2-vCPU x86-64 host).  The
+``rate_schur`` row times that factorisation alone (the cached property's
+function called on the plant, so nothing is cached): the balancing, the Schur
+form and the norm.
 Two rows time a box sample's plant: ``rate_scaled``, which builds the plant of
-sample (1.2, 0.8, 1.2) from the nominal plant through the same constructor
-(24-29 us per call on that host, its copies and checks included) and hands it
+sample (1.2, 0.8, 1.2) from the nominal plant without the constructor
+(14-26 us per call in that run, its copies and checks included) and hands it
 the nominal factorisation, scaled, and that plant's ``passivity_check``, which
 factorises nothing.
 Two rows time the linearizations of the 15 E*I classes of the +-20 % box below (each
@@ -161,6 +164,8 @@ def layer_times(modes: int) -> dict[str, float]:
         "assemble+tension_for_deflection": lambda: fb.tension_for_deflection(
             fb.assemble_matrices(params, basis), eq.tip_deflection),
         "linearize": lambda: fb.linearize(model, eq),
+        "replace": lambda: dataclasses.replace(ss),
+        "rate_schur": functools.partial(fb.StateSpaceModel.rate_schur.func, ss),
         "frequency_response": lambda: fb.frequency_response(dataclasses.replace(ss), grid),
         "passivity_check": lambda: fb.passivity_check(dataclasses.replace(ss), grid),
     }
